@@ -24,7 +24,8 @@
 ///   $ wsmd resume cu_slab.ckpt --output-dir=resumed
 ///
 /// The `report` subcommand runs a deck with telemetry armed and prints a
-/// measured-vs-modeled per-phase cost table (src/telemetry/report):
+/// measured-vs-modeled per-phase cost table (src/telemetry/report),
+/// followed by the wafer engine's shortlist rebuild count:
 ///
 ///   $ wsmd report scenarios/cu_gb_mobility.deck
 ///   $ wsmd report --html scenarios/cu_gb_mobility.deck
@@ -81,7 +82,8 @@ void print_usage(std::FILE* out) {
                "`wsmd report` runs a deck with telemetry armed and prints\n"
                "a measured-vs-modeled per-phase cost table (wafer cost\n"
                "model; a reference-backend deck is promoted to sharded:2\n"
-               "unless --backend= says otherwise).\n"
+               "unless --backend= says otherwise) and the wafer\n"
+               "candidate-shortlist rebuild count.\n"
                "\n"
                "options:\n"
                "  --set key=value   scenario override (same as a bare\n"
@@ -390,9 +392,11 @@ int run_report(int argc, char** argv) {
     WSMD_REQUIRE(result.modeled.valid,
                  "backend '" << result.backend_name
                              << "' produced no cost-model breakdown");
-    std::printf("\n%s", telemetry::format_cost_report(
-                            telemetry::build_cost_report(result.modeled))
-                            .c_str());
+    std::printf("\n%s%s",
+                telemetry::format_cost_report(
+                    telemetry::build_cost_report(result.modeled))
+                    .c_str(),
+                telemetry::format_shortlist_summary().c_str());
     if (html) {
       telemetry::DashboardInput din;
       din.title = result.scenario;

@@ -501,6 +501,7 @@ void AtomMapping::swap_atoms(const CoreCoord& a, const CoreCoord& b) {
   auto& slot_a = core_atom_[static_cast<std::size_t>(a.y) * grid_w_ + a.x];
   auto& slot_b = core_atom_[static_cast<std::size_t>(b.y) * grid_w_ + b.x];
   std::swap(slot_a, slot_b);
+  ++version_;
   if (slot_a >= 0) atom_core_[static_cast<std::size_t>(slot_a)] = a;
   if (slot_b >= 0) atom_core_[static_cast<std::size_t>(slot_b)] = b;
 }
@@ -526,6 +527,7 @@ void AtomMapping::restore_assignment(const std::vector<long>& core_atom) {
                  "restore_assignment: atom " << a << " assigned to no core");
   }
   core_atom_ = core_atom;
+  ++version_;
   for (std::size_t c = 0; c < core_atom_.size(); ++c) {
     const long a = core_atom_[c];
     if (a < 0) continue;

@@ -114,6 +114,11 @@ class AtomMapping {
   /// Reassign atom->core (used by the online atom-swap step).
   void swap_atoms(const CoreCoord& a, const CoreCoord& b);
 
+  /// Assignment version: bumped by every swap_atoms and
+  /// restore_assignment, so caches keyed on the core->atom table (the
+  /// wafer engine's candidate shortlist) can tell that it changed.
+  std::uint64_t version() const { return version_; }
+
   /// The full core->atom table (core y*w+x -> atom id or -1), the
   /// assignment a checkpoint stores.
   const std::vector<long>& core_atoms() const { return core_atom_; }
@@ -144,6 +149,7 @@ class AtomMapping {
   std::array<AxisInfo, 2> axes_;
   std::vector<CoreCoord> atom_core_;   // atom -> core
   std::vector<long> core_atom_;        // core (y*w+x) -> atom or -1
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace wsmd::core

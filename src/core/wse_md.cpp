@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -52,6 +53,20 @@ WseMd::WseMd(const lattice::Structure& s, eam::EamPotentialPtr potential,
     b_ = mapping_.required_b(s.positions, rcut_) + 1;
   }
   WSMD_REQUIRE(b_ >= 1, "neighborhood radius must be at least 1");
+
+  // Shortlist exactness: if no atom moved more than half the skin from its
+  // anchor, a pair outside the rcut + skin shortlist is still beyond rcut.
+  // The margin absorbs the FP32 rounding of both sieves and of the
+  // displacement check — a few ulps of the largest coordinate, so it
+  // scales with the box (a box too large for any skin rebuilds every step).
+  double extent = rcut_ + kShortlistSkin;
+  for (std::size_t a = 0; a < 3; ++a) {
+    extent = std::max(extent, static_cast<double>(box_len_f_[a]));
+  }
+  const double margin =
+      1e-3 + 64.0 * std::numeric_limits<float>::epsilon() * extent;
+  const double limit = std::max(0.0, 0.5 * kShortlistSkin - margin);
+  shortlist_limit2_ = static_cast<float>(limit * limit);
 }
 
 double WseMd::potential_energy() const {
@@ -161,7 +176,10 @@ void WseMd::restore_state(const SavedState& state) {
                    << mapping_.grid_width() << "x" << mapping_.grid_height()
                    << ") — was the checkpoint taken from this structure?");
   WSMD_REQUIRE(state.step >= 0, "restore_state: negative step counter");
-  WSMD_REQUIRE(state.b >= 1, "restore_state: neighborhood radius < 1");
+  const int max_b = std::max(mapping_.grid_width(), mapping_.grid_height());
+  WSMD_REQUIRE(state.b >= 1 && state.b <= max_b,
+               "restore_state: neighborhood radius "
+                   << state.b << " outside [1, " << max_b << "]");
   WSMD_REQUIRE(state.initial_positions.size() == positions_.size(),
                "restore_state: displacement baseline size mismatch");
   mapping_.restore_assignment(state.core_atoms);
@@ -203,13 +221,15 @@ void WseMd::gather_neighborhood(int cx, int cy,
   out.clear();
   const int w = mapping_.grid_width();
   const int h = mapping_.grid_height();
+  const long* cores = mapping_.core_atoms().data();
   // Deterministic candidate order: row-major sweep of the clipped square,
   // mirroring the fixed arrival order of the marching multicast.
+  const int x0 = std::max(0, cx - b_), x1 = std::min(w - 1, cx + b_);
   for (int y = std::max(0, cy - b_); y <= std::min(h - 1, cy + b_); ++y) {
-    for (int x = std::max(0, cx - b_); x <= std::min(w - 1, cx + b_); ++x) {
+    const long* line = cores + static_cast<std::size_t>(y) * w;
+    for (int x = x0; x <= x1; ++x) {
       if (x == cx && y == cy) continue;
-      const long a = mapping_.atom_at(x, y);
-      if (a >= 0) out.push_back(static_cast<std::uint32_t>(a));
+      if (line[x] >= 0) out.push_back(static_cast<std::uint32_t>(line[x]));
     }
   }
 }
@@ -230,16 +250,49 @@ ShardRect WseMd::full_grid() const {
   return ShardRect{0, 0, mapping_.grid_width(), mapping_.grid_height()};
 }
 
-void WseMd::begin_step(StepWorkspace& ws) const {
-  telemetry::ScopedSpan span("wse.begin");
+void WseMd::plan_shortlist(const ShardRect& anchored, StepWorkspace& ws) const {
   const std::size_t n = positions_.size();
   // Row capacity: every cell in the (2b+1)² neighborhood square except the
   // center can hold an atom, plus the sieve's vector-store overshoot pad.
-  const auto span_cells = static_cast<std::size_t>(2 * b_ + 1);
-  ws.neighbor_stride = span_cells * span_cells - 1 + simd::kPadF32;
-  ws.neighbor_idx.resize(n * ws.neighbor_stride);
+  const std::size_t span_cells = 2 * static_cast<std::size_t>(b_) + 1;
+  const std::size_t stride = span_cells * span_cells - 1 + simd::kPadF32;
+  // The anchored rows' atoms: a contiguous run of the row-major core table.
+  const auto w = static_cast<std::size_t>(mapping_.grid_width());
+  const long* cores = mapping_.core_atoms().data();
+  const long* first = cores + static_cast<std::size_t>(anchored.y0) * w;
+  const long* last = cores + static_cast<std::size_t>(anchored.y1) * w;
+  ws.rebuild = ws.shortlist_stride != stride ||
+               ws.mapping_version != mapping_.version() ||
+               ws.anchored != anchored;
+  for (const long* c = first; !ws.rebuild && c != last; ++c) {
+    if (*c < 0) continue;
+    const auto i = static_cast<std::size_t>(*c);
+    const Vec3f d = minimum_image_f(ws.anchor.get(i), positions_.get(i));
+    // Negated so a non-finite displacement rebuilds too.
+    ws.rebuild = !(dot(d, d) <= shortlist_limit2_);
+  }
+  if (!ws.rebuild) return;
+  telemetry::count("wse.shortlist_rebuilds");
+  ws.shortlist_stride = stride;
+  ws.mapping_version = mapping_.version();
+  ws.anchored = anchored;
+  ws.shortlist_idx.resize(n * stride);
+  ws.shortlist_count.resize(n);
+  ws.candidates.resize(n);
+  ws.anchor.resize(n);
+  for (const long* c = first; c != last; ++c) {
+    if (*c >= 0) {
+      const auto i = static_cast<std::size_t>(*c);
+      ws.anchor.set(i, positions_.get(i));
+    }
+  }
+}
+
+void WseMd::begin_step(StepWorkspace& ws) const {
+  telemetry::ScopedSpan span("wse.begin");
+  const std::size_t n = positions_.size();
+  plan_shortlist(full_grid(), ws);
   ws.neighbor_count.assign(n, 0);
-  ws.candidates.assign(n, 0);
   ws.pe_embed.assign(n, 0.0);
   ws.pair_half.assign(n, 0.0f);
   ws.cycles.assign(n, 0.0);
@@ -251,6 +304,8 @@ void WseMd::begin_step(StepWorkspace& ws) const {
 void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
   telemetry::ScopedSpan span("wse.density");
   const auto rc2 = static_cast<float>(rcut_ * rcut_);
+  const auto keep2 = static_cast<float>((rcut_ + kShortlistSkin) *
+                                        (rcut_ + kShortlistSkin));
   const eam::ProfileF32* prof = profile_.get();
   const bool pairwise_only = potential_->is_pairwise_only();
   const simd::KernelTable& kern = simd::kernels();
@@ -259,47 +314,78 @@ void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
   const float* px = positions_.x();
   const float* py = positions_.y();
   const float* pz = positions_.z();
+  const long* cores = mapping_.core_atoms().data();
+  const auto w = static_cast<std::size_t>(mapping_.grid_width());
   // Function-local scratch (one per phase call) keeps sharded workers from
-  // racing: r2 is only needed transiently between the sieve and the density
-  // row — persisting it per atom would not fit at paper scale.
+  // racing: the rcut-accepted row and its r2 are only needed transiently
+  // between the sieve and the density row — persisting them per atom would
+  // not fit at paper scale.
   std::vector<std::uint32_t> gathered;
-  std::vector<float> r2_scratch(ws.neighbor_stride);
+  std::vector<std::uint32_t> accepted(ws.shortlist_stride);
+  std::vector<float> r2_accepted(ws.shortlist_stride);
+  std::vector<float> r2_kept(ws.rebuild ? ws.shortlist_stride : 0);
   for (int cy = shard.y0; cy < shard.y1; ++cy) {
     for (int cx = shard.x0; cx < shard.x1; ++cx) {
-      const long ai = mapping_.atom_at(cx, cy);
+      const long ai = cores[static_cast<std::size_t>(cy) * w + cx];
       if (ai < 0) continue;
       const auto i = static_cast<std::size_t>(ai);
-      gather_neighborhood(cx, cy, gathered);
-      ws.candidates[i] = static_cast<std::uint32_t>(gathered.size());
-      std::uint32_t* row = ws.neighbor_idx.data() + i * ws.neighbor_stride;
+      std::uint32_t* row = ws.shortlist_idx.data() + i * ws.shortlist_stride;
+      if (ws.rebuild) {
+        gather_neighborhood(cx, cy, gathered);
+        ws.candidates[i] = static_cast<std::uint32_t>(gathered.size());
+      }
       const Vec3f ri = positions_.get(i);
       float rho = 0.0f;
+      std::uint32_t m = 0;
       if (prof != nullptr) {
-        // Batched sieve: 8-wide accept test, accepted indices compacted
-        // into the row; then one 8-wide table sweep over the survivors.
-        const std::size_t m =
-            kern.sieve_f32(px, py, pz, ri.x, ri.y, ri.z, gathered.data(),
-                           gathered.size(), sbox_, rc2, row,
-                           r2_scratch.data());
-        ws.neighbor_count[i] = static_cast<std::uint32_t>(m);
+        // Batched sieve: 8-wide accept test compacting the accepted
+        // indices; then one 8-wide table sweep over the survivors. A
+        // rebuild sieves the gathered window at rcut + skin into the
+        // shortlist and derives the rcut row from the r2 it computed.
+        if (ws.rebuild) {
+          const std::size_t kept =
+              kern.sieve_f32(px, py, pz, ri.x, ri.y, ri.z, gathered.data(),
+                             gathered.size(), sbox_, keep2, row,
+                             r2_kept.data());
+          ws.shortlist_count[i] = static_cast<std::uint32_t>(kept);
+          for (std::size_t k = 0; k < kept; ++k) {
+            accepted[m] = row[k];
+            r2_accepted[m] = r2_kept[k];
+            m += r2_kept[k] < rc2 ? 1 : 0;
+          }
+        } else {
+          m = static_cast<std::uint32_t>(
+              kern.sieve_f32(px, py, pz, ri.x, ri.y, ri.z, row,
+                             ws.shortlist_count[i], sbox_, rc2,
+                             accepted.data(), r2_accepted.data()));
+        }
         if (!pairwise_only) {
-          rho = kern.rho_row_f32(raw, types_.data(), row, r2_scratch.data(),
-                                 m);
+          rho = kern.rho_row_f32(raw, types_.data(), accepted.data(),
+                                 r2_accepted.data(), m);
         }
       } else {
         // Analytic path: per-candidate accept + direct potential calls.
-        std::uint32_t m = 0;
-        for (std::uint32_t j : gathered) {
+        const std::uint32_t* src = ws.rebuild ? gathered.data() : row;
+        const std::size_t count =
+            ws.rebuild ? gathered.size() : ws.shortlist_count[i];
+        std::uint32_t kept = 0;
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::uint32_t j = src[k];
           const Vec3f d = minimum_image_f(ri, positions_.get(j));
           const float r2 = dot(d, d);
+          if (ws.rebuild) {
+            if (r2 >= keep2) continue;
+            row[kept++] = j;
+          }
           if (r2 >= rc2) continue;
-          row[m++] = j;
+          ++m;
           if (pairwise_only) continue;  // phase 3 skipped for pair styles
           rho += static_cast<float>(potential_->density(
               types_[j], std::sqrt(static_cast<double>(r2))));
         }
-        ws.neighbor_count[i] = m;
+        if (ws.rebuild) ws.shortlist_count[i] = kept;
       }
+      ws.neighbor_count[i] = m;
       if (pairwise_only) {
         ws.pe_embed[i] = 0.0;
         fprime_[i] = 0.0f;
@@ -322,6 +408,7 @@ void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
   // F' of every neighborhood is available now, as after the embedding
   // exchange on the real machine.
   const auto dt = static_cast<float>(config_.dt);
+  const auto rc2 = static_cast<float>(rcut_ * rcut_);
   const eam::ProfileF32* prof = profile_.get();
   const bool pairwise_only = potential_->is_pairwise_only();
   const simd::KernelTable& kern = simd::kernels();
@@ -330,32 +417,43 @@ void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
   const float* px = positions_.x();
   const float* py = positions_.y();
   const float* pz = positions_.z();
+  const long* cores = mapping_.core_atoms().data();
+  const auto w = static_cast<std::size_t>(mapping_.grid_width());
+  // Per-call scratch for the rcut row re-sieved from the shortlist.
+  std::vector<std::uint32_t> accepted(ws.shortlist_stride);
+  std::vector<float> r2_scratch(ws.shortlist_stride);
   for (int cy = shard.y0; cy < shard.y1; ++cy) {
     for (int cx = shard.x0; cx < shard.x1; ++cx) {
-      const long ai = mapping_.atom_at(cx, cy);
+      const long ai = cores[static_cast<std::size_t>(cy) * w + cx];
       if (ai < 0) continue;
       const auto i = static_cast<std::size_t>(ai);
       const Vec3f ri = positions_.get(i);
       const float fprime_i = fprime_[i];
       const int ti = types_[i];
       const std::uint32_t* row =
-          ws.neighbor_idx.data() + i * ws.neighbor_stride;
-      const std::uint32_t m = ws.neighbor_count[i];
+          ws.shortlist_idx.data() + i * ws.shortlist_stride;
+      const std::uint32_t count = ws.shortlist_count[i];
       Vec3f force{0, 0, 0};
       float pair_acc = 0.0f;
+      std::uint32_t m = 0;
       if (prof != nullptr) {
         // Batched force row: re-gathers neighbor positions and recomputes
         // the sieve's displacement bitwise, then 8-wide table sweeps.
+        m = static_cast<std::uint32_t>(
+            kern.sieve_f32(px, py, pz, ri.x, ri.y, ri.z, row, count, sbox_,
+                           rc2, accepted.data(), r2_scratch.data()));
         const simd::PairAccumF32 acc = kern.force_row_f32(
             raw, px, py, pz, ri.x, ri.y, ri.z, sbox_, types_.data(),
-            fprime_.data(), fprime_i, ti, row, m, pairwise_only);
+            fprime_.data(), fprime_i, ti, accepted.data(), m, pairwise_only);
         force = Vec3f{acc.fx, acc.fy, acc.fz};
         pair_acc = acc.phi;
       } else {
-        for (std::uint32_t k = 0; k < m; ++k) {
+        for (std::uint32_t k = 0; k < count; ++k) {
           const std::uint32_t j = row[k];
           const Vec3f d = minimum_image_f(ri, positions_.get(j));
           const float r2 = dot(d, d);
+          if (r2 >= rc2) continue;
+          ++m;
           const double rd = std::sqrt(static_cast<double>(r2));
           pair_acc += static_cast<float>(potential_->pair(ti, types_[j], rd));
           float fmag =
@@ -502,17 +600,20 @@ WseStepStats WseMd::reduce_region(const ShardRect& shard,
   return stats;
 }
 
-void WseMd::begin_step_region(StepWorkspace& ws) const {
+void WseMd::begin_step_region(const ShardRect& region,
+                              StepWorkspace& ws) const {
   telemetry::ScopedSpan span("wse.begin");
   const std::size_t n = positions_.size();
-  const auto span_cells = static_cast<std::size_t>(2 * b_ + 1);
-  ws.neighbor_stride = span_cells * span_cells - 1 + simd::kPadF32;
+  // The region's kernels gather from its rows ± b; the decision reads only
+  // those atoms.
+  ShardRect gatherable = full_grid();
+  gatherable.y0 = std::max(0, region.y0 - b_);
+  gatherable.y1 = std::min(gatherable.y1, region.y1 + b_);
+  plan_shortlist(gatherable, ws);
   // resize (not assign): slots outside the caller's regions keep stale
   // values nobody reads; slots inside are written by the phases before any
   // read. This keeps the per-rank begin cost O(region), not O(N).
-  ws.neighbor_idx.resize(n * ws.neighbor_stride);
   ws.neighbor_count.resize(n);
-  ws.candidates.resize(n);
   ws.pe_embed.resize(n);
   ws.pair_half.resize(n);
   ws.cycles.resize(n);

@@ -13,7 +13,12 @@
 ///      equivalent gather functionally while charging cycles from the
 ///      calibrated cost model);
 ///   2. Neighbor list — r^2 against rcut^2, candidates arriving in
-///      deterministic order;
+///      deterministic order. The host keeps a per-atom Verlet shortlist:
+///      a rebuild step gathers the neighborhood and keeps the candidates
+///      within rcut + skin in arrival order; every other step sieves only
+///      that shortlist, which yields exactly the rows the full gather
+///      would (see StepWorkspace). The cost model still charges every
+///      multicast candidate — the modeled machine has no such cache;
 ///   3. Embedding — accumulate rho_i, evaluate F_i and F'_i, and exchange
 ///      F' with the neighborhood (it enters the force on other atoms);
 ///   4. Force + leap-frog integration (paper Eqs. 4-5);
@@ -86,6 +91,7 @@ struct ShardRect {
   int x1 = 0;
   int y1 = 0;
   bool empty() const { return x1 <= x0 || y1 <= y0; }
+  friend bool operator==(const ShardRect&, const ShardRect&) = default;
 };
 
 /// Reusable per-step buffers for the phase kernels. Every array is indexed
@@ -93,17 +99,35 @@ struct ShardRect {
 /// phase). Each atom is owned by exactly one core, so kernels running on
 /// disjoint shards never write the same slot — the workspace is safe to
 /// share across threads within one step.
+///
+/// The workspace also carries the Verlet shortlist across steps. A rebuild
+/// step gathers each atom's clipped (2b+1)² window and keeps the
+/// candidates within rcut + WseMd::kShortlistSkin, in arrival order, in
+/// one flat fixed-stride buffer (row i at shortlist_idx[i *
+/// shortlist_stride], length shortlist_count[i]); every other step sieves
+/// only that row against rcut. begin_step decides, once per step and
+/// before any shard runs, whether to rebuild: when the mapping version or
+/// the row stride (i.e. b) changed, or when an atom the step can gather
+/// moved more than half the skin (minus an FP32 margin) from its anchor.
+/// Short of that, no pair outside the shortlist can come within rcut, so
+/// the accepted rows — and the trajectory — are bitwise those of the full
+/// gather. A default-constructed workspace always rebuilds first. Only
+/// indices are stored: the force phase re-sieves the shortlist into
+/// per-call scratch rather than keep a second full-stride row.
 struct StepWorkspace {
-  // Phase 1-3 outputs. The accepted-neighbor lists live in one flat
-  // fixed-stride buffer (row i at neighbor_idx[i * neighbor_stride], length
-  // neighbor_count[i]): the SIMD sieve compacts straight into the row, and
-  // the per-step allocation churn of nested vectors is gone. Only indices
-  // are stored — at paper scale (800k atoms) caching per-neighbor
-  // displacements would cost gigabytes, so the force phase re-gathers.
-  std::vector<std::uint32_t> neighbor_idx;    ///< accepted candidates, flat
-  std::vector<std::uint32_t> neighbor_count;  ///< accepted per atom
-  std::size_t neighbor_stride = 0;            ///< row capacity (incl. pad)
-  std::vector<std::uint32_t> candidates;      ///< gathered per worker
+  // Verlet shortlist (phases 1-2), kept across steps.
+  std::vector<std::uint32_t> shortlist_idx;    ///< rc + skin rows, flat
+  std::vector<std::uint32_t> shortlist_count;  ///< shortlisted per atom
+  std::size_t shortlist_stride = 0;  ///< row capacity (incl. pad); 0 = none
+  Vec3fPlanes anchor;                ///< positions at the last rebuild
+  ShardRect anchored;                ///< core rows whose atoms are anchored
+  std::uint64_t mapping_version = 0;  ///< AtomMapping::version() at rebuild
+  bool rebuild = true;  ///< this step gathers (set by begin_step)
+  /// Gathered candidates per worker: the multicast the cost model charges,
+  /// counted on a rebuild step and unchanged until the next one.
+  std::vector<std::uint32_t> candidates;
+  // Phase 1-3 outputs.
+  std::vector<std::uint32_t> neighbor_count;  ///< accepted (r < rcut)
   std::vector<double> pe_embed;               ///< F(rho_i) per atom
   // Phase 4 outputs.
   std::vector<float> pair_half;   ///< sum_j phi_ij before the 1/2 factor
@@ -119,6 +143,12 @@ struct StepWorkspace {
 
 class WseMd {
  public:
+  /// Verlet skin of the candidate shortlist (A): wide enough that swaps,
+  /// not thermal motion, set the rebuild cadence of a solid near room
+  /// temperature; 0.5, 1.0 and 1.5 A measured alike on the Ta grain
+  /// boundary deck.
+  static constexpr double kShortlistSkin = 1.0;
+
   WseMd(const lattice::Structure& s, eam::EamPotentialPtr potential,
         WseMdConfig config = {});
 
@@ -164,7 +194,9 @@ class WseMd {
   /// Restore a snapshot taken from an identically-built engine (same
   /// structure, potential, mapping config). The continued trajectory is
   /// bitwise identical to the uninterrupted run at any shard count.
-  /// Throws on atom-count or core-grid mismatch.
+  /// Throws on atom-count or core-grid mismatch, and on a neighborhood
+  /// radius outside [1, max(grid_width, grid_height)] (past that the
+  /// clipped window stops growing, so a larger b is corrupt input).
   void restore_state(const SavedState& state);
 
   /// Maxwell-Boltzmann initialization at T (FP32-rounded).
@@ -204,16 +236,19 @@ class WseMd {
   /// The whole grid as one region (the serial decomposition).
   ShardRect full_grid() const;
 
-  /// Size workspace buffers and seed new_positions/new_velocities.
+  /// Size workspace buffers, seed new_positions/new_velocities, and decide
+  /// whether this step rebuilds the shortlist (ws.rebuild; the check
+  /// covers every atom).
   void begin_step(StepWorkspace& ws) const;
 
-  /// Phases 1-3: candidate exchange, neighbor list, embedding density;
-  /// publishes fprime_ for the region's atoms.
+  /// Phases 1-3: candidate exchange (on a rebuild step; otherwise the
+  /// shortlist), neighbor list, embedding density; publishes fprime_ for
+  /// the region's atoms.
   void density_phase(const ShardRect& shard, StepWorkspace& ws);
 
   /// Phase 4: force evaluation + leap-frog integration into the workspace
   /// (requires fprime_ of all neighborhoods, i.e. a barrier after the
-  /// density phase).
+  /// density phase). Re-sieves each atom's shortlist against rcut.
   void force_phase(const ShardRect& shard, StepWorkspace& ws) const;
 
   /// Swap in the integrated state, accumulate the potential energy, and
@@ -244,8 +279,11 @@ class WseMd {
   /// Size the workspace buffers without seeding them from the full current
   /// state (no O(N) copies or fills). Every slot the phase kernels read for
   /// a region atom is written earlier in the same step, so undefined slots
-  /// outside the caller's regions are never observed.
-  void begin_step_region(StepWorkspace& ws) const;
+  /// outside the caller's regions are never observed. The shortlist
+  /// rebuild check covers only the atoms `region`'s kernels can gather —
+  /// its rows ± b, which the caller's b+1-row state halo keeps current —
+  /// so the cost stays O(region).
+  void begin_step_region(const ShardRect& region, StepWorkspace& ws) const;
 
   /// Partial FP64 energy sums over one region, each accumulated in
   /// row-major core order (embedding and pair kept separate so a
@@ -347,12 +385,19 @@ class WseMd {
   void gather_neighborhood(int cx, int cy,
                            std::vector<std::uint32_t>& out) const;
   WseStepStats do_timestep();
+  /// Shared rebuild decision of begin_step / begin_step_region: the
+  /// shortlist of the atoms in `anchored` (every core whose atom a kernel
+  /// of the step may gather) is stale when the mapping version or the row
+  /// stride changed, the anchored rows differ, or one of those atoms moved
+  /// past the displacement limit. A rebuild re-anchors them.
+  void plan_shortlist(const ShardRect& anchored, StepWorkspace& ws) const;
 
-  /// FP32 minimum-image displacement rj - ri (analytic path; the tabulated
-  /// path runs the batched sieve instead). The candidate loops run this for
-  /// every gathered candidate, so it stays entirely in FP32. nearbyint —
-  /// not round — so the correction matches the SIMD kernels' round-half-
-  /// even `_mm256_round_ps` convention.
+  /// FP32 minimum-image displacement rj - ri (analytic path and the
+  /// shortlist displacement check; the tabulated path runs the batched
+  /// sieve instead). The candidate loops run this for every gathered
+  /// candidate, so it stays entirely in FP32. nearbyint — not round — so
+  /// the correction matches the SIMD kernels' round-half-even
+  /// `_mm256_round_ps` convention.
   Vec3f minimum_image_f(const Vec3f& ri, const Vec3f& rj) const {
     Vec3f d = rj - ri;
     for (std::size_t a = 0; a < 3; ++a) {
@@ -378,6 +423,10 @@ class WseMd {
   AtomMapping mapping_;
   int b_ = 1;
   double rcut_ = 0.0;
+  /// Squared displacement (A^2) past which an atom forces a shortlist
+  /// rebuild: (skin/2 - margin)^2, the margin covering FP32 rounding of
+  /// the sieve's r^2 and of the check itself at this box's coordinates.
+  float shortlist_limit2_ = 0.0f;
 
   // FP32 per-atom state, split into x/y/z planes for the batched kernels.
   Vec3fPlanes positions_;

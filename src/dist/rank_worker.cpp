@@ -374,7 +374,7 @@ void RankWorker::do_step() {
   src_hi = std::max(src_hi, src_lo);
 
   auto t = Clock::now();
-  md_.begin_step_region(ws_);
+  md_.begin_step_region(strip_, ws_);
   for_region(rect(strip_.y0, src_lo), density);
   for_region(rect(src_hi, strip_.y1), density);
   busy_s_ += since(t);
@@ -498,7 +498,7 @@ void RankWorker::do_eval_pe() {
   // publish/consume path as a step so the shm ring sequence stays in
   // lockstep on both sides of every pair.
   const auto subs = sub_strips();
-  md_.begin_step_region(ws_);
+  md_.begin_step_region(strip_, ws_);
   pool_.run([&](int k) {
     md_.density_phase(subs[static_cast<std::size_t>(k)], ws_);
   });

@@ -92,4 +92,16 @@ std::string format_cost_report(const std::vector<PhaseRow>& rows) {
   return os.str();
 }
 
+std::string format_shortlist_summary() {
+  std::uint64_t rebuilds = 0, steps = 0;
+  for (const auto& [name, value] : counters()) {
+    if (name == "wse.shortlist_rebuilds") rebuilds = value;
+    if (name == "wse.steps") steps = value;
+  }
+  if (rebuilds == 0) return {};
+  return format("shortlist rebuilds: %llu / %llu steps\n",
+                static_cast<unsigned long long>(rebuilds),
+                static_cast<unsigned long long>(steps));
+}
+
 }  // namespace wsmd::telemetry

@@ -46,4 +46,12 @@ std::vector<PhaseRow> build_cost_report(
 /// Render rows as the human table `wsmd report` prints.
 std::string format_cost_report(const std::vector<PhaseRow>& rows);
 
+/// The wafer candidate-shortlist hit rate printed under the table,
+/// "shortlist rebuilds: N / M steps\n", from the session's
+/// wse.shortlist_rebuilds and wse.steps counters. N includes rebuilds
+/// outside the step loop (the construction-time energy evaluation). Empty
+/// when no rebuild was counted — the reference backend has no shortlist,
+/// and ranks: processes do not report their counters.
+std::string format_shortlist_summary();
+
 }  // namespace wsmd::telemetry

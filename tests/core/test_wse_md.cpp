@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "eam/zhou.hpp"
+#include "lattice/grain_boundary.hpp"
 #include "lattice/lattice.hpp"
 #include "md/simulation.hpp"
 
@@ -282,6 +284,190 @@ TEST(WseMd, ProfiledEnergyTracksAnalyticEnergy) {
   WseMd ana(f.structure, f.potential, ana_cfg);
   EXPECT_NEAR(tab.potential_energy(), ana.potential_energy(),
               1e-4 * std::fabs(ana.potential_energy()) + 1e-3);
+}
+
+/// One timestep through the public phase-kernel interface (the serial
+/// schedule of WseMd::step).
+WseStepStats phase_step(WseMd& md, StepWorkspace& ws) {
+  const ShardRect all = md.full_grid();
+  md.begin_step(ws);
+  md.density_phase(all, ws);
+  md.force_phase(all, ws);
+  const bool swap = md.commit_step(ws);
+  std::size_t applied = 0;
+  if (swap) {
+    md.swap_select(all, ws.partner);
+    applied = md.swap_commit(ws.partner);
+  }
+  return md.finish_step(ws, applied, swap);
+}
+
+/// Steps `warm` with one persistent workspace (its candidate shortlist
+/// carried across steps) and `cold` with a fresh workspace every step, so
+/// `cold` gathers and sieves the full neighborhood each time — the
+/// reference. Requires bitwise-equal positions, velocities and PE and
+/// equal accounting after every step. Returns how many warm steps rebuilt
+/// with the mapping and b unchanged since the last rebuild, i.e. for
+/// displacement alone.
+int expect_cache_parity(WseMd& warm, StepWorkspace& ws, WseMd& cold,
+                        int steps, const std::string& label) {
+  int moved_rebuilds = 0;
+  for (int k = 0; k < steps; ++k) {
+    // The cache key before the step: a rebuild with the same key can only
+    // have come from the displacement check.
+    const auto key_version = ws.mapping_version;
+    const auto key_stride = ws.shortlist_stride;
+    const bool same_mapping = key_version == warm.mapping().version();
+    const WseStepStats sw = phase_step(warm, ws);
+    if (ws.rebuild && key_stride != 0 && same_mapping &&
+        key_stride == ws.shortlist_stride) {
+      ++moved_rebuilds;
+    }
+    StepWorkspace fresh;
+    const WseStepStats sc = phase_step(cold, fresh);
+    EXPECT_TRUE(fresh.rebuild) << label;
+    const std::string at = label + " step " + std::to_string(sw.step);
+    EXPECT_EQ(sw.step, sc.step) << at;
+    EXPECT_EQ(sw.mean_candidates, sc.mean_candidates) << at;
+    EXPECT_EQ(sw.mean_interactions, sc.mean_interactions) << at;
+    EXPECT_EQ(sw.max_cycles, sc.max_cycles) << at;
+    EXPECT_EQ(sw.mean_cycles, sc.mean_cycles) << at;
+    EXPECT_EQ(sw.stddev_cycles, sc.stddev_cycles) << at;
+    EXPECT_EQ(sw.wall_seconds, sc.wall_seconds) << at;
+    EXPECT_EQ(sw.swapped, sc.swapped) << at;
+    EXPECT_EQ(sw.swaps_applied, sc.swaps_applied) << at;
+    EXPECT_EQ(warm.potential_energy(), cold.potential_energy()) << at;
+    const auto pw = warm.positions(), pc = cold.positions();
+    const auto vw = warm.velocities(), vc = cold.velocities();
+    for (std::size_t i = 0; i < pw.size(); ++i) {
+      for (std::size_t a = 0; a < 3; ++a) {
+        if (pw[i][a] != pc[i][a] || vw[i][a] != vc[i][a]) {
+          ADD_FAILURE() << at << ": atom " << i << " diverged";
+          return moved_rebuilds;
+        }
+      }
+    }
+  }
+  return moved_rebuilds;
+}
+
+TEST(WseMdShortlist, GrainBoundaryWithSwapsMatchesFullSieve) {
+  // The ta_gb regime: swaps every 10 steps rebuild the shortlist, the
+  // steps between reuse it. Both potential modes read the same shortlist.
+  lattice::GrainBoundaryParams gb;
+  gb.element = "Ta";
+  gb.tilt_angle_deg = 16.0;
+  const auto s = lattice::make_grain_boundary_with_atom_count(gb, 400);
+  const auto p = eam::zhou_parameters("Ta");
+  const auto potential =
+      std::make_shared<eam::ZhouEam>("Ta", p.paper_cutoff());
+  for (const bool tabulated : {true, false}) {
+    WseMdConfig cfg;
+    cfg.mapping.cell_size = p.lattice_constant();
+    cfg.swap_interval = 10;
+    cfg.tabulated = tabulated;
+    WseMd warm(s.structure, potential, cfg);
+    WseMd cold(s.structure, potential, cfg);
+    Rng r1(31), r2(31);
+    warm.thermalize(290.0, r1);
+    cold.thermalize(290.0, r2);
+    StepWorkspace ws;
+    expect_cache_parity(warm, ws, cold, 45,
+                        tabulated ? "gb tabulated" : "gb analytic");
+    EXPECT_GT(warm.cumulative_stats().swap_steps, 0);
+  }
+}
+
+TEST(WseMdShortlist, HotRunRebuildsOnDisplacementAlone) {
+  // No swaps: only thermal motion past half the skin can invalidate the
+  // shortlist. A Cu slab far above melting gets there within the run.
+  const auto p = eam::zhou_parameters("Cu");
+  const auto s = lattice::replicate(
+      lattice::UnitCell::of(p.structure, p.lattice_constant()), 5, 5, 3);
+  const auto potential =
+      std::make_shared<eam::ZhouEam>("Cu", p.paper_cutoff());
+  WseMdConfig cfg;
+  cfg.mapping.cell_size = p.lattice_constant();
+  WseMd warm(s, potential, cfg);
+  WseMd cold(s, potential, cfg);
+  Rng r1(8), r2(8);
+  warm.thermalize(2500.0, r1);
+  cold.thermalize(2500.0, r2);
+  StepWorkspace ws;
+  const int moved = expect_cache_parity(warm, ws, cold, 120, "hot cu");
+  EXPECT_GE(moved, 1) << "no displacement-triggered rebuild in the run";
+  EXPECT_LT(moved, 60) << "the shortlist was almost never reused";
+}
+
+TEST(WseMdShortlist, ReusesUpToHalfTheSkinAndRebuildsPastIt) {
+  // Move every atom by a fixed distance in a random direction, so pairs
+  // close by up to twice that. Below half the skin the shortlist is reused
+  // and must still be exact; a little past it, pairs from beyond the skin
+  // come within rcut, so the engine must rebuild (a looser limit fails the
+  // parity check here).
+  Fixture f;
+  WseMdConfig cfg = f.config();
+  cfg.b_override = 10;  // wide enough that no overwrite below widens b
+  for (const double shift : {0.45, 0.85}) {
+    WseMd warm(f.structure, f.potential, cfg);
+    WseMd cold(f.structure, f.potential, cfg);
+    StepWorkspace ws;
+    expect_cache_parity(warm, ws, cold, 1, "anchor");
+    auto moved = warm.positions();
+    Rng dir(21);
+    for (auto& r : moved) {
+      const Vec3d u = dir.gaussian_vec3(1.0);
+      r = r + u * (shift / norm(u));
+    }
+    warm.set_positions(moved);
+    cold.set_positions(moved);
+    ASSERT_EQ(warm.b(), 10);
+    const std::string label = "shift " + std::to_string(shift);
+    expect_cache_parity(warm, ws, cold, 1, label);
+    EXPECT_EQ(ws.rebuild, shift > 0.5 * WseMd::kShortlistSkin) << label;
+  }
+}
+
+TEST(WseMdShortlist, WarmWorkspaceSurvivesMappingAndStateChanges) {
+  // Every out-of-step mutation must invalidate (or provably preserve) a
+  // warm shortlist: a scrambled mapping, a position overwrite that widens
+  // b, and a checkpoint restore.
+  // No online swaps here: each mutation below is the only thing that can
+  // invalidate the shortlist on the step after it.
+  Fixture f;
+  WseMd warm(f.structure, f.potential, f.config());
+  WseMd cold(f.structure, f.potential, f.config());
+  Rng r1(5), r2(5);
+  warm.thermalize(400.0, r1);
+  cold.thermalize(400.0, r2);
+  StepWorkspace ws;
+  expect_cache_parity(warm, ws, cold, 5, "initial");
+  const WseMd::SavedState snap = warm.save_state();
+
+  Rng s1(11), s2(11);
+  warm.scramble_mapping(s1, 60);
+  cold.scramble_mapping(s2, 60);
+  expect_cache_parity(warm, ws, cold, 4, "scrambled");
+
+  // Rewriting the unchanged positions over the scrambled mapping widens b
+  // while no atom moves: only the row-stride trigger can catch it.
+  const int b_before = warm.b();
+  warm.set_positions(warm.positions());
+  cold.set_positions(cold.positions());
+  ASSERT_GT(warm.b(), b_before) << "the overwrite should widen b";
+  expect_cache_parity(warm, ws, cold, 4, "set_positions widening b");
+
+  // Moving every atom with b unchanged: only the displacement trigger.
+  auto moved = warm.positions();
+  Rng jitter(12);
+  for (auto& r : moved) r = r + jitter.gaussian_vec3(0.3);
+  warm.set_positions(moved);
+  cold.set_positions(moved);
+  expect_cache_parity(warm, ws, cold, 4, "set_positions moving atoms");
+
+  warm.restore_state(snap);
+  cold.restore_state(snap);
+  expect_cache_parity(warm, ws, cold, 7, "restored");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -56,10 +57,13 @@ void expect_bitwise_equal(Engine& a, Engine& b, const std::string& label) {
 }
 
 /// Run `total` steps uninterrupted; in parallel, snapshot a twin at
-/// `snapshot_at`, restore into a *fresh* engine, and finish there. Both
-/// must agree bitwise at the end (and at every step via thermo).
+/// `snapshot_at`, restore into a *fresh* engine — or, with `warm`, into one
+/// that already stepped a different trajectory (another seed, its own
+/// swaps), whose cached candidate shortlist the restore must not let
+/// survive — and finish there. Both must agree bitwise at the end (and at
+/// every step via thermo).
 void check_restart_parity(Backend backend, int swap_interval,
-                          const std::string& label) {
+                          const std::string& label, bool warm = false) {
   Fixture f(swap_interval);
   const long snapshot_at = 9, total = 25;
 
@@ -77,6 +81,11 @@ void check_restart_parity(Backend backend, int swap_interval,
   first.reset();  // the "kill": the original process is gone
 
   auto resumed = make_engine(backend, f.structure, f.potential, f.config);
+  if (warm) {
+    Rng other(4242);
+    resumed->thermalize(500.0, other);
+    resumed->run(13);
+  }
   resumed->restore(snap);
   EXPECT_EQ(resumed->step_count(), snapshot_at) << label;
   resumed->run(total - snapshot_at);
@@ -101,6 +110,36 @@ TEST(SnapshotRestore, WaferWithAtomSwapsRestoresTheMutatedMapping) {
   // the mapping the checkpoint carries is not the constructed one.
   check_restart_parity(Backend::kWafer, 4, "wafer+swaps");
   check_restart_parity(Backend::kShardedWafer, 4, "sharded+swaps");
+}
+
+TEST(SnapshotRestore, RestoreIntoWarmEngineContinuesBitwise) {
+  check_restart_parity(Backend::kWafer, 4, "wafer warm", /*warm=*/true);
+  check_restart_parity(Backend::kShardedWafer, 4, "sharded:3 warm",
+                       /*warm=*/true);
+}
+
+TEST(SnapshotRestore, RejectsCorruptNeighborhoodRadius) {
+  // A checkpoint's b sizes the per-atom candidate rows; past
+  // max(grid_width, grid_height) the clipped window stops growing, so a
+  // larger value is corrupt input and must be a typed rejection, not an
+  // allocation failure or a signed overflow at the next step.
+  Fixture f(/*swap_interval=*/4);
+  for (const Backend backend : {Backend::kWafer, Backend::kShardedWafer}) {
+    auto eng = make_engine(backend, f.structure, f.potential, f.config);
+    const State good = eng->snapshot();
+    const int max_b = std::max(good.grid_width, good.grid_height);
+    ASSERT_LT(good.b, max_b);
+    for (const int b : {0, max_b + 1, 1 << 30}) {
+      State bad = good;
+      bad.b = b;
+      EXPECT_THROW(eng->restore(bad), wsmd::Error) << "b = " << b;
+    }
+    // The rejected restores left the engine intact.
+    auto twin = make_engine(backend, f.structure, f.potential, f.config);
+    eng->run(6);
+    twin->run(6);
+    expect_bitwise_equal(*eng, *twin, "after rejected restores");
+  }
 }
 
 TEST(SnapshotRestore, SerialWaferSnapshotReshardsBitwise) {

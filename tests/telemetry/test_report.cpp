@@ -2,7 +2,7 @@
 /// row construction from synthetic span totals + a modeled breakdown, the
 /// table rendering, and an end-to-end sharded run producing nonzero
 /// measured time in every engine phase (the `wsmd report` acceptance
-/// path).
+/// path), and the shortlist rebuild line printed under the table.
 
 #include "telemetry/report.hpp"
 
@@ -164,6 +164,34 @@ TEST(CostReport, ShardedRunMeasuresEveryEnginePhase) {
   }
   // swap_interval = 5 over 12 NVE steps fires the swap phase too.
   EXPECT_GT(row_named(rows, "swap").measured_seconds, 0.0);
+
+  // The shortlist line under the table: at least the construction-time
+  // energy evaluation and the sharded workspace's first step rebuild, and
+  // at most those two plus every step.
+  const std::string line = format_shortlist_summary();
+  unsigned long long rebuilds = 0, steps = 0;
+  ASSERT_EQ(std::sscanf(line.c_str(), "shortlist rebuilds: %llu / %llu steps",
+                        &rebuilds, &steps),
+            2)
+      << line;
+  EXPECT_EQ(steps, 12u);
+  EXPECT_GE(rebuilds, 2u);
+  EXPECT_LE(rebuilds, 14u);
+}
+
+TEST(CostReport, ShortlistSummaryReadsTheSessionCounters) {
+  begin_session();
+  count("wse.steps", 40);
+  count("wse.shortlist_rebuilds", 5);
+  end_session();
+  EXPECT_EQ(format_shortlist_summary(), "shortlist rebuilds: 5 / 40 steps\n");
+
+  // No shortlist (reference backend, or ranks: whose processes keep their
+  // own counters): no line.
+  begin_session();
+  count("wse.steps", 40);
+  end_session();
+  EXPECT_EQ(format_shortlist_summary(), "");
 }
 
 TEST(CostReport, DeckTelemetryKeysWriteExports) {
