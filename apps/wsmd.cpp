@@ -89,8 +89,9 @@ void print_usage(std::FILE* out) {
                "  --set key=value   scenario override (same as a bare\n"
                "                    key=value argument)\n"
                "  --backend=B       backend override for every run\n"
-               "                    (reference|wafer|sharded|sharded:N|\n"
-               "                    ranks:M|ranks:MxN — M forked rank\n"
+               "                    (reference|reference:N|wafer|sharded|\n"
+               "                    sharded:N|ranks:M|ranks:MxN — wafer\n"
+               "                    is sharded:1; ranks: forks M rank\n"
                "                    processes with ghost-halo exchange,\n"
                "                    optionally N shard threads each)\n"
                "  --transport=T     halo transport override for ranks:\n"
@@ -509,6 +510,12 @@ int run_resume(int argc, char** argv) {
   scenario::Deck deck =
       scenario::deck_from_entries(ckpt.deck, paths[0] + " (embedded deck)");
   for (const auto& o : overrides) deck.set(o.key, o.value);
+  // Fold --backend= into the deck before validation, as run and report
+  // do: dist.* keys (or --transport=) are rejected off a ranks: backend,
+  // and the check must see the backend the resumed run will use.
+  if (!opt.backend_override.empty()) {
+    deck.set("backend", opt.backend_override);
+  }
   scenario::resume_scenario(scenario::scenario_from_deck(deck), ckpt, opt);
   return 0;
 }

@@ -6,7 +6,7 @@
 /// sub-figure.
 ///
 /// Additionally runs a *host-side* strong-scaling sweep of the sharded
-/// wafer emulator (engine::ShardedWafer) and emits the results to
+/// wafer emulator (engine::WaferEngine) and emits the results to
 /// BENCH_fig7_strong_scaling.json so the perf trajectory is tracked across
 /// PRs.
 ///
@@ -26,7 +26,7 @@
 #include "baseline/platform_model.hpp"
 #include "eam/tabulated.hpp"
 #include "eam/zhou.hpp"
-#include "engine/sharded_wafer.hpp"
+#include "engine/wafer_engine.hpp"
 #include "lattice/lattice.hpp"
 #include "perf/workload.hpp"
 #include "util/bench_json.hpp"
@@ -90,10 +90,9 @@ void run_host_scaling(const Options& opt) {
                   "Max cycles", "Halo cycles/step"});
   double base_rate = 0.0;
   for (const int threads : opt.threads) {
-    engine::ShardedWaferConfig cfg;
-    cfg.wse.mapping.cell_size = p.lattice_constant();
-    cfg.threads = threads;
-    engine::ShardedWafer engine(slab, pot, cfg);
+    core::WseMdConfig cfg;
+    cfg.mapping.cell_size = p.lattice_constant();
+    engine::WaferEngine engine(slab, pot, cfg, threads);
     Rng rng(12345);
     engine.thermalize(290.0, rng);
     engine.step();  // warm-up: first-touch allocation of the workspace

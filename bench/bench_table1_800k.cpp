@@ -28,7 +28,7 @@
 #include "baseline/platform_model.hpp"
 #include "eam/tabulated.hpp"
 #include "eam/zhou.hpp"
-#include "engine/sharded_wafer.hpp"
+#include "engine/wafer_engine.hpp"
 #include "lattice/lattice.hpp"
 #include "perf/workload.hpp"
 #include "util/bench_json.hpp"
@@ -66,11 +66,10 @@ Result run_element(const perf::PaperWorkload& w, int scale, int threads) {
   auto pot = std::make_shared<eam::TabulatedEam>(
       eam::TabulatedEam::from_potential(*analytic, 2000, 2000));
 
-  engine::ShardedWaferConfig cfg;
-  cfg.wse.mapping.cell_size = p.lattice_constant();
-  cfg.wse.b_override = w.b;  // the paper's neighborhood radius
-  cfg.threads = threads;
-  engine::ShardedWafer engine(slab, pot, cfg);
+  core::WseMdConfig cfg;
+  cfg.mapping.cell_size = p.lattice_constant();
+  cfg.b_override = w.b;  // the paper's neighborhood radius
+  engine::WaferEngine engine(slab, pot, cfg, threads);
   Rng rng(12345);
   engine.thermalize(290.0, rng);
   const auto t0 = std::chrono::steady_clock::now();

@@ -1,8 +1,7 @@
 /// \file engine_backends.cpp
-/// The unified Engine interface: run the same tantalum crystal on all
-/// three backends — FP64 reference, serial wafer, sharded wafer — through
-/// one code path, then compare trajectories and look at the sharded
-/// backend's decomposition.
+/// The unified Engine interface: run the same tantalum crystal on the FP64
+/// reference and the sharded wafer backend through one code path, then
+/// compare trajectories and look at the wafer backend's decomposition.
 ///
 ///   $ ./engine_backends [threads]
 ///
@@ -18,7 +17,7 @@
 
 #include "eam/zhou.hpp"
 #include "engine/engine.hpp"
-#include "engine/sharded_wafer.hpp"
+#include "engine/wafer_engine.hpp"
 #include "lattice/lattice.hpp"
 
 int main(int argc, char** argv) {
@@ -75,13 +74,13 @@ int main(int argc, char** argv) {
               steps, max_err);
 
   // 4. The sharded backend's decomposition and accounting.
-  const auto* sw = dynamic_cast<engine::ShardedWafer*>(sharded.get());
+  const auto* sw = dynamic_cast<engine::WaferEngine*>(sharded.get());
   std::printf("Shard layout (%dx%d core grid, b = %d):\n",
               sw->wafer().mapping().grid_width(),
               sw->wafer().mapping().grid_height(), sw->wafer().b());
   for (std::size_t t = 0; t < sw->shards().size(); ++t) {
     const auto& s = sw->shards()[t];
-    const auto& stats = sw->shard_stats()[t];
+    const auto stats = sw->shard_stats()[t];
     std::printf("  shard %zu: rows [%3d, %3d)  mean %.0f cycles, "
                 "max %.0f cycles\n",
                 t, s.y0, s.y1, stats.mean_cycles, stats.max_cycles);

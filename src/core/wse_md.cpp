@@ -69,49 +69,30 @@ WseMd::WseMd(const lattice::Structure& s, eam::EamPotentialPtr potential,
   shortlist_limit2_ = static_cast<float>(limit * limit);
 }
 
+ShardRect row_strip(const ShardRect& region, int k, int count) {
+  ShardRect strip = region;
+  const int rows = region.y1 - region.y0;
+  strip.y0 = region.y0 + rows * k / count;
+  strip.y1 = region.y0 + rows * (k + 1) / count;
+  return strip;
+}
+
 double WseMd::potential_energy() const {
   if (!pe_current_) {
     // Evaluate the initial configuration's energy on demand so thermo
     // snapshots are valid from construction on (the Engine contract)
-    // without charging every construction a full force sweep. Phases run
-    // on the current positions; nothing is committed, and the first real
-    // step resets the workspace anyway. The const_cast only enables
-    // calling the non-const density kernel — everything it mutates
-    // (ws_, fprime_, pe_, pe_current_) is declared mutable, so this is
-    // well-defined even on a const object. Like every WseMd method, not
-    // safe to race from multiple threads.
-    begin_step(ws_);
-    const_cast<WseMd*>(this)->density_phase(full_grid(), ws_);
-    force_phase(full_grid(), ws_);
-    pe_ = reduce_potential_energy(ws_);
+    // without charging every construction a full force sweep: the
+    // schedule's force half on the current positions, committing nothing.
+    // The const_cast only enables calling the non-const kernels —
+    // everything they mutate (ws_, fprime_, pe_, pe_current_) is declared
+    // mutable, so this is well-defined even on a const object. Like every
+    // WseMd method, not safe to race from multiple threads.
+    const RegionEnergy e =
+        const_cast<WseMd*>(this)->region_energy(full_grid(), {});
+    pe_ = e.pair + e.embed;
     pe_current_ = true;
   }
   return pe_;
-}
-
-double WseMd::reduce_potential_energy(const StepWorkspace& ws) const {
-  // Serial row-major reduction of the energy contributions: the summation
-  // order (and thus the FP64 result) is independent of how the phases were
-  // sharded.
-  const int w = mapping_.grid_width();
-  const int h = mapping_.grid_height();
-  double pe_pair = 0.0, pe_embed = 0.0;
-  for (int cy = 0; cy < h; ++cy) {
-    for (int cx = 0; cx < w; ++cx) {
-      const long ai = mapping_.atom_at(cx, cy);
-      if (ai < 0) continue;
-      pe_embed += ws.pe_embed[static_cast<std::size_t>(ai)];
-    }
-  }
-  for (int cy = 0; cy < h; ++cy) {
-    for (int cx = 0; cx < w; ++cx) {
-      const long ai = mapping_.atom_at(cx, cy);
-      if (ai < 0) continue;
-      pe_pair +=
-          0.5 * static_cast<double>(ws.pair_half[static_cast<std::size_t>(ai)]);
-    }
-  }
-  return pe_pair + pe_embed;
 }
 
 std::vector<Vec3d> WseMd::positions() const {
@@ -198,6 +179,19 @@ void WseMd::restore_state(const SavedState& state) {
   pe_current_ = true;
 }
 
+void WseMd::transfer_state(long step, const std::vector<Vec3d>& positions,
+                           const std::vector<Vec3d>& velocities) {
+  WSMD_REQUIRE(positions.size() == positions_.size() &&
+                   velocities.size() == positions_.size(),
+               "restore: atom count mismatch (" << positions.size() << " vs "
+                                                << positions_.size() << ")");
+  WSMD_REQUIRE(step >= 0, "restore_state: negative step counter");
+  set_positions(positions);
+  set_velocities(velocities);
+  step_count_ = step;
+  elapsed_seconds_ = 0.0;
+}
+
 void WseMd::thermalize(double temperature_K, Rng& rng) {
   WSMD_REQUIRE(temperature_K >= 0.0, "temperature must be non-negative");
   Vec3d p_total{0, 0, 0};
@@ -234,16 +228,103 @@ void WseMd::gather_neighborhood(int cx, int cy,
   }
 }
 
-WseStepStats WseMd::step() { return do_timestep(); }
-
 WseStepStats WseMd::run(int n, const StepCallback& callback) {
   WSMD_REQUIRE(n >= 0, "negative step count");
   WseStepStats last;
   for (int k = 0; k < n; ++k) {
-    last = do_timestep();
+    last = step();
     if (callback) callback(last);
   }
   return last;
+}
+
+template <typename Phase>
+void WseMd::sweep(const StepSchedule& schedule, const ShardRect& rows,
+                  Phase&& phase) {
+  if (rows.empty()) return;
+  const auto task = [&](int k) {
+    phase(row_strip(rows, k, schedule.workers));
+  };
+  if (schedule.parallel_for) {
+    schedule.parallel_for(task);
+  } else {
+    for (int k = 0; k < schedule.workers; ++k) task(k);
+  }
+}
+
+void WseMd::force_half(const ShardRect& region, const StepSchedule& s) {
+  begin_step_region(region, ws_);
+  // With peers, the rows within b of an internal strip edge feed the F'
+  // halo (density first, then publish) and read ghost F' (force last,
+  // after consume); the interior between them computes while the halo is
+  // in flight. Without peers the interior is the whole region.
+  ShardRect inner = region;
+  if (s.publish) {
+    if (region.y0 > 0) inner.y0 = std::min(region.y0 + b_, region.y1);
+    if (region.y1 < mapping_.grid_height()) {
+      inner.y1 = std::max(region.y1 - b_, inner.y0);
+    }
+  }
+  const ShardRect top{region.x0, region.y0, region.x1, inner.y0};
+  const ShardRect bottom{region.x0, inner.y1, region.x1, region.y1};
+  const auto density = [&](const ShardRect& r) { density_phase(r, ws_); };
+  const auto force = [&](const ShardRect& r) { force_phase(r, ws_); };
+  sweep(s, top, density);
+  sweep(s, bottom, density);
+  if (s.publish) s.publish(Halo::kFprime);
+  sweep(s, inner, density);
+  if (s.progress) s.progress();
+  sweep(s, inner, force);
+  if (s.consume) s.consume(Halo::kFprime);
+  sweep(s, top, force);
+  sweep(s, bottom, force);
+}
+
+WseMd::RegionReport WseMd::run_schedule(const ShardRect& region,
+                                        const StepSchedule& s,
+                                        bool whole_grid) {
+  force_half(region, s);
+  RegionReport r;
+  if (whole_grid) {
+    r.swapped = commit_step(ws_);
+  } else {
+    r.swapped = commit_region(region, ws_, r.pe);
+    // Fresh committed state to every halo before the swap phase reads
+    // boundary positions. The reductions read only the region's own data,
+    // so they hide behind the halo's flight; they run before any swap
+    // perturbs the region's atom set (the workspace slots of an atom
+    // migrating in belong to its previous owner). The kinetic partial
+    // moves ahead of the swap too — a swap re-partitions atoms but never
+    // changes a velocity.
+    if (s.publish) s.publish(Halo::kState);
+    r.acc = reduce_region_raw(region, ws_);
+    r.kinetic = kinetic_energy_region(region);
+    if (s.progress) s.progress();
+    if (s.consume) s.consume(Halo::kState);
+  }
+  if (r.swapped) {
+    sweep(s, region,
+          [&](const ShardRect& rows) { swap_select(rows, ws_.partner); });
+    if (s.merge_partners) s.merge_partners(ws_.partner);
+    r.swaps_applied = swap_commit(ws_.partner);
+  }
+  return r;
+}
+
+WseStepStats WseMd::step(const StepSchedule& schedule) {
+  const RegionReport r = run_schedule(full_grid(), schedule, true);
+  return finish_step(ws_, r.swaps_applied, r.swapped);
+}
+
+WseMd::RegionReport WseMd::step_region(const ShardRect& region,
+                                       const StepSchedule& schedule) {
+  return run_schedule(region, schedule, false);
+}
+
+WseMd::RegionEnergy WseMd::region_energy(const ShardRect& region,
+                                         const StepSchedule& schedule) {
+  force_half(region, schedule);
+  return reduce_region_energy(region, ws_);
 }
 
 ShardRect WseMd::full_grid() const {
@@ -289,16 +370,7 @@ void WseMd::plan_shortlist(const ShardRect& anchored, StepWorkspace& ws) const {
 }
 
 void WseMd::begin_step(StepWorkspace& ws) const {
-  telemetry::ScopedSpan span("wse.begin");
-  const std::size_t n = positions_.size();
-  plan_shortlist(full_grid(), ws);
-  ws.neighbor_count.assign(n, 0);
-  ws.pe_embed.assign(n, 0.0);
-  ws.pair_half.assign(n, 0.0f);
-  ws.cycles.assign(n, 0.0);
-  ws.new_positions = positions_;
-  ws.new_velocities = velocities_;
-  ws.partner.resize(mapping_.core_count());
+  begin_step_region(full_grid(), ws);
 }
 
 void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
@@ -488,7 +560,11 @@ bool WseMd::commit_step(StepWorkspace& ws) {
   positions_.swap(ws.new_positions);
   velocities_.swap(ws.new_velocities);
 
-  pe_ = reduce_potential_energy(ws);
+  // Serial row-major reduction of the energy contributions: the summation
+  // order (and thus the FP64 result) is independent of how the phases were
+  // sharded.
+  const RegionEnergy e = reduce_region_energy(full_grid(), ws);
+  pe_ = e.pair + e.embed;
   pe_current_ = true;
   ++step_count_;
 
@@ -610,9 +686,10 @@ void WseMd::begin_step_region(const ShardRect& region,
   gatherable.y0 = std::max(0, region.y0 - b_);
   gatherable.y1 = std::min(gatherable.y1, region.y1 + b_);
   plan_shortlist(gatherable, ws);
-  // resize (not assign): slots outside the caller's regions keep stale
-  // values nobody reads; slots inside are written by the phases before any
-  // read. This keeps the per-rank begin cost O(region), not O(N).
+  // resize (not assign): slots outside the region keep stale values nobody
+  // reads; slots inside are written by the phases before any read (every
+  // atom sits on exactly one core). This keeps a rank's begin cost
+  // O(region), not O(N).
   ws.neighbor_count.resize(n);
   ws.pe_embed.resize(n);
   ws.pair_half.resize(n);
@@ -695,9 +772,25 @@ double WseMd::kinetic_energy_region(const ShardRect& shard) const {
 WseStepStats WseMd::finish_step(const StepWorkspace& ws,
                                 std::size_t swaps_applied, bool swapped) {
   WseStepStats stats = ws.reduced;
-  stats.step = step_count_;
   stats.swaps_applied = swaps_applied;
   stats.swapped = swapped;
+  return account_step(stats);
+}
+
+WseStepStats WseMd::finish_region_step(double potential_energy,
+                                       WseStepStats reduced) {
+  adopt_potential_energy(potential_energy);
+  ++step_count_;
+  return account_step(reduced);
+}
+
+void WseMd::adopt_potential_energy(double pe) {
+  pe_ = pe;
+  pe_current_ = true;
+}
+
+WseStepStats WseMd::account_step(WseStepStats stats) {
+  stats.step = step_count_;
   // Workers synchronize through the neighborhood exchanges, so the slowest
   // worker sets the array step time (paper Sec. V-B).
   stats.wall_seconds =
@@ -726,20 +819,6 @@ WseStepStats WseMd::finish_step(const StepWorkspace& ws,
                                            stats.mean_candidates * n + 0.5));
   }
   return stats;
-}
-
-WseStepStats WseMd::do_timestep() {
-  begin_step(ws_);
-  const ShardRect all = full_grid();
-  density_phase(all, ws_);
-  force_phase(all, ws_);
-  const bool swap_now = commit_step(ws_);
-  std::size_t applied = 0;
-  if (swap_now) {
-    swap_select(all, ws_.partner);
-    applied = swap_commit(ws_.partner);
-  }
-  return finish_step(ws_, applied, swap_now);
 }
 
 double WseMd::kinetic_energy() const {

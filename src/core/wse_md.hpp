@@ -82,9 +82,9 @@ struct WseStepStats {
 };
 
 /// Rectangular core region, half-open: x in [x0, x1), y in [y0, y1).
-/// The phase kernels below operate on one region at a time; engine backends
-/// (src/engine) tile the grid into disjoint shards and run them on
-/// concurrent threads.
+/// The phase kernels below operate on one region at a time; the step
+/// schedule tiles its rows into disjoint shards and runs them on
+/// concurrent workers.
 struct ShardRect {
   int x0 = 0;
   int y0 = 0;
@@ -92,6 +92,39 @@ struct ShardRect {
   int y1 = 0;
   bool empty() const { return x1 <= x0 || y1 <= y0; }
   friend bool operator==(const ShardRect&, const ShardRect&) = default;
+};
+
+/// Row strip k of `count` near-equal strips of `region` (its rows
+/// [h*k/count, h*(k+1)/count)), empty when the region has fewer rows than
+/// strips. The one partition every decomposition uses: the schedule's
+/// worker shards, and the ranks: backend's rank strips (dist::row_strips).
+ShardRect row_strip(const ShardRect& region, int k, int count);
+
+/// The halo a region executor trades with the executors of neighboring
+/// regions during a step.
+enum class Halo {
+  kFprime,  ///< F' after the density phase, radius b (the force rows read it)
+  kState,   ///< committed positions + velocities, radius b + 1
+};
+
+/// Parameters of the one step schedule (WseMd::step, step_region,
+/// region_energy). The default is the serial sweep: one worker, no hooks.
+struct StepSchedule {
+  /// Each phase sweep splits its rows into this many row strips.
+  int workers = 1;
+  /// Runs task(k) for every k in [0, workers) and returns once all have
+  /// finished — the barrier between phases. Null runs them in order on
+  /// the calling thread.
+  std::function<void(const std::function<void(int)>&)> parallel_for;
+  /// Halo hooks of a region with peers (a ranks: process); null
+  /// elsewhere. `publish` sends the region's halo rows, `consume` receives
+  /// the peers' ghost rows, and `progress` moves in-flight halos along
+  /// between compute tiles.
+  std::function<void(Halo)> publish;
+  std::function<void(Halo)> consume;
+  std::function<void()> progress;
+  /// Replaces the region's partner choices with every region's, merged.
+  std::function<void(std::vector<int>&)> merge_partners;
 };
 
 /// Reusable per-step buffers for the phase kernels. Every array is indexed
@@ -199,11 +232,79 @@ class WseMd {
   /// clipped window stops growing, so a larger b is corrupt input).
   void restore_state(const SavedState& state);
 
+  /// Cross-backend transfer (a reference-written checkpoint): adopt
+  /// positions and velocities onto the constructed mapping as
+  /// set_positions / set_velocities do (b widens as needed), set the step
+  /// counter and restart the modeled clock. The potential energy is
+  /// evaluated lazily from the transferred configuration.
+  void transfer_state(long step, const std::vector<Vec3d>& positions,
+                      const std::vector<Vec3d>& velocities);
+
   /// Maxwell-Boltzmann initialization at T (FP32-rounded).
   void thermalize(double temperature_K, Rng& rng);
 
-  /// Advance one timestep; returns the accounting.
-  WseStepStats step();
+  /// --- The step schedule ------------------------------------------------
+  /// Every backend advances a timestep through one schedule over a row
+  /// region of the core grid:
+  ///
+  ///   begin -> density -> F' halo -> force -> commit -> state halo ->
+  ///   swap select -> partner merge -> swap commit -> accounting
+  ///
+  /// Its parameters are the region and a StepSchedule (worker count,
+  /// parallel-for, optional hooks). The serial engine is the whole grid
+  /// with one worker and no hooks; engine::WaferEngine is the whole grid
+  /// split into N row strips on its thread pool; a ranks: process is its
+  /// own strip split across its threads, plus halo hooks and the
+  /// coordinator's partner merge. A region with peers runs its rows within
+  /// b of an internal strip edge (the rows peers read, and the rows that
+  /// read ghost rows) around each halo exchange, so the interior computes
+  /// while the halo is in flight. The phase kernels are bitwise independent
+  /// of the decomposition, so every configuration integrates the same
+  /// trajectory. The schedule runs on the engine's own StepWorkspace.
+
+  /// Advance the whole grid one timestep and finish its accounting.
+  WseStepStats step(const StepSchedule& schedule = {});
+
+  /// Partial FP64 energy sums over one region, each accumulated in
+  /// row-major core order (embedding and pair kept separate so a
+  /// coordinator can combine partials in a fixed rank order).
+  struct RegionEnergy {
+    double embed = 0.0;
+    double pair = 0.0;
+  };
+  /// Raw (unnormalized) accounting partials, combinable across disjoint
+  /// regions without loss: sums, sum of squares, max and occupied-core
+  /// count instead of the means reduce_region reports.
+  struct RegionAccounting {
+    double candidate_total = 0.0;
+    double interaction_total = 0.0;
+    double cycles_sum = 0.0;
+    double cycles_sq_sum = 0.0;
+    double cycles_max = 0.0;
+    std::uint64_t occupied = 0;
+  };
+  /// A region executor's share of one step: reductions over its region,
+  /// row-major within it and taken before any atom swap, for a coordinator
+  /// to combine across regions in fixed order.
+  struct RegionReport {
+    RegionEnergy pe;
+    RegionAccounting acc;
+    double kinetic = 0.0;
+    std::size_t swaps_applied = 0;
+    bool swapped = false;
+  };
+
+  /// Advance one timestep over `region` only (a ranks: process; ghost rows
+  /// arrive through the schedule's halo hooks) and report its partials;
+  /// the coordinator finishes the accounting (finish_region_step).
+  RegionReport step_region(const ShardRect& region,
+                           const StepSchedule& schedule);
+
+  /// The schedule's force half over `region` (begin, density, F' halo,
+  /// force) and the region's energy partials, committing nothing: the
+  /// potential energy of the current configuration.
+  RegionEnergy region_energy(const ShardRect& region,
+                             const StepSchedule& schedule);
 
   /// Advance n steps; returns the last step's stats. `callback`, when set,
   /// fires after every step (mirrors md::Simulation::run so the two engines
@@ -211,9 +312,9 @@ class WseMd {
   using StepCallback = std::function<void(const WseStepStats&)>;
   WseStepStats run(int n, const StepCallback& callback = {});
 
-  /// --- Phase-kernel interface -------------------------------------------
-  /// One timestep decomposes into the paper's five phases, exposed here so
-  /// engine backends (src/engine) can run them shard-parallel:
+  /// --- Phase kernels ----------------------------------------------------
+  /// The steps of the schedule, public for benchmarks that time them one
+  /// by one over a caller-owned workspace:
   ///
   ///   begin_step(ws);
   ///   density_phase(shard, ws)   for disjoint shards covering the grid;
@@ -236,9 +337,9 @@ class WseMd {
   /// The whole grid as one region (the serial decomposition).
   ShardRect full_grid() const;
 
-  /// Size workspace buffers, seed new_positions/new_velocities, and decide
-  /// whether this step rebuilds the shortlist (ws.rebuild; the check
-  /// covers every atom).
+  /// Size workspace buffers and decide whether this step rebuilds the
+  /// shortlist (ws.rebuild; the check covers every atom). Every slot a
+  /// kernel reads is written earlier in the same step.
   void begin_step(StepWorkspace& ws) const;
 
   /// Phases 1-3: candidate exchange (on a rebuild step; otherwise the
@@ -268,54 +369,31 @@ class WseMd {
   /// Fills the candidate/interaction/cycle fields only (no clock update).
   WseStepStats reduce_region(const ShardRect& shard,
                              const StepWorkspace& ws) const;
-
-  /// --- Region-scoped stepping (src/dist) --------------------------------
-  /// A distributed rank runs the phase kernels over only its own core
-  /// strip (plus ghost halos exchanged out-of-band), so the full-grid
-  /// begin/commit/reduce above would waste O(N) work per rank per step and
-  /// read workspace slots that were never written. These variants touch
-  /// only what a region step defines.
-
-  /// Size the workspace buffers without seeding them from the full current
-  /// state (no O(N) copies or fills). Every slot the phase kernels read for
-  /// a region atom is written earlier in the same step, so undefined slots
-  /// outside the caller's regions are never observed. The shortlist
-  /// rebuild check covers only the atoms `region`'s kernels can gather —
-  /// its rows ± b, which the caller's b+1-row state halo keeps current —
-  /// so the cost stays O(region).
-  void begin_step_region(const ShardRect& region, StepWorkspace& ws) const;
-
-  /// Partial FP64 energy sums over one region, each accumulated in
-  /// row-major core order (embedding and pair kept separate so a
-  /// coordinator can combine partials in a fixed rank order).
-  struct RegionEnergy {
-    double embed = 0.0;
-    double pair = 0.0;
-  };
-  RegionEnergy reduce_region_energy(const ShardRect& shard,
-                                    const StepWorkspace& ws) const;
-
-  /// Raw (unnormalized) accounting partials over one region, combinable
-  /// across disjoint regions without loss: sums, sum of squares, max and
-  /// occupied-core count instead of the means reduce_region reports.
-  struct RegionAccounting {
-    double candidate_total = 0.0;
-    double interaction_total = 0.0;
-    double cycles_sum = 0.0;
-    double cycles_sq_sum = 0.0;
-    double cycles_max = 0.0;
-    std::uint64_t occupied = 0;
-  };
   RegionAccounting reduce_region_raw(const ShardRect& shard,
                                      const StepWorkspace& ws) const;
 
-  /// Commit the integrated state for the region's atoms only (copy, not
-  /// the serial path's full-array swap) and advance the step counter. The
-  /// cached full-grid potential energy is left untouched — a rank never
-  /// holds the full energy; the coordinator combines the partials returned
-  /// through `pe`. Returns true when this step is an atom-swap step.
-  bool commit_region(const ShardRect& shard, StepWorkspace& ws,
-                     RegionEnergy& pe);
+  /// Final serial reduction: full-grid stats, modeled wall time (doubled on
+  /// swap steps, paper Sec. V-E), and the cumulative clock.
+  WseStepStats finish_step(const StepWorkspace& ws, std::size_t swaps_applied,
+                           bool swapped);
+
+  /// The ranks: coordinator's end of a region step. Its twin holds the
+  /// mapping but not the atoms: it adopts the potential energy the
+  /// regions' partials combine to, advances the step counter, and finishes
+  /// the accounting as finish_step does, from the regions' combined
+  /// reductions in `reduced`.
+  WseStepStats finish_region_step(double potential_energy,
+                                  WseStepStats reduced);
+
+  /// Adopt a potential energy evaluated elsewhere (the ranks: coordinator
+  /// combining its regions' partials) as the committed one.
+  void adopt_potential_energy(double pe);
+
+  /// reduce_region over the schedule's own workspace: the last sweep's
+  /// per-worker accounting within `shard` (zeroes before any sweep).
+  WseStepStats reduce_region(const ShardRect& shard) const {
+    return ws_.cycles.empty() ? WseStepStats{} : reduce_region(shard, ws_);
+  }
 
   /// Kinetic energy partial over the region's atoms, row-major core order.
   double kinetic_energy_region(const ShardRect& shard) const;
@@ -335,11 +413,6 @@ class WseMd {
   /// is a bitwise transfer, not a round-trip through FP64).
   Vec3fPlanes& positions_f32() { return positions_; }
   Vec3fPlanes& velocities_f32() { return velocities_; }
-
-  /// Final serial reduction: full-grid stats, modeled wall time (doubled on
-  /// swap steps, paper Sec. V-E), and the cumulative clock.
-  WseStepStats finish_step(const StepWorkspace& ws, std::size_t swaps_applied,
-                           bool swapped);
 
   /// Total potential energy (eV, FP32 sums). Valid from construction on:
   /// before the first step it is evaluated lazily from the current
@@ -384,13 +457,39 @@ class WseMd {
  private:
   void gather_neighborhood(int cx, int cy,
                            std::vector<std::uint32_t>& out) const;
-  WseStepStats do_timestep();
-  /// Shared rebuild decision of begin_step / begin_step_region: the
-  /// shortlist of the atoms in `anchored` (every core whose atom a kernel
-  /// of the step may gather) is stale when the mapping version or the row
-  /// stride changed, the anchored rows differ, or one of those atoms moved
-  /// past the displacement limit. A rebuild re-anchors them.
+  /// Shared rebuild decision of the step begins: the shortlist of the
+  /// atoms in `anchored` (every core whose atom a kernel of the step may
+  /// gather) is stale when the mapping version or the row stride changed,
+  /// the anchored rows differ, or one of those atoms moved past the
+  /// displacement limit. A rebuild re-anchors them.
   void plan_shortlist(const ShardRect& anchored, StepWorkspace& ws) const;
+  /// begin_step for a region: the rebuild check covers only the atoms the
+  /// region's kernels can gather (its rows ± b, which a ranks: process's
+  /// b+1-row state halo keeps current), and buffers are sized without
+  /// seeding, so the cost stays O(region).
+  void begin_step_region(const ShardRect& region, StepWorkspace& ws) const;
+
+  /// The schedule: the force half alone, or a whole step. A whole-grid
+  /// step commits and reduces for finish_step; a region step commits its
+  /// own atoms and reports partials instead.
+  void force_half(const ShardRect& region, const StepSchedule& schedule);
+  RegionReport run_schedule(const ShardRect& region,
+                            const StepSchedule& schedule, bool whole_grid);
+  /// Run `phase` over `rows` split into the schedule's worker strips.
+  template <typename Phase>
+  void sweep(const StepSchedule& schedule, const ShardRect& rows,
+             Phase&& phase);
+  /// Commit the integrated state for the region's atoms only (copy, not
+  /// commit_step's full-array swap), reduce the region's energy into `pe`,
+  /// and advance the step counter; true on an atom-swap step.
+  bool commit_region(const ShardRect& shard, StepWorkspace& ws,
+                     RegionEnergy& pe);
+  RegionEnergy reduce_region_energy(const ShardRect& shard,
+                                    const StepWorkspace& ws) const;
+  /// The accounting every backend shares: stamps the step, charges the
+  /// modeled wall time, and advances the clock, the run totals and the
+  /// wse.* counters.
+  WseStepStats account_step(WseStepStats stats);
 
   /// FP32 minimum-image displacement rj - ri (analytic path and the
   /// shortlist displacement check; the tabulated path runs the batched
@@ -406,9 +505,6 @@ class WseMd {
     }
     return d;
   }
-  /// Row-major serial PE reduction over the phase outputs (shared by
-  /// commit_step and the construction-time energy evaluation).
-  double reduce_potential_energy(const StepWorkspace& ws) const;
 
   WseMdConfig config_;
   eam::EamPotentialPtr potential_;
@@ -445,9 +541,9 @@ class WseMd {
   double elapsed_seconds_ = 0.0;
   CumulativeStats cum_;
 
-  /// Workspace reused by the serial step()/run() path and the lazy initial
-  /// energy evaluation (engine backends own their own and drive the phase
-  /// kernels directly); begin_step fully resets it each use.
+  /// The schedule's workspace, shared by every step and the lazy energy
+  /// evaluation (so the shortlist that evaluation builds serves the first
+  /// step too).
   mutable StepWorkspace ws_;
 };
 

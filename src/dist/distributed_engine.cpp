@@ -15,6 +15,7 @@
 
 #include "dist/rank_worker.hpp"
 #include "dist/shm_channel.hpp"
+#include "engine/wafer_engine.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -44,26 +45,10 @@ DistributedEngine::DistributedEngine(const lattice::Structure& s,
   strips_ = row_strips(template_.mapping().grid_width(),
                        template_.mapping().grid_height(), m);
   last_steps_.assign(static_cast<std::size_t>(m), 0);
-  prev_.resize(static_cast<std::size_t>(m));
   cum_load_.resize(static_cast<std::size_t>(m));
 
-  spawn_ranks();
+  start_ranks();
   try {
-    for (int r = 0; r < m; ++r) {
-      const auto& ch = control_[static_cast<std::size_t>(r)];
-      Handshake hello;
-      try {
-        hello = ch.recv_pod<Handshake>(Tag::kHello, kHandshakeTimeoutMs);
-      } catch (const TransportError& e) {
-        rank_failed(r, std::string("handshake failed: ") + e.what());
-      }
-      WSMD_REQUIRE(hello.rank == r && hello.world == m &&
-                       hello.atoms == template_.atom_count() &&
-                       hello.grid_width == template_.mapping().grid_width() &&
-                       hello.grid_height == template_.mapping().grid_height(),
-                   "dist: handshake mismatch from rank " << r);
-      ch.send_pod(Tag::kHelloAck, hello, kHandshakeTimeoutMs);
-    }
     // Seed the cached energies: PE of the initial configuration evaluated
     // *distributed* (the serial lazy sweep would defeat the decomposition
     // at multi-million atoms), KE of the (zero or restored) velocities.
@@ -77,7 +62,8 @@ DistributedEngine::DistributedEngine(const lattice::Structure& s,
 
 DistributedEngine::~DistributedEngine() { shutdown_ranks(); }
 
-void DistributedEngine::spawn_ranks() {
+void DistributedEngine::start_ranks() {
+  shutdown_ranks();
   const int m = config_.ranks;
   std::vector<ChannelPair> controls(static_cast<std::size_t>(m));
   for (auto& pair : controls) pair = make_channel_pair();
@@ -99,7 +85,8 @@ void DistributedEngine::spawn_ranks() {
   // loop, let alone a crashed rank. Pairs come from the state-exchange
   // radius b+1 (a superset of the F' pairs at radius b); slots are sized
   // for the largest message either direction can carry — rows x grid
-  // width is an upper bound on halo atoms, swaps included.
+  // width is an upper bound on halo atoms, swaps included. Both depend on
+  // b, which is why a restore or set_positions re-creates the ranks.
   std::vector<ShmPairSegment> segments;
   if (config_.transport == HaloTransport::kShm) {
     const int b = template_.b();
@@ -204,17 +191,38 @@ void DistributedEngine::spawn_ranks() {
     pair.b.close();
     control_.push_back(std::move(pair.a));
   }
-  // `peers` destructs here, closing the coordinator's copies of every
+  // `peers` destructs on return, closing the coordinator's copies of every
   // rank<->rank fd — only the two owning ranks hold each pair now.
   // `segments` destructs too: the coordinator's mappings go away, leaving
   // each shm segment alive exactly as long as its two ranks stay mapped.
+  prev_.assign(static_cast<std::size_t>(m), StepRecord{});  // fresh timers
+  try {
+    for (int r = 0; r < m; ++r) {
+      const auto& ch = control_[static_cast<std::size_t>(r)];
+      Handshake hello;
+      try {
+        hello = ch.recv_pod<Handshake>(Tag::kHello, kHandshakeTimeoutMs);
+      } catch (const TransportError& e) {
+        rank_failed(r, std::string("handshake failed: ") + e.what());
+      }
+      WSMD_REQUIRE(hello.rank == r && hello.world == m &&
+                       hello.atoms == template_.atom_count() &&
+                       hello.grid_width == template_.mapping().grid_width() &&
+                       hello.grid_height == template_.mapping().grid_height(),
+                   "dist: handshake mismatch from rank " << r);
+      ch.send_pod(Tag::kHelloAck, hello, kHandshakeTimeoutMs);
+    }
+  } catch (...) {
+    shutdown_ranks();
+    throw;
+  }
 }
 
 void DistributedEngine::shutdown_ranks() noexcept {
   for (std::size_t r = 0; r < control_.size(); ++r) {
     if (!control_[r].valid()) continue;
     try {
-      control_[r].send_pod(Tag::kShutdown, Ack{step_count_},
+      control_[r].send_pod(Tag::kShutdown, Ack{template_.step_count()},
                            kShutdownTimeoutMs);
     } catch (...) {
     }
@@ -244,6 +252,7 @@ void DistributedEngine::shutdown_ranks() noexcept {
     }
   }
   pids_.clear();
+  control_.clear();
 }
 
 void DistributedEngine::rank_failed(int rank, const std::string& why) const {
@@ -295,7 +304,7 @@ void DistributedEngine::refresh_potential_energy() {
     embed += p.embed;
     pair += p.pair;
   }
-  pe_ = embed + pair;
+  template_.adopt_potential_energy(embed + pair);
 }
 
 void DistributedEngine::refresh_kinetic_energy() {
@@ -307,12 +316,12 @@ void DistributedEngine::refresh_kinetic_energy() {
 }
 
 engine::Thermo DistributedEngine::step() {
-  const Ack cmd{step_count_};
+  const long step = template_.step_count();
+  const Ack cmd{step};
   broadcast(Tag::kStep, &cmd, sizeof(cmd));
 
-  const bool swap_now =
-      config_.wse.swap_interval > 0 &&
-      (step_count_ + 1) % config_.wse.swap_interval == 0;
+  const bool swap_now = config_.wse.swap_interval > 0 &&
+                        (step + 1) % config_.wse.swap_interval == 0;
   std::size_t applied = 0;
   if (swap_now) {
     // Merge each rank's strip of partner choices into one full core array
@@ -347,25 +356,25 @@ engine::Thermo DistributedEngine::step() {
   }
 
   const auto records = collect<StepRecord>(Tag::kStepDone);
-  ++step_count_;
 
   // Fixed rank-order reductions: embed partials first, then pair partials,
-  // matching the serial engine's embed-then-pair grouping.
-  double embed = 0.0, pair = 0.0, ke = 0.0;
-  double cand = 0.0, inter = 0.0, cycles_max = 0.0;
+  // matching the serial engine's embed-then-pair grouping. The template
+  // then finishes the step with the serial engine's accounting.
+  double embed = 0.0, pair = 0.0, ke = 0.0, cand = 0.0, inter = 0.0;
   std::uint64_t occupied = 0;
+  core::WseStepStats reduced;
   for (std::size_t r = 0; r < records.size(); ++r) {
     const StepRecord& rec = records[r];
-    WSMD_REQUIRE(rec.step == step_count_,
+    WSMD_REQUIRE(rec.step == step + 1,
                  "dist: rank " << r << " is at step " << rec.step
-                               << ", coordinator at " << step_count_);
+                               << ", coordinator at " << step + 1);
     WSMD_REQUIRE((rec.swapped != 0) == swap_now,
                  "dist: rank " << r << " disagrees on the swap schedule");
     embed += rec.pe_embed;
     ke += rec.kinetic;
     cand += rec.candidate_total;
     inter += rec.interaction_total;
-    cycles_max = std::max(cycles_max, rec.cycles_max);
+    reduced.max_cycles = std::max(reduced.max_cycles, rec.cycles_max);
     occupied += rec.occupied;
   }
   for (const StepRecord& rec : records) pair += rec.pe_pair;
@@ -375,32 +384,14 @@ engine::Thermo DistributedEngine::step() {
                      << applied << ") and ranks ("
                      << records[0].swaps_applied << ")");
   }
-  pe_ = embed + pair;
   ke_ = ke;
-
-  const double mean_candidates =
-      occupied > 0 ? cand / static_cast<double>(occupied) : 0.0;
-  const double mean_interactions =
-      occupied > 0 ? inter / static_cast<double>(occupied) : 0.0;
-  double wall =
-      cycles_max / (config_.wse.cost_model.clock_ghz() * 1e9);
-  if (swap_now) wall *= 2.0;  // a swap costs ~one extra step (Sec. V-E)
-  elapsed_seconds_ += wall;
-  cum_.candidate_step_sum += mean_candidates;
-  cum_.interaction_step_sum += mean_interactions;
-  if (swap_now) {
-    ++cum_.swap_steps;
-    telemetry::count("wse.swap_steps");
-    telemetry::count("wse.swaps_applied", applied);
+  if (occupied > 0) {
+    reduced.mean_candidates = cand / static_cast<double>(occupied);
+    reduced.mean_interactions = inter / static_cast<double>(occupied);
   }
-  telemetry::count("wse.steps");
-  if (telemetry::enabled()) {
-    const double n = static_cast<double>(atom_count());
-    telemetry::count("wse.interactions",
-                     static_cast<std::uint64_t>(mean_interactions * n + 0.5));
-    telemetry::count("wse.candidates",
-                     static_cast<std::uint64_t>(mean_candidates * n + 0.5));
-  }
+  reduced.swapped = swap_now;
+  reduced.swaps_applied = applied;
+  template_.finish_region_step(embed + pair, reduced);
 
   // Per-rank accounting deltas -> shard_load() and the dist.* spans.
   double d_pack = 0.0, d_wire = 0.0, d_unpack = 0.0, d_barrier = 0.0;
@@ -440,10 +431,10 @@ engine::Thermo DistributedEngine::step() {
 
 engine::Thermo DistributedEngine::thermo() const {
   engine::Thermo t;
-  t.step = step_count_;
-  t.potential_energy = pe_;
+  t.step = template_.step_count();
+  t.potential_energy = template_.potential_energy();
   t.kinetic_energy = ke_;
-  t.total_energy = pe_ + ke_;
+  t.total_energy = t.potential_energy + ke_;
   t.temperature = 2.0 * ke_ /
                   (3.0 * static_cast<double>(template_.atom_count()) *
                    units::kBoltzmann);
@@ -504,81 +495,34 @@ void DistributedEngine::set_velocities(const std::vector<Vec3d>& v) {
 void DistributedEngine::set_positions(const std::vector<Vec3d>& r) {
   WSMD_REQUIRE(r.size() == template_.atom_count(),
                "set_positions: atom count mismatch");
-  Packer p;
-  p.put_array(r.data(), r.size());
-  broadcast(Tag::kSetPositions, p.bytes().data(), p.bytes().size());
-  collect<Ack>(Tag::kOk);
-  template_.set_positions(r);  // widens b exactly as every rank does
+  // The ranks hold the current velocities; the template takes them and
+  // the new positions (widening b if they drifted past the mapping), and
+  // the ranks are re-created from it with halos sized for that b.
+  template_.set_velocities(velocities());
+  template_.set_positions(r);
+  start_ranks();
   refresh_potential_energy();
 }
 
 engine::State DistributedEngine::snapshot() const {
-  engine::State st;
-  st.step = step_count_;
+  // The template tracks everything but the atom state the ranks hold.
+  engine::State st = engine::wafer_state(template_.save_state());
   gather_state(st.positions, st.velocities);
-  st.has_wafer = true;
-  st.potential_energy = pe_;
-  st.elapsed_seconds = elapsed_seconds_;
-  st.grid_width = template_.mapping().grid_width();
-  st.grid_height = template_.mapping().grid_height();
-  st.b = template_.b();
-  st.core_atoms = template_.mapping().core_atoms();
-  st.initial_positions = template_.initial_positions();
   return st;
 }
 
 void DistributedEngine::restore(const engine::State& state) {
-  core::WseMd::SavedState saved;
-  if (!state.has_wafer) {
-    // Reference-written snapshot: transfer positions/velocities onto the
-    // constructed mapping (cross-backend, not bitwise), mirroring
-    // WaferEngine::restore.
-    WSMD_REQUIRE(state.positions.size() == template_.atom_count() &&
-                     state.velocities.size() == template_.atom_count(),
-                 "restore: atom count mismatch ("
-                     << state.positions.size() << " vs "
-                     << template_.atom_count() << ")");
-    template_.set_positions(state.positions);
-    template_.set_velocities(state.velocities);
-    saved.step = state.step;
-    saved.elapsed_seconds = 0.0;
-    saved.potential_energy = 0.0;  // refreshed distributed below
-    saved.positions = template_.positions();  // FP32-rounded
-    saved.velocities = template_.velocities();
-    saved.grid_width = template_.mapping().grid_width();
-    saved.grid_height = template_.mapping().grid_height();
-    saved.b = template_.b();
-    saved.core_atoms = template_.mapping().core_atoms();
-    saved.initial_positions = template_.initial_positions();
-  } else {
-    saved.step = state.step;
-    saved.elapsed_seconds = state.elapsed_seconds;
-    saved.potential_energy = state.potential_energy;
-    saved.positions = state.positions;
-    saved.velocities = state.velocities;
-    saved.grid_width = state.grid_width;
-    saved.grid_height = state.grid_height;
-    saved.b = state.b;
-    saved.core_atoms = state.core_atoms;
-    saved.initial_positions = state.initial_positions;
-  }
-  // Validate coordinator-side first (restore_state throws before
-  // mutating), then broadcast so every rank adopts the identical state —
-  // re-ranking a ranks:2 checkpoint onto ranks:4 is just a different
+  // Validate and adopt on the coordinator first (restore_wafer throws
+  // before mutating), then re-create the ranks from the restored template
+  // — they inherit it bitwise by fork, with halos sized for the restored
+  // b. Re-ranking a ranks:2 checkpoint onto ranks:4 is just a different
   // strip partition over the same global state.
-  template_.restore_state(saved);
-  Packer p;
-  pack_saved_state(p, saved);
-  broadcast(Tag::kRestore, p.bytes().data(), p.bytes().size());
-  collect<Ack>(Tag::kOk);
-  step_count_ = saved.step;
-  elapsed_seconds_ = saved.elapsed_seconds;
-  std::fill(last_steps_.begin(), last_steps_.end(), saved.step);
-  if (state.has_wafer) {
-    pe_ = state.potential_energy;  // committed pre-step PE convention
-  } else {
-    refresh_potential_energy();
-  }
+  engine::restore_wafer(template_, state);
+  start_ranks();
+  std::fill(last_steps_.begin(), last_steps_.end(), state.step);
+  // A reference-written state carries no committed PE (the wafer thermo
+  // convention): evaluate the transferred configuration's, distributed.
+  if (!state.has_wafer) refresh_potential_energy();
   refresh_kinetic_energy();
 }
 
@@ -596,38 +540,13 @@ void DistributedEngine::thermalize(double temperature_K, Rng& rng) {
 }
 
 engine::ModeledPhaseCost DistributedEngine::modeled_phase_cost() const {
-  engine::ModeledPhaseCost cost;
-  cost.steps = step_count_;
-  if (cost.steps <= 0) return cost;
-  cost.valid = true;
-  const auto steps = static_cast<double>(cost.steps);
-  cost.mean_candidates = cum_.candidate_step_sum / steps;
-  cost.mean_interactions = cum_.interaction_step_sum / steps;
-  cost.swap_steps = cum_.swap_steps;
-
-  const wse::CostModel& model = config_.wse.cost_model;
-  const wse::CostModel::Components& c = model.components();
-  const wse::CostModel::Factors& f = model.factors();
-  const double cand = cum_.candidate_step_sum;
-  const double inter = cum_.interaction_step_sum;
-  cost.density_seconds = (c.mcast_per_candidate * f.mcast * cand +
-                          c.miss_per_reject * f.miss * (cand - inter)) *
-                         1e-9;
-  cost.force_seconds = c.per_interaction * f.interaction * inter * 1e-9;
-  cost.fixed_seconds = c.fixed * f.fixed * steps * 1e-9;
-  cost.total_seconds = elapsed_seconds_;
-  const double mean_step_seconds =
-      cost.total_seconds / (steps + static_cast<double>(cost.swap_steps));
-  cost.swap_seconds = mean_step_seconds * static_cast<double>(cost.swap_steps);
   // The executed-vs-modeled halo validation row: what the cost model says
   // M strip halos should cost, next to the measured dist.halo_* spans.
-  cost.halo_seconds =
-      halo_cycles_per_step(strips_, template_.b(),
-                           template_.mapping().grid_width(),
-                           template_.mapping().grid_height(), model) *
-      steps / (model.clock_ghz() * 1e9);
-  cost.halo_transport =
-      config_.transport == HaloTransport::kShm ? "shm" : "socket";
+  engine::ModeledPhaseCost cost = engine::wafer_phase_cost(template_, strips_);
+  if (cost.valid) {
+    cost.halo_transport =
+        config_.transport == HaloTransport::kShm ? "shm" : "socket";
+  }
   return cost;
 }
 

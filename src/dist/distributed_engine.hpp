@@ -7,10 +7,21 @@
 /// tables, mapping), then forks M rank processes that inherit it bitwise
 /// by copy-on-write — no construction-time serialization. Each rank owns
 /// a horizontal strip of the core grid (dist::row_strips, the same
-/// partition ShardedWafer uses for threads) and advances only its strip,
-/// exchanging ghost-halo planes with peer ranks over AF_UNIX socketpairs
-/// (see rank_worker.hpp for the in-step protocol). Optionally each rank
-/// runs N shard threads over sub-strips (`ranks:MxN`).
+/// partition engine::WaferEngine uses for threads) and advances only its
+/// strip through the one step schedule (core::WseMd::step_region),
+/// exchanging ghost-halo planes with peer ranks (see rank_worker.hpp for
+/// the in-step protocol). Optionally each rank runs N shard threads over
+/// sub-strips (`ranks:MxN`).
+///
+/// The template stays the run's full-grid twin minus the atoms: it applies
+/// every swap commit, and it finishes every step with the serial engine's
+/// own accounting (core::WseMd::finish_region_step) from the ranks'
+/// combined partials, so the step counter, committed energy, modeled
+/// clock, cost attribution (engine::wafer_phase_cost) and checkpoint
+/// conversion (engine::wafer_state / restore_wafer) are the wafer
+/// engine's. A restore or set_positions adopts the new state into the
+/// template and re-forks the ranks from it, so their halo segments always
+/// fit the current neighborhood radius.
 ///
 /// Determinism contract:
 ///   - Per-atom trajectories are bitwise identical to the serial wafer
@@ -104,7 +115,7 @@ class DistributedEngine final : public engine::Engine {
     return cum_load_;
   }
   std::size_t atom_count() const override { return template_.atom_count(); }
-  long step_count() const override { return step_count_; }
+  long step_count() const override { return template_.step_count(); }
   std::vector<Vec3d> positions() const override;
   std::vector<Vec3d> velocities() const override;
   void set_velocities(const std::vector<Vec3d>& v) override;
@@ -126,7 +137,9 @@ class DistributedEngine final : public engine::Engine {
   void keep_scratch() { scratch_.keep(); }
 
  private:
-  void spawn_ranks();
+  /// (Re)create the ranks from the template: fork them, with shm halo
+  /// segments sized for the template's b, and handshake.
+  void start_ranks();
   /// Broadcast a frame to every live rank, in rank order.
   void broadcast(Tag tag, const void* payload, std::size_t size) const;
   /// Collect one POD reply from every rank, in rank order; a transport
@@ -135,25 +148,21 @@ class DistributedEngine final : public engine::Engine {
   std::vector<T> collect(Tag tag) const;
   /// Gather owned pos+vel slices from every rank into full FP64 arrays.
   void gather_state(std::vector<Vec3d>& pos, std::vector<Vec3d>& vel) const;
-  /// Recompute the cached PE / KE from rank partials (fixed rank order).
+  /// Recompute the PE (adopted by the template) / the cached KE from rank
+  /// partials (fixed rank order).
   void refresh_potential_energy();
   void refresh_kinetic_energy();
   [[noreturn]] void rank_failed(int rank, const std::string& why) const;
   void shutdown_ranks() noexcept;
 
   DistributedConfig config_;
-  core::WseMd template_;  ///< coordinator's full-grid twin (mapping synced)
+  core::WseMd template_;  ///< coordinator's full-grid twin (see above)
   ScratchDir scratch_;
   std::vector<core::ShardRect> strips_;
   std::vector<Channel> control_;  ///< coordinator end, per rank
   std::vector<pid_t> pids_;
 
-  // Coordinator-tracked run state (the ranks hold the atoms).
-  long step_count_ = 0;
-  double elapsed_seconds_ = 0.0;
-  double pe_ = 0.0;
-  double ke_ = 0.0;
-  core::WseMd::CumulativeStats cum_;
+  double ke_ = 0.0;  ///< kinetic energy (the ranks hold the velocities)
   std::vector<long> last_steps_;
   std::vector<StepRecord> prev_;  ///< last cumulative accounting, per rank
   std::vector<engine::ShardLoad> cum_load_;

@@ -8,13 +8,9 @@
 namespace wsmd::dist {
 
 std::vector<core::ShardRect> row_strips(int width, int height, int count) {
-  std::vector<core::ShardRect> strips(static_cast<std::size_t>(count));
+  std::vector<core::ShardRect> strips;
   for (int t = 0; t < count; ++t) {
-    auto& s = strips[static_cast<std::size_t>(t)];
-    s.x0 = 0;
-    s.x1 = width;
-    s.y0 = height * t / count;
-    s.y1 = height * (t + 1) / count;
+    strips.push_back(core::row_strip({0, 0, width, height}, t, count));
   }
   return strips;
 }

@@ -5,16 +5,18 @@
 /// backend (and, for the strip arithmetic, the thread-sharded one).
 ///
 /// The core grid splits into M horizontal strips — one per rank process —
-/// exactly like ShardedWafer's per-thread row strips, so `ranks:M` and
-/// `sharded:N` share one partition function and one modeled ghost-cost
-/// formula. A rank owns the atoms mapped to the cores of its strip and
-/// holds a read-only ghost copy of the rows within the neighborhood radius
-/// `b` (cutoff + skin, the same radius the candidate multicast spans) on
-/// either side. Because `gather_neighborhood` clips at the grid edges
-/// (no wraparound), the halo topology is a chain, except that a radius
-/// spanning a whole neighbor strip (small grids, large b) adds
-/// next-nearest peers — `halo_rows` handles both by pure interval
-/// arithmetic on the partition.
+/// exactly like engine::WaferEngine's per-thread row strips (both are
+/// core::row_strip), so `ranks:M` and `sharded:N` share one partition and
+/// one modeled ghost-cost formula. The step schedule
+/// (core::WseMd::step_region) runs a rank's strip; this file says which
+/// rows travel between which ranks. A rank owns the atoms mapped to the
+/// cores of its strip and holds a read-only ghost copy of the rows within
+/// the neighborhood radius `b` (cutoff + skin, the same radius the
+/// candidate multicast spans) on either side. Because `gather_neighborhood`
+/// clips at the grid edges (no wraparound), the halo topology is a chain,
+/// except that a radius spanning a whole neighbor strip (small grids,
+/// large b) adds next-nearest peers — `halo_rows` handles both by pure
+/// interval arithmetic on the partition.
 ///
 /// Atom migration: the online atom swap moves atoms only between adjacent
 /// cores (swap radius 1), so an atom leaving a strip lands in the first
@@ -32,8 +34,8 @@
 namespace wsmd::dist {
 
 /// Split a width x height core grid into `count` horizontal strips of
-/// near-equal height (strip t owns rows [h*t/count, h*(t+1)/count)).
-/// Strips may be empty when the grid has fewer rows than workers.
+/// near-equal height (strip t is core::row_strip t of the grid). Strips
+/// may be empty when the grid has fewer rows than workers.
 std::vector<core::ShardRect> row_strips(int width, int height, int count);
 
 /// Half-open row interval [lo, hi) of `owner`'s strip that `needer` reads
@@ -68,9 +70,9 @@ std::vector<std::uint32_t> atoms_in_rows(const core::AtomMapping& mapping,
 
 /// Modeled cycles per step spent refreshing the strips' ghost halos (two
 /// neighborhood exchanges per step cross each strip boundary: candidate
-/// positions and embedding derivatives). Shared by ShardedWafer and
-/// DistributedEngine so `wsmd report` joins measured halo seconds against
-/// one prediction regardless of backend.
+/// positions and embedding derivatives). Shared by every wafer backend
+/// (engine::wafer_phase_cost) so `wsmd report` joins measured halo seconds
+/// against one prediction regardless of backend.
 double halo_cycles_per_step(const std::vector<core::ShardRect>& strips, int b,
                             int grid_width, int grid_height,
                             const wse::CostModel& model);

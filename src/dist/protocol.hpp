@@ -8,7 +8,6 @@
 
 #include <cstdint>
 
-#include "core/wse_md.hpp"
 #include "dist/transport.hpp"
 #include "util/random.hpp"
 
@@ -74,35 +73,5 @@ struct KineticPartial {
   double kinetic = 0.0;
 };
 static_assert(std::is_trivially_copyable_v<KineticPartial>);
-
-/// kRestore payload: the full SavedState, broadcast so every rank (and the
-/// coordinator's template) adopts the identical state bitwise.
-inline void pack_saved_state(Packer& p, const core::WseMd::SavedState& st) {
-  p.put(static_cast<std::int64_t>(st.step));
-  p.put(st.elapsed_seconds);
-  p.put(st.potential_energy);
-  p.put(static_cast<std::int32_t>(st.grid_width));
-  p.put(static_cast<std::int32_t>(st.grid_height));
-  p.put(static_cast<std::int32_t>(st.b));
-  p.put_array(st.positions.data(), st.positions.size());
-  p.put_array(st.velocities.data(), st.velocities.size());
-  p.put_array(st.core_atoms.data(), st.core_atoms.size());
-  p.put_array(st.initial_positions.data(), st.initial_positions.size());
-}
-
-inline core::WseMd::SavedState unpack_saved_state(Unpacker& u) {
-  core::WseMd::SavedState st;
-  st.step = static_cast<long>(u.get<std::int64_t>());
-  st.elapsed_seconds = u.get<double>();
-  st.potential_energy = u.get<double>();
-  st.grid_width = u.get<std::int32_t>();
-  st.grid_height = u.get<std::int32_t>();
-  st.b = u.get<std::int32_t>();
-  st.positions = u.get_array<Vec3d>();
-  st.velocities = u.get_array<Vec3d>();
-  st.core_atoms = u.get_array<long>();
-  st.initial_positions = u.get_array<Vec3d>();
-  return st;
-}
 
 }  // namespace wsmd::dist

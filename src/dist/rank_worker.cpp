@@ -1,6 +1,5 @@
 #include "dist/rank_worker.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +21,10 @@ double since(Clock::time_point t0) {
 /// vanished coordinator wakes the rank with EOF, not a timeout.
 constexpr int kCommandTimeoutMs = 7 * 24 * 3600 * 1000;
 
+Tag halo_tag(core::Halo halo) {
+  return halo == core::Halo::kFprime ? Tag::kHaloFprime : Tag::kHaloState;
+}
+
 }  // namespace
 
 RankWorker::RankWorker(core::WseMd& md, RankWorkerConfig config,
@@ -33,30 +36,17 @@ RankWorker::RankWorker(core::WseMd& md, RankWorkerConfig config,
       strips_(row_strips(md.mapping().grid_width(), md.mapping().grid_height(),
                          config.world)),
       strip_(strips_[static_cast<std::size_t>(config.rank)]),
-      pool_(config.threads > 0 ? config.threads : 1) {}
-
-std::vector<core::ShardRect> RankWorker::sub_strips() const {
-  const int h = strip_.y1 - strip_.y0;
-  auto subs = row_strips(strip_.x1 - strip_.x0, h > 0 ? h : 0, pool_.size());
-  for (auto& s : subs) {
-    s.y0 += strip_.y0;
-    s.y1 += strip_.y0;
-  }
-  return subs;
-}
-
-template <typename Phase>
-void RankWorker::for_region(const core::ShardRect& rect, Phase&& phase) {
-  if (rect.empty()) return;
-  auto subs =
-      row_strips(rect.x1 - rect.x0, rect.y1 - rect.y0, pool_.size());
-  for (auto& s : subs) {
-    s.x0 += rect.x0;
-    s.x1 += rect.x0;
-    s.y0 += rect.y0;
-    s.y1 += rect.y0;
-  }
-  pool_.run([&](int k) { phase(subs[static_cast<std::size_t>(k)]); });
+      pool_(config.threads > 0 ? config.threads : 1) {
+  schedule_.workers = pool_.size();
+  schedule_.parallel_for = [this](const std::function<void(int)>& task) {
+    pool_.run(task);
+  };
+  schedule_.publish = [this](core::Halo h) { publish_halo(h); };
+  schedule_.consume = [this](core::Halo h) { consume_halo(h); };
+  schedule_.progress = [this] { pump_transport(); };
+  schedule_.merge_partners = [this](std::vector<int>& p) {
+    merge_partners(p);
+  };
 }
 
 PeerLink* RankWorker::peer_link(int rank) {
@@ -135,20 +125,6 @@ void RankWorker::run() {
                         config_.peer_timeout_ms);
           break;
         }
-        case Tag::kRestore: {
-          Unpacker u(payload);
-          md_.restore_state(unpack_saved_state(u));
-          control_.send_pod(Tag::kOk, Ack{md_.step_count()},
-                            config_.peer_timeout_ms);
-          break;
-        }
-        case Tag::kSetPositions: {
-          Unpacker u(payload);
-          md_.set_positions(u.get_array<Vec3d>());
-          control_.send_pod(Tag::kOk, Ack{md_.step_count()},
-                            config_.peer_timeout_ms);
-          break;
-        }
         case Tag::kSetVelocities: {
           Unpacker u(payload);
           md_.set_velocities(u.get_array<Vec3d>());
@@ -224,7 +200,10 @@ void RankWorker::scatter_halo(Tag tag,
   }
 }
 
-void RankWorker::publish_halo(Tag tag, int radius) {
+void RankWorker::publish_halo(core::Halo halo) {
+  const auto start = Clock::now();
+  const Tag tag = halo_tag(halo);
+  const int radius = halo == core::Halo::kFprime ? md_.b() : md_.b() + 1;
   const auto pairs = halo_pairs(strips_, radius);
   const std::size_t per_atom =
       tag == Tag::kHaloState ? 6 * sizeof(float) : sizeof(float);
@@ -239,11 +218,17 @@ void RankWorker::publish_halo(Tag tag, int radius) {
     const auto atoms = atoms_in_rows(md_.mapping(), out.lo, out.hi);
     if (config_.transport == HaloTransport::kShm) {
       // Gather straight into the shared slot: written once, read in place
-      // by the peer, zero syscalls.
+      // by the peer, zero syscalls. The slot was sized for the radius the
+      // ranks were spawned with; check before writing a byte.
+      const std::size_t bytes = atoms.size() * per_atom;
+      ShmRing& ring = link->shm.send;
+      WSMD_REQUIRE(ring.valid() && bytes <= ring.slot_bytes(),
+                   "dist: a " << bytes << "-byte halo for rank " << other
+                              << " overruns its " << ring.slot_bytes()
+                              << "-byte shm slot");
       const ShmWait wait{link->channel.fd(), config_.peer_timeout_ms};
-      std::uint8_t* dst = link->shm.send.begin_publish(wait);
-      const std::size_t bytes = gather_halo(tag, atoms, dst);
-      link->shm.send.commit_publish(tag, bytes);
+      gather_halo(tag, atoms, ring.begin_publish(wait));
+      ring.commit_publish(tag, bytes);
     } else {
       // Socket tier: frame a count-prefixed float array (the historical
       // wire format) and post it on the multi-fd exchange; the wire moves
@@ -261,9 +246,16 @@ void RankWorker::publish_halo(Tag tag, int radius) {
     pack_s_ += since(pack_start);
   }
   pump_transport();
+  published_ = Clock::now();
+  hooks_s_ += since(start);
 }
 
-void RankWorker::consume_halo(Tag tag, int radius) {
+void RankWorker::consume_halo(core::Halo halo) {
+  const auto start = Clock::now();
+  // Compute between the matching publish and now ran while the halo flew.
+  overlap_s_ += std::chrono::duration<double>(start - published_).count();
+  const Tag tag = halo_tag(halo);
+  const int radius = halo == core::Halo::kFprime ? md_.b() : md_.b() + 1;
   const auto pairs = halo_pairs(strips_, radius);
   const std::size_t per_atom =
       tag == Tag::kHaloState ? 6 * sizeof(float) : sizeof(float);
@@ -294,6 +286,7 @@ void RankWorker::consume_halo(Tag tag, int radius) {
       unpack_s_ += since(unpack_start);
       ++idx;
     }
+    hooks_s_ += since(start);
     return;
   }
 
@@ -320,12 +313,35 @@ void RankWorker::consume_halo(Tag tag, int radius) {
     link->shm.recv.release();
     unpack_s_ += since(unpack_start);
   }
+  hooks_s_ += since(start);
 }
 
 void RankWorker::pump_transport() {
   if (config_.transport == HaloTransport::kSocket && !mx_.empty()) {
     mx_.post();
   }
+}
+
+void RankWorker::merge_partners(std::vector<int>& partner) {
+  const auto start = Clock::now();
+  // Send this strip's partner slots (a contiguous row-major slice of the
+  // core array), receive the globally merged array, and let the schedule
+  // apply the same deterministic serial commit every other rank applies.
+  const auto w = static_cast<std::ptrdiff_t>(md_.mapping().grid_width());
+  const std::vector<std::int32_t> slice(partner.begin() + strip_.y0 * w,
+                                        partner.begin() + strip_.y1 * w);
+  Packer p;
+  p.put_array(slice.data(), slice.size());
+  control_.send(Tag::kSwapPartners, p.bytes().data(), p.bytes().size(),
+                config_.peer_timeout_ms);
+  const auto wait_start = Clock::now();
+  const auto merged_bytes =
+      control_.recv(Tag::kSwapMerged, config_.peer_timeout_ms);
+  barrier_s_ += since(wait_start);
+  Unpacker u(merged_bytes);
+  const auto merged = u.get_array<std::int32_t>();
+  partner.assign(merged.begin(), merged.end());
+  hooks_s_ += since(start);
 }
 
 void RankWorker::do_step() {
@@ -338,149 +354,25 @@ void RankWorker::do_step() {
     std::_Exit(9);
   }
 
-  const int b = md_.b();
-  const int grid_h = md_.mapping().grid_height();
-  const auto rect = [&](int lo, int hi) {
-    core::ShardRect r = strip_;
-    r.y0 = lo;
-    r.y1 = hi;
-    return r;
-  };
-  const auto density = [&](const core::ShardRect& s) {
-    md_.density_phase(s, ws_);
-  };
-  const auto force = [&](const core::ShardRect& s) {
-    md_.force_phase(s, ws_);
-  };
-
-  // Boundary/interior split, source side: [src_lo, src_hi) are the rows
-  // no peer reads at radius b. The rows outside it feed the F' halos, so
-  // their density runs first and the publish goes out before the interior
-  // sweep. (The phase kernels are bitwise independent of the shard
-  // decomposition, so this split has no numerical consequence.)
-  int src_lo = strip_.y0, src_hi = strip_.y1;
-  for (const auto& [i, j] : halo_pairs(strips_, b)) {
-    if (i != config_.rank && j != config_.rank) continue;
-    const int other = i == config_.rank ? j : i;
-    const RowSpan out = halo_rows(strips_, config_.rank, other, b);
-    if (out.empty()) continue;
-    if (other < config_.rank) {
-      src_lo = std::max(src_lo, out.hi);
-    } else {
-      src_hi = std::min(src_hi, out.lo);
-    }
-  }
-  src_lo = std::min(src_lo, strip_.y1);
-  src_hi = std::max(src_hi, src_lo);
-
-  auto t = Clock::now();
-  md_.begin_step_region(strip_, ws_);
-  for_region(rect(strip_.y0, src_lo), density);
-  for_region(rect(src_hi, strip_.y1), density);
-  busy_s_ += since(t);
-
-  publish_halo(Tag::kHaloFprime, b);
-
-  // Reader side: rows within b of a strip edge that has ghost rows behind
-  // it read ghost F' — those are the force boundary. Everything in
-  // [f_lo, f_hi) reads only own-strip F' and runs while the halos fly.
-  const int f_lo =
-      strip_.y0 > 0 ? std::min(strip_.y0 + b, strip_.y1) : strip_.y0;
-  const int f_hi =
-      strip_.y1 < grid_h ? std::max(strip_.y1 - b, f_lo) : strip_.y1;
-
-  t = Clock::now();
-  for_region(rect(src_lo, src_hi), density);
-  pump_transport();
-  for_region(rect(f_lo, f_hi), force);
-  const double overlapped_phase1 = since(t);
-  busy_s_ += overlapped_phase1;
-  overlap_s_ += overlapped_phase1;
-
-  consume_halo(Tag::kHaloFprime, b);
-
-  t = Clock::now();
-  for_region(rect(strip_.y0, f_lo), force);
-  for_region(rect(f_hi, strip_.y1), force);
-  core::WseMd::RegionEnergy pe;
-  const bool swap_now = md_.commit_region(strip_, ws_, pe);
-  busy_s_ += since(t);
-
-  // Fresh committed state to every halo *before* the swap phase reads
-  // boundary positions — and at radius b+1, so atoms that migrate across
-  // the strip boundary this step carry valid state with them.
-  publish_halo(Tag::kHaloState, b + 1);
-
-  // The reductions read only own-strip data (incoming halos touch ghost
-  // rows only), so they hide behind the state halos' flight. Reduce
-  // before any swap perturbs the strip's atom set: the workspace slots of
-  // an atom migrating in belong to its previous owner. The kinetic
-  // partial moves ahead of the swap too — the swap re-partitions atoms
-  // across strips but never changes a velocity, so only the association
-  // of the coordinator's rank-ordered sum shifts.
-  t = Clock::now();
-  const auto acc = md_.reduce_region_raw(strip_, ws_);
-  const double kinetic = md_.kinetic_energy_region(strip_);
-  pump_transport();
-  const double overlapped_phase2 = since(t);
-  busy_s_ += overlapped_phase2;
-  overlap_s_ += overlapped_phase2;
-
-  consume_halo(Tag::kHaloState, b + 1);
-
-  std::size_t applied = 0;
-  if (swap_now) {
-    const auto subs = sub_strips();
-    t = Clock::now();
-    pool_.run([&](int k) {
-      md_.swap_select(subs[static_cast<std::size_t>(k)], ws_.partner);
-    });
-    busy_s_ += since(t);
-
-    // Gather this strip's partner slots (a contiguous row-major slice of
-    // the core array), receive the globally merged array, and apply the
-    // same deterministic serial commit every other rank applies.
-    const int w = md_.mapping().grid_width();
-    const auto lo = static_cast<std::size_t>(strip_.y0) *
-                    static_cast<std::size_t>(w);
-    const auto hi = static_cast<std::size_t>(strip_.y1) *
-                    static_cast<std::size_t>(w);
-    std::vector<std::int32_t> slice(ws_.partner.begin() +
-                                        static_cast<std::ptrdiff_t>(lo),
-                                    ws_.partner.begin() +
-                                        static_cast<std::ptrdiff_t>(hi));
-    Packer p;
-    p.put_array(slice.data(), slice.size());
-    control_.send(Tag::kSwapPartners, p.bytes().data(), p.bytes().size(),
-                  config_.peer_timeout_ms);
-    const auto wait_start = Clock::now();
-    const auto merged_bytes =
-        control_.recv(Tag::kSwapMerged, config_.peer_timeout_ms);
-    barrier_s_ += since(wait_start);
-
-    t = Clock::now();
-    Unpacker u(merged_bytes);
-    const auto merged = u.get_array<std::int32_t>();
-    std::vector<int> partner(merged.begin(), merged.end());
-    applied = md_.swap_commit(partner);
-    busy_s_ += since(t);
-  }
-
-  t = Clock::now();
+  // Busy time is the step minus its time inside the hooks (packing, the
+  // wire, unpacking, and the partner-merge round trip).
+  const auto start = Clock::now();
+  const double hooks_before = hooks_s_;
+  const core::WseMd::RegionReport r = md_.step_region(strip_, schedule_);
   StepRecord rec;
   rec.step = md_.step_count();
-  rec.pe_embed = pe.embed;
-  rec.pe_pair = pe.pair;
-  rec.kinetic = kinetic;
-  rec.candidate_total = acc.candidate_total;
-  rec.interaction_total = acc.interaction_total;
-  rec.cycles_sum = acc.cycles_sum;
-  rec.cycles_sq_sum = acc.cycles_sq_sum;
-  rec.cycles_max = acc.cycles_max;
-  rec.occupied = acc.occupied;
-  rec.swaps_applied = applied;
-  rec.swapped = swap_now ? 1 : 0;
-  busy_s_ += since(t);
+  rec.pe_embed = r.pe.embed;
+  rec.pe_pair = r.pe.pair;
+  rec.kinetic = r.kinetic;
+  rec.candidate_total = r.acc.candidate_total;
+  rec.interaction_total = r.acc.interaction_total;
+  rec.cycles_sum = r.acc.cycles_sum;
+  rec.cycles_sq_sum = r.acc.cycles_sq_sum;
+  rec.cycles_max = r.acc.cycles_max;
+  rec.occupied = r.acc.occupied;
+  rec.swaps_applied = r.swaps_applied;
+  rec.swapped = r.swapped ? 1 : 0;
+  busy_s_ += since(start) - (hooks_s_ - hooks_before);
   rec.busy_seconds = busy_s_;
   rec.halo_pack_seconds = pack_s_;
   rec.halo_exchange_seconds = exchange_s_;
@@ -491,23 +383,12 @@ void RankWorker::do_step() {
 }
 
 void RankWorker::do_eval_pe() {
-  // Energy of the *current* configuration (construction, post-restore,
-  // post-set_positions): run the density/force phases over the strip
-  // without committing anything. Requires valid halo positions, which
-  // every full-state broadcast guarantees. Goes through the same halo
-  // publish/consume path as a step so the shm ring sequence stays in
-  // lockstep on both sides of every pair.
-  const auto subs = sub_strips();
-  md_.begin_step_region(strip_, ws_);
-  pool_.run([&](int k) {
-    md_.density_phase(subs[static_cast<std::size_t>(k)], ws_);
-  });
-  publish_halo(Tag::kHaloFprime, md_.b());
-  consume_halo(Tag::kHaloFprime, md_.b());
-  pool_.run([&](int k) {
-    md_.force_phase(subs[static_cast<std::size_t>(k)], ws_);
-  });
-  const auto pe = md_.reduce_region_energy(strip_, ws_);
+  // Energy of the *current* configuration (construction, a restarted
+  // rank set): the schedule's force half over the strip, committing
+  // nothing. Requires valid halo positions, which the forked template
+  // guarantees. Goes through the same halo hooks as a step so the shm ring
+  // sequence stays in lockstep on both sides of every pair.
+  const auto pe = md_.region_energy(strip_, schedule_);
   control_.send_pod(Tag::kPePartial, EnergyPartial{pe.embed, pe.pair},
                     config_.peer_timeout_ms);
 }

@@ -7,23 +7,25 @@
 /// (copy-on-write — structure, potential tables, and mapping arrive
 /// bitwise with no serialization), then serves a lockstep command loop:
 /// the coordinator broadcasts one command, every rank executes it and
-/// replies. A timestep runs the phase kernels over the rank's core-grid
-/// row strip only, with two pairwise halo exchanges against peer ranks:
-/// F' after the density phase (radius b, what the force kernels read) and
-/// committed positions+velocities after the commit (radius b+1, one row
-/// of slack so an atom-swap migration never exposes a stale ghost).
+/// replies. A timestep is the one step schedule (core::WseMd::step_region)
+/// over the rank's core-grid row strip, split across the rank's shard
+/// threads, with this worker's hooks: two pairwise halo exchanges against
+/// peer ranks — F' after the density phase (radius b, what the force
+/// kernels read) and committed positions+velocities after the commit
+/// (radius b+1, one row of slack so an atom-swap migration never exposes a
+/// stale ghost) — and the coordinator's partner merge on swap steps.
 ///
 /// Halo payloads travel either through per-pair shared-memory rings
 /// (`dist.transport = shm`, the default — see shm_channel.hpp) or over
-/// the peer sockets (`socket`). Either way the step pipeline overlaps
-/// communication with compute: the strip splits into boundary rows (the
-/// rows peers read, and the rows that read ghost rows) and interior rows;
-/// outgoing halos are published as soon as their boundary rows are
-/// computed, interior tiles sweep while the halos are in flight, and the
-/// incoming halos are consumed only when the boundary tiles finally need
-/// them. The split is free of numerical consequence: the phase kernels
-/// guarantee results bitwise independent of the shard decomposition, and
-/// the energy reductions keep their strip-wide fixed order.
+/// the peer sockets (`socket`). Either way the schedule overlaps
+/// communication with compute: outgoing halos are published as soon as
+/// the strip's boundary rows are computed, interior tiles sweep while the
+/// halos are in flight (with a progress call between tiles for the socket
+/// carrier), and the incoming halos are consumed only when the boundary
+/// tiles finally need them. The split is free of numerical consequence:
+/// the phase kernels guarantee results bitwise independent of the shard
+/// decomposition, and the energy reductions keep their strip-wide fixed
+/// order.
 ///
 /// Per-atom state therefore evolves bitwise identically to the serial
 /// engine — every value an atom's update reads (neighbor positions, F',
@@ -38,6 +40,7 @@
 /// peer is caught by the ring wait's socket canary (PeerClosedError), so
 /// detection latency matches the socket tier.
 
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -81,6 +84,9 @@ class RankWorker {
   /// ascending rank order.
   RankWorker(core::WseMd& md, RankWorkerConfig config, Channel control,
              std::vector<PeerLink> peers);
+  // The schedule's hooks hold `this`.
+  RankWorker(const RankWorker&) = delete;
+  RankWorker& operator=(const RankWorker&) = delete;
 
   /// Serve commands until shutdown or coordinator EOF. Never returns.
   [[noreturn]] void run();
@@ -89,16 +95,20 @@ class RankWorker {
   void handshake();
   void do_step();
   void do_eval_pe();
-  /// Pack this rank's halo rows at `radius` and send them to every peer:
-  /// shm rings publish immediately (gathered straight into the slot);
-  /// socket exchanges are posted on a MultiExchange and drained later.
-  void publish_halo(Tag tag, int radius);
-  /// Receive and scatter the peers' halo rows posted by the matching
-  /// publish_halo. Blocks until all are in.
-  void consume_halo(Tag tag, int radius);
+  /// The schedule's halo hooks. publish_halo packs this rank's halo rows
+  /// and sends them to every peer: shm rings publish immediately (gathered
+  /// straight into the slot); socket exchanges are posted on a
+  /// MultiExchange and drained later. consume_halo receives and scatters
+  /// the peers' rows posted by the matching publish; it blocks until all
+  /// are in.
+  void publish_halo(core::Halo halo);
+  void consume_halo(core::Halo halo);
   /// Nonblocking socket-exchange progress between compute tiles (no-op on
   /// the shm tier, where publish completes eagerly).
   void pump_transport();
+  /// The schedule's partner-merge hook: send this strip's partner slots to
+  /// the coordinator and adopt the merged full array it broadcasts.
+  void merge_partners(std::vector<int>& partner);
   /// Gather halo values for `atoms` into `dst` (F': 1 float/atom; state:
   /// 6 floats/atom). Returns the byte count.
   std::size_t gather_halo(Tag tag, const std::vector<std::uint32_t>& atoms,
@@ -106,11 +116,6 @@ class RankWorker {
   /// Scatter received halo values for `atoms` out of `src`.
   void scatter_halo(Tag tag, const std::vector<std::uint32_t>& atoms,
                     const std::uint8_t* src);
-  /// Run `phase` over `rect` split row-wise across the shard pool.
-  template <typename Phase>
-  void for_region(const core::ShardRect& rect, Phase&& phase);
-  /// Sub-strips of this rank's strip for the rank-internal shard pool.
-  std::vector<core::ShardRect> sub_strips() const;
   PeerLink* peer_link(int rank);
 
   core::WseMd& md_;
@@ -120,7 +125,7 @@ class RankWorker {
   std::vector<core::ShardRect> strips_;
   core::ShardRect strip_;
   engine::ShardPool pool_;
-  core::StepWorkspace ws_;
+  core::StepSchedule schedule_;
 
   // In-flight socket-tier exchange (between publish_halo and
   // consume_halo): the state machine plus its pinned send buffers.
@@ -134,6 +139,8 @@ class RankWorker {
   double unpack_s_ = 0.0;
   double barrier_s_ = 0.0;
   double overlap_s_ = 0.0;
+  double hooks_s_ = 0.0;  ///< inside the halo / merge hooks (not busy)
+  std::chrono::steady_clock::time_point published_;  ///< last publish end
 };
 
 }  // namespace wsmd::dist

@@ -12,7 +12,7 @@
 /// once by the producer and read *in place* by the consumer — zero socket
 /// syscalls and zero intermediate copies on the steady-state path. The
 /// AF_UNIX socket plane stays up as the control plane (handshake,
-/// checkpoint scatter/gather) and as the death canary: the consumer's
+/// checkpoint gather) and as the death canary: the consumer's
 /// spin-then-sleep wait polls the idle peer socket, so a dead peer
 /// surfaces as PeerClosedError immediately instead of after dist.timeout.
 ///

@@ -67,8 +67,6 @@ enum class Tag : std::uint16_t {
   kOk = 6,          ///< rank -> coordinator: generic ack
   kGatherState = 7,  ///< coordinator -> rank: request owned pos+vel
   kStateSlice = 8,   ///< rank -> coordinator: packed f32 pos+vel
-  kRestore = 9,      ///< coordinator -> rank: full SavedState
-  kSetPositions = 10,   ///< coordinator -> rank: full f64 positions
   kSetVelocities = 11,  ///< coordinator -> rank: full f64 velocities
   kEvalPe = 12,         ///< coordinator -> rank: evaluate region PE
   kPePartial = 13,      ///< rank -> coordinator: {embed, pair}

@@ -2,7 +2,6 @@
 
 #include "dist/distributed_engine.hpp"
 #include "engine/reference_engine.hpp"
-#include "engine/sharded_wafer.hpp"
 #include "engine/wafer_engine.hpp"
 #include "util/error.hpp"
 
@@ -26,15 +25,9 @@ std::unique_ptr<Engine> make_engine(Backend backend,
     case Backend::kReference:
       return std::make_unique<ReferenceEngine>(s, std::move(potential),
                                                config.reference);
-    case Backend::kWafer:
+    case Backend::kShardedWafer:
       return std::make_unique<WaferEngine>(s, std::move(potential),
-                                           config.wafer);
-    case Backend::kShardedWafer: {
-      ShardedWaferConfig sw;
-      sw.wse = config.wafer;
-      sw.threads = config.threads;
-      return std::make_unique<ShardedWafer>(s, std::move(potential), sw);
-    }
+                                           config.wafer, config.threads);
     case Backend::kRanks: {
       dist::DistributedConfig dc;
       dc.wse = config.wafer;

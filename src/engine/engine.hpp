@@ -1,16 +1,18 @@
 #pragma once
 
 /// \file engine.hpp
-/// Unified MD engine interface (backends: reference FP64, serial wafer,
-/// sharded wafer).
+/// Unified MD engine interface (backends: reference FP64, wafer, ranks).
 ///
 /// The repo grows three ways of advancing the same physical system:
 ///
-///   - md::Simulation   — FP64 reference ("LAMMPS role"), ground truth;
-///   - core::WseMd      — functional one-atom-per-core wafer engine, FP32,
-///                        with modeled cycle accounting;
-///   - ShardedWafer     — the wafer engine partitioned into per-thread
-///                        rectangular shards (see sharded_wafer.hpp).
+///   - md::Simulation          — FP64 reference ("LAMMPS role"), ground
+///                               truth;
+///   - WaferEngine             — the functional one-atom-per-core wafer
+///                               engine (core::WseMd, FP32, modeled cycle
+///                               accounting) over N per-thread row shards
+///                               (see wafer_engine.hpp);
+///   - dist::DistributedEngine — the same wafer step in M forked rank
+///                               processes with ghost-halo exchange.
 ///
 /// `Engine` is the small common surface the benchmarks, examples, and
 /// cross-engine tests drive: thermalize, step/run with a per-step callback,
@@ -56,35 +58,25 @@ using StepCallback = std::function<void(const Thermo&)>;
 ///     last built from. Rebuilding from the anchor reproduces both the
 ///     list contents (pair order fixes FP summation order) and the future
 ///     rebuild schedule, which plain positions would not.
-///   - wafer block: the atom-to-core mapping as mutated by online atom
-///     swaps, the neighborhood radius b (derived from the *initial*
-///     structure, not recoverable mid-run), the committed potential
-///     energy (the wafer thermo convention reports the pre-step PE, which
-///     a recompute from current positions would not reproduce), the
-///     modeled clock, and the displacement-diagnostic baseline.
+///   - wafer block: the wafer engine's own core::WseMd::SavedState, which
+///     State extends (so a wafer snapshot converts by copy, not field by
+///     field): the atom-to-core mapping as mutated by online atom swaps,
+///     the neighborhood radius b (derived from the *initial* structure,
+///     not recoverable mid-run), the committed potential energy (the wafer
+///     thermo convention reports the pre-step PE, which a recompute from
+///     current positions would not reproduce), the modeled clock, and the
+///     displacement-diagnostic baseline. Unused when has_wafer is false.
 ///
 /// Cross-backend restore (reference checkpoint into a wafer engine or vice
 /// versa) is supported as a best-effort state transfer: positions and
 /// velocities carry over, the missing auxiliaries are rebuilt, and the
 /// trajectory continues within cross-backend tolerance rather than
 /// bitwise.
-struct State {
-  long step = 0;
-  std::vector<Vec3d> positions;
-  std::vector<Vec3d> velocities;
-
+struct State : core::WseMd::SavedState {
   /// Reference backend: Verlet-list anchor positions (empty otherwise).
   std::vector<Vec3d> neighbor_anchor;
-
-  /// Wafer backends (serial and sharded); unused when has_wafer is false.
+  /// The wafer block is set (wafer and ranks backends).
   bool has_wafer = false;
-  double potential_energy = 0.0;  ///< committed PE (pre-step convention)
-  double elapsed_seconds = 0.0;   ///< modeled wafer clock
-  int grid_width = 0;
-  int grid_height = 0;
-  int b = 0;                      ///< neighborhood radius
-  std::vector<long> core_atoms;   ///< core (y*w+x) -> atom id, -1 = empty
-  std::vector<Vec3d> initial_positions;  ///< displacement baseline
 };
 
 /// Cost-model prediction of where a finished run's modeled wafer time went,
@@ -105,7 +97,7 @@ struct ModeledPhaseCost {
   double force_seconds = 0.0;    ///< pair interactions (embedding + force)
   double fixed_seconds = 0.0;    ///< per-step fixed overhead
   double swap_seconds = 0.0;     ///< atom-swap steps (~1 extra step each)
-  double halo_seconds = 0.0;     ///< multi-wafer halo (sharded backend)
+  double halo_seconds = 0.0;     ///< halo between row strips (N > 1)
   double total_seconds = 0.0;    ///< modeled clock (max-cycles basis)
   /// Which transport produced the *measured* halo seconds this prediction
   /// is joined against ("shm" / "socket"; empty for non-distributed
@@ -176,14 +168,13 @@ class Engine {
 /// Backend selector for the factory.
 enum class Backend {
   kReference,     ///< md::Simulation, FP64
-  kWafer,         ///< core::WseMd, serial sweep
-  kShardedWafer,  ///< core::WseMd phases over per-thread shards
+  kShardedWafer,  ///< WaferEngine: the wafer step over per-thread shards
   kRanks,         ///< dist::DistributedEngine, M forked rank processes
 };
 
 struct EngineConfig {
   md::SimulationConfig reference;  ///< used by kReference
-  core::WseMdConfig wafer;         ///< used by kWafer / kShardedWafer / kRanks
+  core::WseMdConfig wafer;         ///< used by kShardedWafer / kRanks
   int threads = 1;                 ///< kShardedWafer worker count (0 = auto)
 
   // kRanks only (see dist::DistributedConfig for semantics).

@@ -99,10 +99,9 @@ BackendSpec parse_backend(const std::string& spec) {
     }
     return bs;
   }
-  if (spec == "wafer") {
-    bs.backend = engine::Backend::kWafer;
-    return bs;
-  }
+  // The one-shard wafer engine, kept as a name so old decks and
+  // checkpoints still resume: exactly sharded:1.
+  if (spec == "wafer") return parse_backend("sharded:1");
   if (spec == "sharded" || starts_with(spec, "sharded:")) {
     bs.backend = engine::Backend::kShardedWafer;
     bs.threads = 0;  // auto

@@ -27,10 +27,10 @@
 ///   vacancy_fraction = F           — random vacancies (slab/bulk)
 ///   tilt_angle_deg = D, gb_atoms = N — bicrystal controls (grain_boundary)
 ///   backend  = reference|reference:N|wafer|sharded|sharded:N|
-///              ranks:M|ranks:MxN   — ranks: forks M rank processes, each
-///                                    owning a row slab of the core grid
-///                                    (N shard threads per rank; see
-///                                    src/dist/)
+///              ranks:M|ranks:MxN   — wafer is sharded:1; ranks: forks M
+///                                    rank processes, each owning a row
+///                                    slab of the core grid (N shard
+///                                    threads per rank; see src/dist/)
 ///   dt, swap_interval, rescale_interval, seed
 ///   dist.transport = shm|socket    — ranks: backends only: halo payload
 ///                                    carrier — per-pair POSIX shared-memory
@@ -127,8 +127,8 @@ struct Stage {
   const char* name() const;
 };
 
-/// Parsed backend selector ("reference[:N]" | "wafer" | "sharded[:N]" |
-/// "ranks:M[xN]").
+/// Parsed backend selector ("reference[:N]" | "wafer" (= "sharded:1") |
+/// "sharded[:N]" | "ranks:M[xN]").
 struct BackendSpec {
   engine::Backend backend = engine::Backend::kReference;
   int threads = 1;  ///< worker count (reference/sharded; 0 = auto) or, for

@@ -84,7 +84,7 @@ class CostModel {
   /// payload crosses the shard boundary once, at ghost_core_cycles().
   /// Callers with shards embedded in a finite grid should clip the halo to
   /// the grid and charge ghost_core_cycles() per surviving ghost core
-  /// (engine::ShardedWafer does). This is what a region-decomposed
+  /// (dist::halo_cycles_per_step does). This is what a region-decomposed
   /// execution (or a multi-die tiling) pays on top of the per-tile
   /// timestep cost.
   double halo_exchange_cycles(int shard_w, int shard_h, int b) const;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -346,6 +347,31 @@ TEST(DistributedEngine, WaferCheckpointRestoresOntoRanks) {
   resumed.restore(checkpoint);
   resumed.run(10);
   expect_identical_state(serial, resumed);
+}
+
+TEST(DistributedEngine, RestoreWithWiderRadiusContinuesBitwise) {
+  // A restore may raise b past the radius the ranks' shm halo slots were
+  // sized for. The ranks must then continue bitwise with a WaferEngine
+  // restored from the same state, not overrun a slot.
+  Fixture f(8, 8, 16);
+  engine::WaferEngine serial(f.structure, f.potential, f.config());
+  Rng rng(19);
+  serial.thermalize(290.0, rng);
+  serial.run(10);
+  engine::State wide = serial.snapshot();
+  wide.b += 4;
+  ASSERT_LE(wide.b, std::max(wide.grid_width, wide.grid_height));
+
+  DistributedEngine dist(f.structure, f.potential, f.dist_config(2));
+  const auto& strip = dist.strips()[0];
+  ASSERT_GT(strip.y1 - strip.y0, wide.b + 1)
+      << "fixture no longer widens the state halo";
+  dist.restore(wide);
+  serial.restore(wide);
+  serial.run(10);
+  dist.run(10);
+  expect_identical_state(serial, dist);
+  expect_matching_thermo(serial.thermo(), dist.thermo());
 }
 
 TEST(DistributedEngine, RanksCheckpointTransfersToReference) {

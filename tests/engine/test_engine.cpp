@@ -13,7 +13,6 @@
 
 #include "eam/zhou.hpp"
 #include "engine/reference_engine.hpp"
-#include "engine/sharded_wafer.hpp"
 #include "engine/wafer_engine.hpp"
 #include "lattice/lattice.hpp"
 
@@ -39,13 +38,15 @@ TEST(EngineFactory, BuildsEveryBackend) {
   Fixture f;
   const auto ref =
       make_engine(Backend::kReference, f.structure, f.potential, f.config);
+  EngineConfig one_shard = f.config;
+  one_shard.threads = 1;
   const auto wafer =
-      make_engine(Backend::kWafer, f.structure, f.potential, f.config);
+      make_engine(Backend::kShardedWafer, f.structure, f.potential, one_shard);
   const auto sharded =
       make_engine(Backend::kShardedWafer, f.structure, f.potential, f.config);
 
   EXPECT_STREQ(ref->backend_name(), "reference-fp64");
-  EXPECT_STREQ(wafer->backend_name(), "wafer-serial");
+  EXPECT_STREQ(wafer->backend_name(), "sharded-wafer");
   EXPECT_STREQ(sharded->backend_name(), "sharded-wafer");
   for (const Engine* e :
        {ref.get(), wafer.get(), sharded.get()}) {
@@ -53,13 +54,12 @@ TEST(EngineFactory, BuildsEveryBackend) {
     EXPECT_EQ(e->step_count(), 0);
     EXPECT_EQ(e->positions().size(), f.structure.size());
   }
-  EXPECT_EQ(dynamic_cast<ShardedWafer*>(sharded.get())->threads(), 2);
+  EXPECT_EQ(dynamic_cast<WaferEngine*>(sharded.get())->threads(), 2);
 }
 
 TEST(EngineInterface, CallbackFiresEveryStepOnEveryBackend) {
   Fixture f;
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     const auto engine =
         make_engine(backend, f.structure, f.potential, f.config);
     Rng rng(41);
@@ -86,7 +86,7 @@ TEST(EngineInterface, ThermoIsConsistentAcrossBackends) {
   const auto ref =
       make_engine(Backend::kReference, f.structure, f.potential, f.config);
   const auto e_ref = ref->thermo().potential_energy;
-  for (const Backend backend : {Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kShardedWafer}) {
     auto engine = make_engine(backend, f.structure, f.potential, f.config);
     engine->step();  // wafer engines evaluate energy during the step
     EXPECT_NEAR(engine->thermo().potential_energy, e_ref,
@@ -146,7 +146,10 @@ TEST(WaferEngine, ExposesModeledAccounting) {
 
 TEST(EngineInterface, VelocityTransferRoundTrips) {
   Fixture f;
-  auto a = make_engine(Backend::kWafer, f.structure, f.potential, f.config);
+  EngineConfig one_shard = f.config;
+  one_shard.threads = 1;
+  auto a = make_engine(Backend::kShardedWafer, f.structure, f.potential,
+                       one_shard);
   auto b = make_engine(Backend::kShardedWafer, f.structure, f.potential,
                        f.config);
   Rng rng(17);

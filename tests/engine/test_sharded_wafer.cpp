@@ -1,11 +1,11 @@
 /// \file test_sharded_wafer.cpp
-/// Sharded/serial parity: the ShardedWafer backend must reproduce the
+/// Sharded/serial parity: the WaferEngine backend must reproduce the
 /// serial core::WseMd trajectory *bitwise* (FP32 state, FP64 reductions)
 /// at any thread count, including atom-swap steps and shard counts
 /// exceeding the grid height. Also covers the per-shard accounting and the
 /// modeled halo-exchange cost.
 
-#include "engine/sharded_wafer.hpp"
+#include "engine/wafer_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -65,10 +65,7 @@ TEST_P(ThreadParity, BitwiseMatchesSerialOver100Steps) {
   Fixture f;
 
   core::WseMd serial(f.structure, f.potential, f.config());
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = threads;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  WaferEngine sharded(f.structure, f.potential, f.config(), threads);
   EXPECT_EQ(sharded.threads(), threads);
 
   Rng rng_a(2024), rng_b(2024);
@@ -104,10 +101,7 @@ TEST_P(ThreadParity, ScrambleAndSwapRecoveryMatchesSerial) {
   cfg.b_override = 6;  // slack for the scrambled mapping
 
   core::WseMd serial(f.structure, f.potential, cfg);
-  ShardedWaferConfig scfg;
-  scfg.wse = cfg;
-  scfg.threads = threads;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  WaferEngine sharded(f.structure, f.potential, cfg, threads);
 
   Rng scramble_a(99), scramble_b(99);
   serial.scramble_mapping(scramble_a, 200);
@@ -140,10 +134,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadParity, ::testing::Values(1, 2, 4),
 TEST(ShardedWafer, MoreShardsThanGridRowsStillExact) {
   Fixture f;
   core::WseMd serial(f.structure, f.potential, f.config());
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = 64;  // far more than grid rows: many empty shards
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  // Far more shards than grid rows: many empty shards.
+  WaferEngine sharded(f.structure, f.potential, f.config(), 64);
 
   Rng a(5), b(5);
   serial.thermalize(290.0, a);
@@ -155,10 +147,7 @@ TEST(ShardedWafer, MoreShardsThanGridRowsStillExact) {
 
 TEST(ShardedWafer, ShardsTileTheGrid) {
   Fixture f;
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = 3;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  WaferEngine sharded(f.structure, f.potential, f.config(), 3);
 
   const auto& shards = sharded.shards();
   ASSERT_EQ(shards.size(), 3u);
@@ -179,10 +168,7 @@ TEST(ShardedWafer, ShardsTileTheGrid) {
 
 TEST(ShardedWafer, ShardStatsReduceToGlobalStats) {
   Fixture f;
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = 4;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  WaferEngine sharded(f.structure, f.potential, f.config(), 4);
   Rng rng(11);
   sharded.thermalize(290.0, rng);
   sharded.step();
@@ -200,21 +186,14 @@ TEST(ShardedWafer, ShardStatsReduceToGlobalStats) {
 
 TEST(ShardedWafer, HaloCostChargedPerShard) {
   Fixture f;
-  ShardedWaferConfig one;
-  one.wse = f.config();
-  one.threads = 1;
-  ShardedWafer serial(f.structure, f.potential, one);
+  WaferEngine serial(f.structure, f.potential, f.config(), 1);
   EXPECT_EQ(serial.halo_cycles_per_step(), 0.0);
 
-  ShardedWaferConfig four = one;
-  four.threads = 4;
-  ShardedWafer sharded(f.structure, f.potential, four);
+  WaferEngine sharded(f.structure, f.potential, f.config(), 4);
   EXPECT_GT(sharded.halo_cycles_per_step(), 0.0);
 
   // More shards -> more internal boundary -> more halo cost.
-  ShardedWaferConfig eight = one;
-  eight.threads = 8;
-  ShardedWafer finer(f.structure, f.potential, eight);
+  WaferEngine finer(f.structure, f.potential, f.config(), 8);
   EXPECT_GT(finer.halo_cycles_per_step(), sharded.halo_cycles_per_step());
 }
 
@@ -235,10 +214,7 @@ TEST(ShardedWafer, HaloClippedToPhysicalGrid) {
   // (x2 for the two exchanges per step) — halo cores hanging off the grid
   // edges are not billed.
   Fixture f;
-  ShardedWaferConfig cfg;
-  cfg.wse = f.config();
-  cfg.threads = 2;
-  ShardedWafer sharded(f.structure, f.potential, cfg);
+  WaferEngine sharded(f.structure, f.potential, f.config(), 2);
   const int w = sharded.wafer().mapping().grid_width();
   const int b = sharded.wafer().b();
   const auto& model = sharded.wafer().config().cost_model;

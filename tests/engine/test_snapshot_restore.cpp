@@ -16,7 +16,6 @@
 
 #include "eam/zhou.hpp"
 #include "engine/engine.hpp"
-#include "engine/sharded_wafer.hpp"
 #include "lattice/lattice.hpp"
 #include "util/error.hpp"
 
@@ -63,8 +62,10 @@ void expect_bitwise_equal(Engine& a, Engine& b, const std::string& label) {
 /// survive — and finish there. Both must agree bitwise at the end (and at
 /// every step via thermo).
 void check_restart_parity(Backend backend, int swap_interval,
-                          const std::string& label, bool warm = false) {
+                          const std::string& label, bool warm = false,
+                          int threads = 3) {
   Fixture f(swap_interval);
+  f.config.threads = threads;
   const long snapshot_at = 9, total = 25;
 
   auto straight = make_engine(backend, f.structure, f.potential, f.config);
@@ -98,7 +99,7 @@ TEST(SnapshotRestore, ReferenceContinuesBitwise) {
 }
 
 TEST(SnapshotRestore, WaferContinuesBitwise) {
-  check_restart_parity(Backend::kWafer, 0, "wafer");
+  check_restart_parity(Backend::kShardedWafer, 0, "wafer", false, 1);
 }
 
 TEST(SnapshotRestore, ShardedContinuesBitwise) {
@@ -108,12 +109,13 @@ TEST(SnapshotRestore, ShardedContinuesBitwise) {
 TEST(SnapshotRestore, WaferWithAtomSwapsRestoresTheMutatedMapping) {
   // swap_interval 4 fires swaps both before and after the restore point —
   // the mapping the checkpoint carries is not the constructed one.
-  check_restart_parity(Backend::kWafer, 4, "wafer+swaps");
+  check_restart_parity(Backend::kShardedWafer, 4, "wafer+swaps", false, 1);
   check_restart_parity(Backend::kShardedWafer, 4, "sharded+swaps");
 }
 
 TEST(SnapshotRestore, RestoreIntoWarmEngineContinuesBitwise) {
-  check_restart_parity(Backend::kWafer, 4, "wafer warm", /*warm=*/true);
+  check_restart_parity(Backend::kShardedWafer, 4, "wafer warm", /*warm=*/true,
+                       /*threads=*/1);
   check_restart_parity(Backend::kShardedWafer, 4, "sharded:3 warm",
                        /*warm=*/true);
 }
@@ -124,7 +126,7 @@ TEST(SnapshotRestore, RejectsCorruptNeighborhoodRadius) {
   // larger value is corrupt input and must be a typed rejection, not an
   // allocation failure or a signed overflow at the next step.
   Fixture f(/*swap_interval=*/4);
-  for (const Backend backend : {Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kShardedWafer, Backend::kRanks}) {
     auto eng = make_engine(backend, f.structure, f.potential, f.config);
     const State good = eng->snapshot();
     const int max_b = std::max(good.grid_width, good.grid_height);
@@ -150,8 +152,10 @@ TEST(SnapshotRestore, SerialWaferSnapshotReshardsBitwise) {
   Fixture f(/*swap_interval=*/5);
   const long snapshot_at = 10, total = 24;
 
-  auto serial = make_engine(Backend::kWafer, f.structure, f.potential,
-                            f.config);
+  EngineConfig one_shard = f.config;
+  one_shard.threads = 1;
+  auto serial = make_engine(Backend::kShardedWafer, f.structure, f.potential,
+                            one_shard);
   Rng rng(2024);
   serial->thermalize(300.0, rng);
   serial->run(snapshot_at);
@@ -176,8 +180,8 @@ TEST(SnapshotRestore, SerialWaferSnapshotReshardsBitwise) {
   sharded->thermalize(300.0, rng2);
   sharded->run(snapshot_at);
   const State snap2 = sharded->snapshot();
-  auto serial2 = make_engine(Backend::kWafer, f.structure, f.potential,
-                             f.config);
+  auto serial2 = make_engine(Backend::kShardedWafer, f.structure,
+                             f.potential, one_shard);
   serial2->restore(snap2);
   serial2->run(total - snapshot_at);
   expect_bitwise_equal(*serial, *serial2, "sharded->serial");
@@ -185,8 +189,7 @@ TEST(SnapshotRestore, SerialWaferSnapshotReshardsBitwise) {
 
 TEST(SnapshotRestore, SnapshotIsValidBeforeAnyStep) {
   Fixture f;
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     auto a = make_engine(backend, f.structure, f.potential, f.config);
     const State snap = a->snapshot();
     EXPECT_EQ(snap.step, 0);
@@ -201,8 +204,7 @@ TEST(SnapshotRestore, RejectsAtomCountMismatch) {
   const auto p = eam::zhou_parameters("Cu");
   const auto small = lattice::replicate(
       lattice::UnitCell::of(p.structure, p.lattice_constant()), 2, 2, 2);
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     auto big = make_engine(backend, f.structure, f.potential, f.config);
     auto tiny = make_engine(backend, small, f.potential, f.config);
     EXPECT_THROW(tiny->restore(big->snapshot()), wsmd::Error)
@@ -212,8 +214,7 @@ TEST(SnapshotRestore, RejectsAtomCountMismatch) {
 
 TEST(SnapshotRestore, SetPositionsRoundTripsThroughTheSurface) {
   Fixture f;
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     auto eng = make_engine(backend, f.structure, f.potential, f.config);
     auto shifted = eng->positions();
     for (auto& r : shifted) r = r + Vec3d{0.05, -0.03, 0.02};

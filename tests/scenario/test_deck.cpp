@@ -204,7 +204,11 @@ TEST(Scenario, LjMaterialFactsDriveStructureAndEngine) {
 
 TEST(Scenario, BackendSpecParsing) {
   EXPECT_EQ(parse_backend("reference").backend, engine::Backend::kReference);
-  EXPECT_EQ(parse_backend("wafer").backend, engine::Backend::kWafer);
+  // `wafer` is exactly sharded:1 (one shard), not `sharded` (auto threads).
+  const auto wafer = parse_backend("wafer");
+  EXPECT_EQ(wafer.backend, parse_backend("sharded:1").backend);
+  EXPECT_EQ(wafer.threads, parse_backend("sharded:1").threads);
+  EXPECT_NE(wafer.threads, parse_backend("sharded").threads);
   const auto sharded = parse_backend("sharded:8");
   EXPECT_EQ(sharded.backend, engine::Backend::kShardedWafer);
   EXPECT_EQ(sharded.threads, 8);
@@ -660,7 +664,7 @@ TEST(Scenario, BuildEngineHonorsBackendAndOverride) {
       "backend = wafer\n"));
   const auto structure = build_structure(sc);
   auto wafer = build_engine(sc, structure);
-  EXPECT_STREQ(wafer->backend_name(), "wafer-serial");
+  EXPECT_STREQ(wafer->backend_name(), "sharded-wafer");
   auto ref = build_engine(sc, structure, "reference");
   EXPECT_STREQ(ref->backend_name(), "reference-fp64");
   auto sharded = build_engine(sc, structure, "sharded:2");

@@ -63,7 +63,9 @@ void expect_rows_equal(const io::Series& straight, const io::Series& resumed,
 }
 
 TEST(Resume, KillMidStageReproducesTheUninterruptedRun) {
-  for (const std::string backend : {"reference", "sharded:3"}) {
+  // `wafer` resumes through its alias: the embedded deck says
+  // backend = wafer, which now builds sharded:1.
+  for (const std::string backend : {"reference", "sharded:3", "wafer"}) {
     const std::string base =
         ::testing::TempDir() + "wsmd_resume_" + backend.substr(0, 3);
 
