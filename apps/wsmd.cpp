@@ -94,9 +94,6 @@ void print_usage(std::FILE* out) {
                "                    is sharded:1; ranks: forks M rank\n"
                "                    processes with ghost-halo exchange,\n"
                "                    optionally N shard threads each)\n"
-               "  --transport=T     halo transport override for ranks:\n"
-               "                    backends (shm|socket); same as\n"
-               "                    dist.transport=T\n"
                "  --output-dir=DIR  prefix for relative output paths\n"
                "  --print           parse and show the effective scenario,\n"
                "                    do not run\n"
@@ -130,7 +127,9 @@ void print_usage(std::FILE* out) {
                "  checkpoint.path telemetry.trace telemetry.metrics\n"
                "  telemetry.snapshot\n"
                "distributed keys (ranks: backends only):\n"
-               "  dist.transport dist.timeout dist.kill_rank dist.kill_step\n"
+               "  dist.timeout dist.kill_rank dist.kill_step\n"
+               "  (dist.transport = shm|socket is a legacy key: accepted,\n"
+               "  selects nothing — halos always ride shared memory)\n"
                "health keys (run-health watchdog; warn|abort|off):\n"
                "  health.nan health.energy_drift health.energy_band\n"
                "  health.temperature health.temperature_band health.stall\n"
@@ -292,17 +291,6 @@ bool parse_telemetry_flag(const std::string& arg,
   return true;
 }
 
-/// Parse --transport=shm|socket into the dist.transport deck override (the
-/// value check stays in scenario parsing, so the flag and the deck key
-/// cannot drift).
-bool parse_transport_flag(const std::string& arg,
-                          std::vector<wsmd::scenario::DeckEntry>& overrides) {
-  using wsmd::scenario::DeckEntry;
-  if (!wsmd::starts_with(arg, "--transport=")) return false;
-  overrides.push_back(DeckEntry{"dist.transport", arg.substr(12), 0});
-  return true;
-}
-
 int run_report(int argc, char** argv) {
   using namespace wsmd;
   std::vector<std::string> decks;
@@ -341,8 +329,6 @@ int run_report(int argc, char** argv) {
       opt.output_dir = arg.substr(13);
     } else if (parse_telemetry_flag(arg, overrides)) {
       // handled
-    } else if (parse_transport_flag(arg, overrides)) {
-      // handled
     } else if (parse_progress_flag(arg, opt)) {
       // handled
     } else if (starts_with(arg, "--")) {
@@ -366,9 +352,9 @@ int run_report(int argc, char** argv) {
                               ? scenario::Deck{"<cli>", {}, }
                               : scenario::parse_deck_file(path);
     for (const auto& o : overrides) deck.set(o.key, o.value);
-    // Fold --backend= into the deck before validation: dist.* keys (e.g.
-    // a --transport= flag) are eagerly rejected off a ranks: backend, and
-    // the check must see the backend the run will actually use.
+    // Fold --backend= into the deck before validation: dist.* keys are
+    // eagerly rejected off a ranks: backend, and the check must see the
+    // backend the run will actually use.
     if (!opt.backend_override.empty()) {
       deck.set("backend", opt.backend_override);
     }
@@ -486,8 +472,6 @@ int run_resume(int argc, char** argv) {
       scenario::parse_backend(opt.backend_override);  // validate now
     } else if (starts_with(arg, "--output-dir=")) {
       opt.output_dir = arg.substr(13);
-    } else if (parse_transport_flag(arg, overrides)) {
-      // handled
     } else if (starts_with(arg, "--")) {
       WSMD_REQUIRE(false, "unknown resume option '" << arg << "'");
     } else if (arg.find('=') != std::string::npos) {
@@ -511,10 +495,19 @@ int run_resume(int argc, char** argv) {
       scenario::deck_from_entries(ckpt.deck, paths[0] + " (embedded deck)");
   for (const auto& o : overrides) deck.set(o.key, o.value);
   // Fold --backend= into the deck before validation, as run and report
-  // do: dist.* keys (or --transport=) are rejected off a ranks: backend,
-  // and the check must see the backend the resumed run will use.
+  // do: dist.* keys are rejected off a ranks: backend, and the check must
+  // see the backend the resumed run will use.
   if (!opt.backend_override.empty()) {
     deck.set("backend", opt.backend_override);
+  }
+  // A ranks: checkpoint resumes on any backend: off ranks:, drop the
+  // embedded dist.* entries (they configured the ranks that wrote it). A
+  // dist.* override (line 0) stays and keeps its typed error.
+  if (scenario::parse_backend(deck.get("backend", "reference")).backend !=
+      engine::Backend::kRanks) {
+    std::erase_if(deck.entries, [](const scenario::DeckEntry& e) {
+      return e.line > 0 && starts_with(e.key, "dist.");
+    });
   }
   scenario::resume_scenario(scenario::scenario_from_deck(deck), ckpt, opt);
   return 0;
@@ -598,8 +591,6 @@ int main(int argc, char** argv) {
         opt.output_dir = arg.substr(13);
       } else if (parse_telemetry_flag(arg, overrides)) {
         // handled
-      } else if (parse_transport_flag(arg, overrides)) {
-        // handled
       } else if (parse_progress_flag(arg, opt)) {
         // handled
       } else if (starts_with(arg, "--")) {
@@ -629,11 +620,10 @@ int main(int argc, char** argv) {
           path.empty() ? scenario::Deck{"<cli>", {}, }
                        : scenario::parse_deck_file(path);
       for (const auto& o : overrides) deck.set(o.key, o.value);
-      // Fold --backend= into the deck before validation: dist.* keys
-      // (e.g. a --transport= flag) are eagerly rejected off a ranks:
-      // backend, and the check must see the backend the run will
-      // actually use. This also makes --print show the effective
-      // scenario directly.
+      // Fold --backend= into the deck before validation: dist.* keys are
+      // eagerly rejected off a ranks: backend, and the check must see the
+      // backend the run will actually use. This also makes --print show
+      // the effective scenario directly.
       if (!opt.backend_override.empty()) {
         deck.set("backend", opt.backend_override);
       }

@@ -1,16 +1,16 @@
 /// \file bench_halo_transport.cpp
-/// Halo transport micro + macro comparison: the AF_UNIX socket tier vs the
-/// shared-memory rings (dist/shm_channel), as message-level latency and
-/// bandwidth across halo payload sizes, and end-to-end as the measured
-/// dist.halo_* seconds of a real ranks:2 Cu slab on each carrier.
+/// Halo carrier benchmark. Message level: the shared-memory rings
+/// (dist/shm_channel) against the AF_UNIX socket frames of the control
+/// plane, as latency and bandwidth across halo payload sizes. End to end:
+/// the measured dist.halo_* seconds of a real ranks:M Cu slab.
 ///
 ///   bench_halo_transport [--ranks=M] [--steps=K] [--scale=S]
 ///                        [--pingpongs=N] [--stream-mb=M]
 ///
-/// Results land in BENCH_halo_transport.json. The shm-over-socket ratios
-/// (message latency and slab halo seconds) divide two measurements of the
-/// same run, so the bench gate pins them as hard floors — losing the
-/// shared-memory fast path is a structural regression, not runner noise.
+/// Results land in BENCH_halo_transport.json. The shm-over-socket message
+/// ratios divide two measurements of the same run, so the bench gate pins
+/// them as hard floors — losing the shared-memory fast path is a
+/// structural regression, not runner noise.
 
 #include <unistd.h>
 
@@ -45,8 +45,8 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Round-trip ping-pong over the socket tier: A sends a frame, B echoes
-/// it. Returns one-way seconds per message (round-trip / 2).
+/// Round-trip ping-pong over a control-plane socketpair: A sends a frame,
+/// B echoes it. Returns one-way seconds per message (round-trip / 2).
 double socket_latency(std::size_t bytes, int iters) {
   dist::ChannelPair pair = dist::make_channel_pair();
   const std::vector<std::uint8_t> payload(bytes, 0x5a);
@@ -148,11 +148,9 @@ struct SlabLeg {
   double steps_per_s = 0.0;
 };
 
-/// End-to-end: the CI-class Cu slab on ranks:M with the given transport,
-/// telemetry armed, halo seconds read from the same spans `wsmd report`
-/// joins.
-SlabLeg run_slab(dist::HaloTransport transport, int ranks, int scale,
-                 long steps) {
+/// End-to-end: the CI-class Cu slab on ranks:M, telemetry armed, halo
+/// seconds read from the same spans `wsmd report` joins.
+SlabLeg run_slab(int ranks, int scale, long steps) {
   const auto p = eam::zhou_parameters("Cu");
   const auto slab = lattice::paper_slab("Cu", scale);
   auto analytic = std::make_shared<eam::ZhouEam>("Cu", p.paper_cutoff());
@@ -162,11 +160,10 @@ SlabLeg run_slab(dist::HaloTransport transport, int ranks, int scale,
   dist::DistributedConfig cfg;
   cfg.wse.mapping.cell_size = p.lattice_constant();
   cfg.ranks = ranks;
-  cfg.transport = transport;
   dist::DistributedEngine engine(slab, pot, cfg);
   Rng rng(12345);
   engine.thermalize(290.0, rng);
-  engine.step();  // warm caches and socket buffers outside the measurement
+  engine.step();  // warm caches and rings outside the measurement
 
   telemetry::begin_session();
   const auto t0 = Clock::now();
@@ -215,16 +212,15 @@ int main(int argc, char** argv) try {
   }
 
   std::printf(
-      "Halo transport comparison — AF_UNIX socket frames vs POSIX\n"
-      "shared-memory rings (dist.transport = socket|shm).\n\n");
+      "Halo carrier — POSIX shared-memory rings vs the AF_UNIX socket\n"
+      "frames of the control plane.\n\n");
 
   BenchJson json("halo_transport");
   json.meta().set("ranks", ranks).set("scale", scale).set(
       "steps", static_cast<long long>(steps));
-  // The end-to-end halo seconds only reflect the transport when each rank
+  // The end-to-end halo seconds only reflect the carrier when each rank
   // has its own core; on a time-shared single CPU they measure scheduler
-  // skew (the wait for the peer's compute quantum), so the slab ratio
-  // gate keys on this flag.
+  // skew (the wait for the peer's compute quantum).
   const bool multicore = std::thread::hardware_concurrency() > 1;
   json.meta().set("multicore", multicore);
 
@@ -272,18 +268,7 @@ int main(int argc, char** argv) try {
   }
   bw.print();
 
-  // End-to-end: the same slab, the same step count, the two carriers.
-  const SlabLeg socket_leg =
-      run_slab(dist::HaloTransport::kSocket, ranks, scale, steps);
-  const SlabLeg shm_leg =
-      run_slab(dist::HaloTransport::kShm, ranks, scale, steps);
-  json.add_row()
-      .set("leg", "slab")
-      .set("transport", "socket")
-      .set("atoms", socket_leg.atoms)
-      .set("halo_s", socket_leg.halo_s_per_step)
-      .set("overlap_s", socket_leg.overlap_s_per_step)
-      .set("steps_per_s", socket_leg.steps_per_s);
+  const SlabLeg shm_leg = run_slab(ranks, scale, steps);
   json.add_row()
       .set("leg", "slab")
       .set("transport", "shm")
@@ -294,16 +279,10 @@ int main(int argc, char** argv) try {
 
   std::printf(
       "\nEnd-to-end Cu slab (scale %d, %s atoms, ranks:%d, %ld steps):\n"
-      "  socket: halo %.3g s/step (overlap %.3g), %.1f steps/s\n"
-      "  shm:    halo %.3g s/step (overlap %.3g), %.1f steps/s\n"
-      "  halo speedup: %.1fx\n",
+      "  shm: halo %.3g s/step (overlap %.3g), %.1f steps/s\n",
       scale, with_commas(shm_leg.atoms).c_str(), ranks, steps,
-      socket_leg.halo_s_per_step, socket_leg.overlap_s_per_step,
-      socket_leg.steps_per_s, shm_leg.halo_s_per_step,
-      shm_leg.overlap_s_per_step, shm_leg.steps_per_s,
-      shm_leg.halo_s_per_step > 0.0
-          ? socket_leg.halo_s_per_step / shm_leg.halo_s_per_step
-          : 0.0);
+      shm_leg.halo_s_per_step, shm_leg.overlap_s_per_step,
+      shm_leg.steps_per_s);
 
   const std::string path = json.write();
   std::printf("\nMachine-readable results: %s\n", path.c_str());

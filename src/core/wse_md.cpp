@@ -273,7 +273,6 @@ void WseMd::force_half(const ShardRect& region, const StepSchedule& s) {
   sweep(s, bottom, density);
   if (s.publish) s.publish(Halo::kFprime);
   sweep(s, inner, density);
-  if (s.progress) s.progress();
   sweep(s, inner, force);
   if (s.consume) s.consume(Halo::kFprime);
   sweep(s, top, force);
@@ -299,7 +298,6 @@ WseMd::RegionReport WseMd::run_schedule(const ShardRect& region,
     if (s.publish) s.publish(Halo::kState);
     r.acc = reduce_region_raw(region, ws_);
     r.kinetic = kinetic_energy_region(region);
-    if (s.progress) s.progress();
     if (s.consume) s.consume(Halo::kState);
   }
   if (r.swapped) {

@@ -118,11 +118,9 @@ struct StepSchedule {
   std::function<void(const std::function<void(int)>&)> parallel_for;
   /// Halo hooks of a region with peers (a ranks: process); null
   /// elsewhere. `publish` sends the region's halo rows, `consume` receives
-  /// the peers' ghost rows, and `progress` moves in-flight halos along
-  /// between compute tiles.
+  /// the peers' ghost rows.
   std::function<void(Halo)> publish;
   std::function<void(Halo)> consume;
-  std::function<void()> progress;
   /// Replaces the region's partner choices with every region's, merged.
   std::function<void(std::vector<int>&)> merge_partners;
 };

@@ -67,45 +67,40 @@ void DistributedEngine::start_ranks() {
   const int m = config_.ranks;
   std::vector<ChannelPair> controls(static_cast<std::size_t>(m));
   for (auto& pair : controls) pair = make_channel_pair();
-  struct PeerPair {
-    int i;
-    int j;
-    ChannelPair pair;
-  };
-  std::vector<PeerPair> peers;
-  for (int i = 0; i < m; ++i) {
-    for (int j = i + 1; j < m; ++j) {
-      peers.push_back(PeerPair{i, j, make_channel_pair()});
-    }
-  }
 
-  // Shm tier: create every halo pair's shared segment *before* forking —
-  // the ranks inherit the live mappings, and because each segment is
-  // shm_unlinked inside its constructor, no /dev/shm entry survives this
-  // loop, let alone a crashed rank. Pairs come from the state-exchange
-  // radius b+1 (a superset of the F' pairs at radius b); slots are sized
-  // for the largest message either direction can carry — rows x grid
-  // width is an upper bound on halo atoms, swaps included. Both depend on
-  // b, which is why a restore or set_positions re-creates the ranks.
-  std::vector<ShmPairSegment> segments;
-  if (config_.transport == HaloTransport::kShm) {
-    const int b = template_.b();
-    const int w = template_.mapping().grid_width();
-    const long pid = static_cast<long>(::getpid());
-    for (const auto& [i, j] : halo_pairs(strips_, b + 1)) {
-      std::size_t slot_bytes = 64;
-      for (const auto& [owner, needer] :
-           {std::pair<int, int>{i, j}, std::pair<int, int>{j, i}}) {
-        const std::size_t fp_rows = static_cast<std::size_t>(
-            halo_rows(strips_, owner, needer, b).rows());
-        const std::size_t st_rows = static_cast<std::size_t>(
-            halo_rows(strips_, owner, needer, b + 1).rows());
-        slot_bytes = std::max(
-            {slot_bytes, fp_rows * static_cast<std::size_t>(w) * 4,
-             st_rows * static_cast<std::size_t>(w) * 24});
-      }
-      segments.emplace_back(pid, i, j, slot_bytes);
+  // One link per halo pair: a shared segment carrying the pair's halos and
+  // a socketpair whose EOF is that segment's death canary. Both are
+  // created *before* forking — the ranks inherit the live mappings, and
+  // because each segment is shm_unlinked inside its constructor, no
+  // /dev/shm entry survives this loop, let alone a crashed rank. Pairs
+  // come from the state-exchange radius b+1 (a superset of the F' pairs at
+  // radius b); slots are sized for the largest message either direction
+  // can carry — rows x grid width is an upper bound on halo atoms, swaps
+  // included. Both depend on b, which is why a restore or set_positions
+  // re-creates the ranks.
+  struct Link {
+    ShmPairSegment segment;
+    ChannelPair canary;
+  };
+  std::vector<Link> links;
+  const int b = template_.b();
+  const int w = template_.mapping().grid_width();
+  const long coordinator = static_cast<long>(::getpid());
+  for (const auto& [i, j] : halo_pairs(strips_, b + 1)) {
+    std::size_t slot_bytes = 64;
+    for (const auto& [owner, needer] :
+         {std::pair<int, int>{i, j}, std::pair<int, int>{j, i}}) {
+      const std::size_t fp_rows = static_cast<std::size_t>(
+          halo_rows(strips_, owner, needer, b).rows());
+      const std::size_t st_rows = static_cast<std::size_t>(
+          halo_rows(strips_, owner, needer, b + 1).rows());
+      slot_bytes = std::max(
+          {slot_bytes, fp_rows * static_cast<std::size_t>(w) * 4,
+           st_rows * static_cast<std::size_t>(w) * 24});
     }
+    links.push_back(
+        Link{ShmPairSegment(coordinator, i, j, slot_bytes),
+             make_channel_pair()});
   }
 
   for (int r = 0; r < m; ++r) {
@@ -135,36 +130,25 @@ void DistributedEngine::start_ranks() {
         controls[static_cast<std::size_t>(q)].a.close();
         if (q != r) controls[static_cast<std::size_t>(q)].b.close();
       }
+      // Keep this rank's links; drop the other pairs' inherited socket
+      // ends and mappings, so each canary EOFs with its peer and each
+      // segment's memory frees with its two owners.
       std::vector<PeerLink> my_peers;
-      for (auto& pp : peers) {
-        if (pp.i == r) {
-          pp.pair.b.close();
-          PeerLink link;
-          link.rank = pp.j;
-          link.channel = std::move(pp.pair.a);
-          my_peers.push_back(std::move(link));
-        } else if (pp.j == r) {
-          pp.pair.a.close();
-          PeerLink link;
-          link.rank = pp.i;
-          link.channel = std::move(pp.pair.b);
-          my_peers.push_back(std::move(link));
-        } else {
-          pp.pair.a.close();
-          pp.pair.b.close();
+      for (auto& link : links) {
+        const int i = link.segment.rank_i();
+        const int j = link.segment.rank_j();
+        if (i != r && j != r) {
+          link.canary.a.close();
+          link.canary.b.close();
+          link.segment.unmap();
+          continue;
         }
-      }
-      // Keep ring views only toward this rank's own peers; drop the other
-      // pairs' inherited mappings so the memory frees with its two owners.
-      for (auto& seg : segments) {
-        if (seg.rank_i() == r || seg.rank_j() == r) {
-          const int other = seg.rank_i() == r ? seg.rank_j() : seg.rank_i();
-          for (auto& link : my_peers) {
-            if (link.rank == other) link.shm = seg.halo_for(r);
-          }
-        } else {
-          seg.unmap();
-        }
+        PeerLink peer;
+        peer.rank = i == r ? j : i;
+        peer.canary = std::move(i == r ? link.canary.a : link.canary.b);
+        (i == r ? link.canary.b : link.canary.a).close();
+        peer.shm = link.segment.halo_for(r);
+        my_peers.push_back(std::move(peer));
       }
       RankWorkerConfig wc;
       wc.rank = r;
@@ -173,7 +157,6 @@ void DistributedEngine::start_ranks() {
       wc.peer_timeout_ms = config_.step_timeout_ms;
       wc.kill_rank = config_.kill_rank;
       wc.kill_step = config_.kill_step;
-      wc.transport = config_.transport;
       try {
         RankWorker worker(template_, wc, std::move(control),
                           std::move(my_peers));
@@ -191,10 +174,9 @@ void DistributedEngine::start_ranks() {
     pair.b.close();
     control_.push_back(std::move(pair.a));
   }
-  // `peers` destructs on return, closing the coordinator's copies of every
-  // rank<->rank fd — only the two owning ranks hold each pair now.
-  // `segments` destructs too: the coordinator's mappings go away, leaving
-  // each shm segment alive exactly as long as its two ranks stay mapped.
+  // `links` destructs on return, closing the coordinator's copies of every
+  // canary fd and unmapping its segments: each link now lives exactly as
+  // long as its two ranks.
   prev_.assign(static_cast<std::size_t>(m), StepRecord{});  // fresh timers
   try {
     for (int r = 0; r < m; ++r) {
@@ -542,12 +524,7 @@ void DistributedEngine::thermalize(double temperature_K, Rng& rng) {
 engine::ModeledPhaseCost DistributedEngine::modeled_phase_cost() const {
   // The executed-vs-modeled halo validation row: what the cost model says
   // M strip halos should cost, next to the measured dist.halo_* spans.
-  engine::ModeledPhaseCost cost = engine::wafer_phase_cost(template_, strips_);
-  if (cost.valid) {
-    cost.halo_transport =
-        config_.transport == HaloTransport::kShm ? "shm" : "socket";
-  }
-  return cost;
+  return engine::wafer_phase_cost(template_, strips_);
 }
 
 std::vector<std::string> DistributedEngine::rank_log_paths() const {

@@ -9,8 +9,10 @@
 /// a horizontal strip of the core grid (dist::row_strips, the same
 /// partition engine::WaferEngine uses for threads) and advances only its
 /// strip through the one step schedule (core::WseMd::step_region),
-/// exchanging ghost-halo planes with peer ranks (see rank_worker.hpp for
-/// the in-step protocol). Optionally each rank runs N shard threads over
+/// exchanging ghost-halo planes with peer ranks through one shared-memory
+/// link per halo pair (see rank_worker.hpp for the in-step protocol).
+/// Sockets carry only the coordinator <-> rank control plane and each
+/// link's death canary. Optionally each rank runs N shard threads over
 /// sub-strips (`ranks:MxN`).
 ///
 /// The template stays the run's full-grid twin minus the atoms: it applies
@@ -56,10 +58,11 @@
 
 namespace wsmd::dist {
 
-/// Most ranks the backend accepts: all-pairs socketpairs are preallocated
-/// (so halos spanning whole neighbor strips need no forwarding), which is
-/// quadratic in M — 16 ranks is 120 pairs, far past the per-host scaling
-/// this backend targets.
+/// Most ranks the backend accepts. Each rank is a forked process, and
+/// links exist only for halo pairs: a chain of M - 1 on a typical grid,
+/// but up to all M(M - 1)/2 pairs once strips grow thinner than the halo
+/// radius (halos spanning whole neighbor strips need no forwarding) — 16
+/// ranks is 120 links, far past the per-host scaling this backend targets.
 constexpr int kMaxRanks = 16;
 
 struct DistributedConfig {
@@ -75,10 +78,6 @@ struct DistributedConfig {
   /// kill_rank calls _Exit at the start of step kill_step.
   int kill_rank = -1;
   long kill_step = 0;
-  /// Which tier carries the halo payloads (deck key dist.transport):
-  /// per-pair shared-memory rings (default) or the peer sockets. The
-  /// trajectory is bitwise transport-invariant; only the wire differs.
-  HaloTransport transport = HaloTransport::kShm;
   /// Parent directory for the per-rank scratch files (stderr captures);
   /// empty uses the system temp dir. The runner points this at
   /// --output-dir so diagnostics land next to the run's artifacts without
@@ -137,8 +136,8 @@ class DistributedEngine final : public engine::Engine {
   void keep_scratch() { scratch_.keep(); }
 
  private:
-  /// (Re)create the ranks from the template: fork them, with shm halo
-  /// segments sized for the template's b, and handshake.
+  /// (Re)create the ranks from the template: fork them, with one halo link
+  /// per halo pair sized for the template's b, and handshake.
   void start_ranks();
   /// Broadcast a frame to every live rank, in rank order.
   void broadcast(Tag tag, const void* payload, std::size_t size) const;

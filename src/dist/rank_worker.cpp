@@ -1,5 +1,6 @@
 #include "dist/rank_worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -43,17 +44,23 @@ RankWorker::RankWorker(core::WseMd& md, RankWorkerConfig config,
   };
   schedule_.publish = [this](core::Halo h) { publish_halo(h); };
   schedule_.consume = [this](core::Halo h) { consume_halo(h); };
-  schedule_.progress = [this] { pump_transport(); };
   schedule_.merge_partners = [this](std::vector<int>& p) {
     merge_partners(p);
   };
 }
 
-PeerLink* RankWorker::peer_link(int rank) {
-  for (auto& link : peers_) {
-    if (link.rank == rank) return &link;
+std::vector<PeerLink*> RankWorker::halo_peers(int radius) {
+  std::vector<PeerLink*> links;
+  for (const auto& [i, j] : halo_pairs(strips_, radius)) {
+    if (i != config_.rank && j != config_.rank) continue;
+    const int other = i == config_.rank ? j : i;
+    const auto it = std::find_if(
+        peers_.begin(), peers_.end(),
+        [other](const PeerLink& link) { return link.rank == other; });
+    WSMD_REQUIRE(it != peers_.end(), "dist: no link to peer rank " << other);
+    links.push_back(&*it);
   }
-  return nullptr;
+  return links;
 }
 
 void RankWorker::handshake() {
@@ -204,48 +211,26 @@ void RankWorker::publish_halo(core::Halo halo) {
   const auto start = Clock::now();
   const Tag tag = halo_tag(halo);
   const int radius = halo == core::Halo::kFprime ? md_.b() : md_.b() + 1;
-  const auto pairs = halo_pairs(strips_, radius);
   const std::size_t per_atom =
       tag == Tag::kHaloState ? 6 * sizeof(float) : sizeof(float);
-  for (const auto& [i, j] : pairs) {
-    if (i != config_.rank && j != config_.rank) continue;
-    const int other = i == config_.rank ? j : i;
-    PeerLink* link = peer_link(other);
-    WSMD_REQUIRE(link != nullptr, "dist: no link to peer rank " << other);
-
-    const RowSpan out = halo_rows(strips_, config_.rank, other, radius);
+  for (PeerLink* link : halo_peers(radius)) {
+    const RowSpan out = halo_rows(strips_, config_.rank, link->rank, radius);
     const auto pack_start = Clock::now();
     const auto atoms = atoms_in_rows(md_.mapping(), out.lo, out.hi);
-    if (config_.transport == HaloTransport::kShm) {
-      // Gather straight into the shared slot: written once, read in place
-      // by the peer, zero syscalls. The slot was sized for the radius the
-      // ranks were spawned with; check before writing a byte.
-      const std::size_t bytes = atoms.size() * per_atom;
-      ShmRing& ring = link->shm.send;
-      WSMD_REQUIRE(ring.valid() && bytes <= ring.slot_bytes(),
-                   "dist: a " << bytes << "-byte halo for rank " << other
-                              << " overruns its " << ring.slot_bytes()
-                              << "-byte shm slot");
-      const ShmWait wait{link->channel.fd(), config_.peer_timeout_ms};
-      gather_halo(tag, atoms, ring.begin_publish(wait));
-      ring.commit_publish(tag, bytes);
-    } else {
-      // Socket tier: frame a count-prefixed float array (the historical
-      // wire format) and post it on the multi-fd exchange; the wire moves
-      // while this rank computes, and drain happens in consume_halo.
-      std::vector<std::uint8_t> buf(sizeof(std::uint64_t) +
-                                    atoms.size() * per_atom);
-      const std::uint64_t count =
-          atoms.size() * (per_atom / sizeof(float));
-      std::memcpy(buf.data(), &count, sizeof(count));
-      gather_halo(tag, atoms, buf.data() + sizeof(count));
-      mx_out_.push_back(std::move(buf));
-      mx_.add(link->channel, tag, mx_out_.back().data(),
-              mx_out_.back().size());
-    }
+    // Gather straight into the shared slot: written once, read in place
+    // by the peer, zero syscalls. The slot was sized for the radius the
+    // ranks were spawned with; check before writing a byte.
+    const std::size_t bytes = atoms.size() * per_atom;
+    ShmRing& ring = link->shm.send;
+    WSMD_REQUIRE(ring.valid() && bytes <= ring.slot_bytes(),
+                 "dist: a " << bytes << "-byte halo for rank " << link->rank
+                            << " overruns its " << ring.slot_bytes()
+                            << "-byte shm slot");
+    const ShmWait wait{link->canary.fd(), config_.peer_timeout_ms};
+    gather_halo(tag, atoms, ring.begin_publish(wait));
+    ring.commit_publish(tag, bytes);
     pack_s_ += since(pack_start);
   }
-  pump_transport();
   published_ = Clock::now();
   hooks_s_ += since(start);
 }
@@ -256,48 +241,11 @@ void RankWorker::consume_halo(core::Halo halo) {
   overlap_s_ += std::chrono::duration<double>(start - published_).count();
   const Tag tag = halo_tag(halo);
   const int radius = halo == core::Halo::kFprime ? md_.b() : md_.b() + 1;
-  const auto pairs = halo_pairs(strips_, radius);
   const std::size_t per_atom =
       tag == Tag::kHaloState ? 6 * sizeof(float) : sizeof(float);
-
-  if (config_.transport == HaloTransport::kSocket) {
-    const auto wire_start = Clock::now();
-    const auto results = mx_.drain(config_.peer_timeout_ms);
-    exchange_s_ += since(wire_start);
-    mx_out_.clear();
-
-    std::size_t idx = 0;
-    for (const auto& [i, j] : pairs) {
-      if (i != config_.rank && j != config_.rank) continue;
-      const int other = i == config_.rank ? j : i;
-      const RowSpan in = halo_rows(strips_, other, config_.rank, radius);
-      WSMD_REQUIRE(idx < results.size(),
-                   "dist: missing halo reply from rank " << other);
-      const auto unpack_start = Clock::now();
-      Unpacker u(results[idx]);
-      const auto values = u.get_array<float>();
-      const auto atoms = atoms_in_rows(md_.mapping(), in.lo, in.hi);
-      WSMD_REQUIRE(values.size() * sizeof(float) == atoms.size() * per_atom,
-                   "dist: halo size mismatch from rank "
-                       << other << " (" << values.size() * sizeof(float)
-                       << " vs " << atoms.size() * per_atom << " bytes)");
-      scatter_halo(tag, atoms,
-                   reinterpret_cast<const std::uint8_t*>(values.data()));
-      unpack_s_ += since(unpack_start);
-      ++idx;
-    }
-    hooks_s_ += since(start);
-    return;
-  }
-
-  for (const auto& [i, j] : pairs) {
-    if (i != config_.rank && j != config_.rank) continue;
-    const int other = i == config_.rank ? j : i;
-    PeerLink* link = peer_link(other);
-    WSMD_REQUIRE(link != nullptr, "dist: no link to peer rank " << other);
-    const RowSpan in = halo_rows(strips_, other, config_.rank, radius);
-
-    const ShmWait wait{link->channel.fd(), config_.peer_timeout_ms};
+  for (PeerLink* link : halo_peers(radius)) {
+    const RowSpan in = halo_rows(strips_, link->rank, config_.rank, radius);
+    const ShmWait wait{link->canary.fd(), config_.peer_timeout_ms};
     const auto wire_start = Clock::now();
     std::size_t bytes = 0;
     const std::uint8_t* src = link->shm.recv.acquire(tag, bytes, wait);
@@ -307,19 +255,13 @@ void RankWorker::consume_halo(core::Halo halo) {
     const auto atoms = atoms_in_rows(md_.mapping(), in.lo, in.hi);
     WSMD_REQUIRE(bytes == atoms.size() * per_atom,
                  "dist: halo size mismatch from rank "
-                     << other << " (" << bytes << " vs "
+                     << link->rank << " (" << bytes << " vs "
                      << atoms.size() * per_atom << " bytes)");
     scatter_halo(tag, atoms, src);
     link->shm.recv.release();
     unpack_s_ += since(unpack_start);
   }
   hooks_s_ += since(start);
-}
-
-void RankWorker::pump_transport() {
-  if (config_.transport == HaloTransport::kSocket && !mx_.empty()) {
-    mx_.post();
-  }
 }
 
 void RankWorker::merge_partners(std::vector<int>& partner) {

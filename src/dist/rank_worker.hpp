@@ -15,17 +15,14 @@
 /// (radius b+1, one row of slack so an atom-swap migration never exposes a
 /// stale ghost) — and the coordinator's partner merge on swap steps.
 ///
-/// Halo payloads travel either through per-pair shared-memory rings
-/// (`dist.transport = shm`, the default — see shm_channel.hpp) or over
-/// the peer sockets (`socket`). Either way the schedule overlaps
-/// communication with compute: outgoing halos are published as soon as
-/// the strip's boundary rows are computed, interior tiles sweep while the
-/// halos are in flight (with a progress call between tiles for the socket
-/// carrier), and the incoming halos are consumed only when the boundary
-/// tiles finally need them. The split is free of numerical consequence:
-/// the phase kernels guarantee results bitwise independent of the shard
-/// decomposition, and the energy reductions keep their strip-wide fixed
-/// order.
+/// Halo payloads travel through per-pair shared-memory rings (see
+/// shm_channel.hpp), and the schedule overlaps them with compute:
+/// outgoing halos are published as soon as the strip's boundary rows are
+/// computed, interior tiles sweep while the halos are in flight, and the
+/// incoming halos are consumed only when the boundary tiles finally need
+/// them. The split is free of numerical consequence: the phase kernels
+/// guarantee results bitwise independent of the shard decomposition, and
+/// the energy reductions keep their strip-wide fixed order.
 ///
 /// Per-atom state therefore evolves bitwise identically to the serial
 /// engine — every value an atom's update reads (neighbor positions, F',
@@ -35,10 +32,9 @@
 ///
 /// Teardown: a clean run ends with kShutdown -> kBye -> _Exit(0). If the
 /// coordinator dies first, the control socket EOFs and the rank exits
-/// quietly; if a *peer* dies mid-exchange, the rank exits nonzero and the
-/// failure cascades to the coordinator as EOFs. On the shm tier a dead
-/// peer is caught by the ring wait's socket canary (PeerClosedError), so
-/// detection latency matches the socket tier.
+/// quietly; if a *peer* dies mid-exchange, the ring wait's socket canary
+/// catches it (PeerClosedError), the rank exits nonzero, and the failure
+/// cascades to the coordinator as EOFs.
 
 #include <chrono>
 #include <utility>
@@ -64,16 +60,13 @@ struct RankWorkerConfig {
   /// rank is `kill_rank` (deck keys dist.kill_rank / dist.kill_step).
   int kill_rank = -1;
   long kill_step = 0;
-  /// Which tier carries halo payloads (deck key dist.transport).
-  HaloTransport transport = HaloTransport::kShm;
 };
 
-/// Everything one rank holds toward one peer: the socket (halo carrier on
-/// the socket tier; control/death canary on the shm tier) and, on the shm
-/// tier, the pair's ring views.
+/// Everything one rank holds toward one halo peer: the pair's ring views
+/// and the socket whose EOF is their death canary.
 struct PeerLink {
   int rank = -1;
-  Channel channel;
+  Channel canary;
   ShmHalo shm;
 };
 
@@ -95,17 +88,12 @@ class RankWorker {
   void handshake();
   void do_step();
   void do_eval_pe();
-  /// The schedule's halo hooks. publish_halo packs this rank's halo rows
-  /// and sends them to every peer: shm rings publish immediately (gathered
-  /// straight into the slot); socket exchanges are posted on a
-  /// MultiExchange and drained later. consume_halo receives and scatters
-  /// the peers' rows posted by the matching publish; it blocks until all
-  /// are in.
+  /// The schedule's halo hooks. publish_halo gathers this rank's halo rows
+  /// straight into every peer's ring slot and publishes them; consume_halo
+  /// receives and scatters the peers' rows posted by the matching publish,
+  /// blocking until all are in.
   void publish_halo(core::Halo halo);
   void consume_halo(core::Halo halo);
-  /// Nonblocking socket-exchange progress between compute tiles (no-op on
-  /// the shm tier, where publish completes eagerly).
-  void pump_transport();
   /// The schedule's partner-merge hook: send this strip's partner slots to
   /// the coordinator and adopt the merged full array it broadcasts.
   void merge_partners(std::vector<int>& partner);
@@ -116,7 +104,9 @@ class RankWorker {
   /// Scatter received halo values for `atoms` out of `src`.
   void scatter_halo(Tag tag, const std::vector<std::uint32_t>& atoms,
                     const std::uint8_t* src);
-  PeerLink* peer_link(int rank);
+  /// Links to this rank's peers at halo radius `radius`, in halo_pairs
+  /// order.
+  std::vector<PeerLink*> halo_peers(int radius);
 
   core::WseMd& md_;
   RankWorkerConfig config_;
@@ -126,11 +116,6 @@ class RankWorker {
   core::ShardRect strip_;
   engine::ShardPool pool_;
   core::StepSchedule schedule_;
-
-  // In-flight socket-tier exchange (between publish_halo and
-  // consume_halo): the state machine plus its pinned send buffers.
-  MultiExchange mx_;
-  std::vector<std::vector<std::uint8_t>> mx_out_;
 
   // Cumulative wall-clock accounting reported in every StepRecord.
   double busy_s_ = 0.0;

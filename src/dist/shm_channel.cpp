@@ -53,9 +53,9 @@ void futex_wake_all(std::atomic<std::uint32_t>* word) {
             INT_MAX, nullptr, nullptr, 0);
 }
 
-/// Nonblocking dead-peer check between futex chunks: an EOF on the
-/// (otherwise idle) peer socket means the process this wait depends on is
-/// gone — fail now, not at dist.timeout.
+/// Nonblocking dead-peer check between futex chunks: an EOF on the pair's
+/// canary socket means the process this wait depends on is gone — fail
+/// now, not at dist.timeout.
 void check_peer_alive(const ShmWait& wait, const char* what) {
   if (wait.peer_fd < 0) return;
   pollfd p{wait.peer_fd, POLLIN, 0};
@@ -71,9 +71,8 @@ void check_peer_alive(const ShmWait& wait, const char* what) {
       throw PeerClosedError("dist shm: peer closed while waiting for " +
                             std::string(what));
     }
-    // r > 0: a queued frame for a later (socket-plane) operation — not
-    // ours to consume; r < 0/EAGAIN: spurious readiness. Either way the
-    // peer is alive.
+    // No frame ever rides a canary, so anything but EOF (r < 0/EAGAIN:
+    // spurious readiness) means the peer is alive.
   }
 }
 

@@ -1,20 +1,21 @@
 #pragma once
 
 /// \file shm_channel.hpp
-/// Shared-memory halo transport between rank peers (`dist.transport = shm`).
+/// The halo carrier between rank peers: shared-memory rings.
 ///
-/// For every neighbor pair the coordinator creates one POSIX shm segment
+/// For every halo pair the coordinator creates one POSIX shm segment
 /// *before* forking, maps it MAP_SHARED, and immediately shm_unlinks it —
 /// the forked ranks inherit the live mapping, and no /dev/shm entry can
 /// outlive construction, however a rank dies (SIGKILL included). The
 /// segment holds two single-producer / single-consumer rings, one per
 /// direction, each with two fixed-size slots: halo payloads are memcpy'd
 /// once by the producer and read *in place* by the consumer — zero socket
-/// syscalls and zero intermediate copies on the steady-state path. The
-/// AF_UNIX socket plane stays up as the control plane (handshake,
-/// checkpoint gather) and as the death canary: the consumer's
-/// spin-then-sleep wait polls the idle peer socket, so a dead peer
-/// surfaces as PeerClosedError immediately instead of after dist.timeout.
+/// syscalls and zero intermediate copies on the steady-state path. Each
+/// segment comes with a peer socketpair that never carries a frame: it is
+/// the pair's death canary. The consumer's spin-then-sleep wait polls it,
+/// so a dead peer surfaces as PeerClosedError immediately instead of after
+/// dist.timeout. The coordinator <-> rank control plane (handshake,
+/// checkpoint gather) keeps its own sockets (transport.hpp).
 ///
 /// Ring protocol (all counters are message counts, monotonic):
 ///   - `head` = messages published, `tail` = messages consumed; message n
@@ -39,9 +40,9 @@
 /// microseconds, which keeps the rings fast even when ranks share cores
 /// (spinning there would starve the very peer being waited on). The
 /// sleeping side registers in a waiter count so the fast path pays no
-/// wake syscall. Waits honor the same `dist.timeout` deadline the socket
-/// transport uses (TimeoutError past the deadline) and re-check the peer
-/// socket fd between futex timeout chunks, so a dead peer surfaces as
+/// wake syscall. Waits honor the same `dist.timeout` deadline the control
+/// plane uses (TimeoutError past the deadline) and re-check the peer
+/// canary between futex timeout chunks, so a dead peer surfaces as
 /// PeerClosedError within milliseconds instead of at dist.timeout.
 
 #include <atomic>
@@ -79,9 +80,9 @@ constexpr std::size_t kSlots = 2;
 }  // namespace shm_detail
 
 /// How a consumer waits for ring progress: bounded by the transport
-/// deadline, watching the (otherwise idle) peer socket so a dead peer is
-/// detected without heartbeats. `peer_fd < 0` disables the death check
-/// (unit tests without a socket plane).
+/// deadline, watching the pair's canary socket so a dead peer is detected
+/// without heartbeats. `peer_fd < 0` disables the death check (unit tests
+/// without a canary).
 struct ShmWait {
   int peer_fd = -1;
   int timeout_ms = 0;

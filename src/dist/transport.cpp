@@ -35,9 +35,9 @@ int remaining_ms(Clock::time_point deadline) {
                        std::strerror(errno));
 }
 
-/// Poll for `events`; throws TimeoutError at the deadline. Returns revents.
-short poll_or_throw(int fd, short events, Clock::time_point deadline,
-                    const char* what) {
+/// Poll for `events`; throws TimeoutError at the deadline.
+void poll_or_throw(int fd, short events, Clock::time_point deadline,
+                   const char* what) {
   for (;;) {
     pollfd p{fd, events, 0};
     const int rc = ::poll(&p, 1, remaining_ms(deadline));
@@ -49,7 +49,7 @@ short poll_or_throw(int fd, short events, Clock::time_point deadline,
       throw TimeoutError(std::string("dist transport: timed out waiting for ") +
                          what);
     }
-    return p.revents;
+    return;
   }
 }
 
@@ -61,15 +61,6 @@ void validate_header(const FrameHeader& h) {
     throw TransportError("dist: protocol version mismatch (peer " +
                          std::to_string(h.version) + ", expected " +
                          std::to_string(kProtocolVersion) + ")");
-  }
-}
-
-void validate_header(const FrameHeader& h, Tag expect) {
-  validate_header(h);
-  if (h.tag != static_cast<std::uint16_t>(expect)) {
-    throw TransportError("dist: unexpected frame tag " +
-                         std::to_string(h.tag) + " (expected " +
-                         std::to_string(static_cast<int>(expect)) + ")");
   }
 }
 
@@ -173,276 +164,6 @@ std::vector<std::uint8_t> Channel::recv_any(Tag& tag, int timeout_ms) const {
   std::vector<std::uint8_t> payload(header.length);
   read_all(payload.data(), payload.size(), "frame payload");
   return payload;
-}
-
-std::vector<std::uint8_t> Channel::exchange(Tag tag, const void* out,
-                                            std::size_t out_size,
-                                            int timeout_ms) const {
-  WSMD_REQUIRE(valid(), "dist: exchange on closed channel");
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-
-  // Outbound stream: header + payload, driven as write space appears.
-  FrameHeader out_header;
-  out_header.tag = static_cast<std::uint16_t>(tag);
-  out_header.length = out_size;
-  const auto* out_bytes = static_cast<const std::uint8_t*>(out);
-  std::size_t sent_header = 0, sent_payload = 0;
-
-  // Inbound stream: header first, then the payload it announces.
-  FrameHeader in_header;
-  std::size_t recv_header = 0, recv_payload = 0;
-  std::vector<std::uint8_t> in_payload;
-  bool header_done = false;
-
-  bool send_done = false;
-  bool recv_done = false;
-
-  while (!send_done || !recv_done) {
-    short events = 0;
-    if (!send_done) events |= POLLOUT;
-    if (!recv_done) events |= POLLIN;
-    const short revents =
-        poll_or_throw(fd_, events, deadline, "halo exchange progress");
-
-    if (!send_done && (revents & (POLLOUT | POLLERR))) {
-      const std::uint8_t* data;
-      std::size_t n, off;
-      if (sent_header < sizeof(out_header)) {
-        data = reinterpret_cast<const std::uint8_t*>(&out_header);
-        n = sizeof(out_header);
-        off = sent_header;
-      } else {
-        data = out_bytes;
-        n = out_size;
-        off = sent_payload;
-      }
-      // MSG_DONTWAIT: a blocking send() would queue the *whole* remainder
-      // and stall until the peer drains it — exactly the write-write
-      // deadlock this loop exists to avoid.
-      const ssize_t w =
-          ::send(fd_, data + off, n - off, MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (w < 0) {
-        if (errno != EINTR && errno != EAGAIN) {
-          if (errno == EPIPE || errno == ECONNRESET) {
-            throw PeerClosedError("dist: peer closed during halo exchange");
-          }
-          throw_errno("send");
-        }
-      } else if (sent_header < sizeof(out_header)) {
-        sent_header += static_cast<std::size_t>(w);
-      } else {
-        sent_payload += static_cast<std::size_t>(w);
-      }
-      send_done = sent_header == sizeof(out_header) && sent_payload == out_size;
-    }
-
-    if (!recv_done && (revents & (POLLIN | POLLHUP | POLLERR))) {
-      std::uint8_t* data;
-      std::size_t n, off;
-      if (!header_done) {
-        data = reinterpret_cast<std::uint8_t*>(&in_header);
-        n = sizeof(in_header);
-        off = recv_header;
-      } else {
-        data = in_payload.data();
-        n = in_payload.size();
-        off = recv_payload;
-      }
-      const ssize_t r = ::recv(fd_, data + off, n - off, MSG_DONTWAIT);
-      if (r < 0) {
-        if (errno != EINTR && errno != EAGAIN) {
-          if (errno == ECONNRESET) {
-            throw PeerClosedError("dist: peer reset during halo exchange");
-          }
-          throw_errno("recv");
-        }
-      } else if (r == 0) {
-        throw PeerClosedError("dist: peer closed during halo exchange (EOF)");
-      } else if (!header_done) {
-        recv_header += static_cast<std::size_t>(r);
-        if (recv_header == sizeof(in_header)) {
-          validate_header(in_header, tag);
-          in_payload.resize(in_header.length);
-          header_done = true;
-          recv_done = in_payload.empty();
-        }
-      } else {
-        recv_payload += static_cast<std::size_t>(r);
-        recv_done = recv_payload == in_payload.size();
-      }
-    }
-  }
-  return in_payload;
-}
-
-/// Per-fd exchange state — one instance of the same machine
-/// Channel::exchange runs inline, but progressed a slice at a time so many
-/// fds can advance under one poll.
-struct MultiExchange::Op {
-  int fd = -1;
-  Tag tag = Tag::kHello;
-  FrameHeader out_header;
-  const std::uint8_t* out_bytes = nullptr;
-  std::size_t out_size = 0;
-  std::size_t sent_header = 0, sent_payload = 0;
-  FrameHeader in_header;
-  std::size_t recv_header = 0, recv_payload = 0;
-  std::vector<std::uint8_t> in_payload;
-  bool header_done = false;
-  bool send_done = false;
-  bool recv_done = false;
-
-  bool done() const { return send_done && recv_done; }
-
-  void progress(short revents) {
-    if (!send_done && (revents & (POLLOUT | POLLERR))) {
-      const std::uint8_t* data;
-      std::size_t n, off;
-      if (sent_header < sizeof(out_header)) {
-        data = reinterpret_cast<const std::uint8_t*>(&out_header);
-        n = sizeof(out_header);
-        off = sent_header;
-      } else {
-        data = out_bytes;
-        n = out_size;
-        off = sent_payload;
-      }
-      const ssize_t w =
-          ::send(fd, data + off, n - off, MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (w < 0) {
-        if (errno != EINTR && errno != EAGAIN) {
-          if (errno == EPIPE || errno == ECONNRESET) {
-            throw PeerClosedError("dist: peer closed during halo exchange");
-          }
-          throw_errno("send");
-        }
-      } else if (sent_header < sizeof(out_header)) {
-        sent_header += static_cast<std::size_t>(w);
-      } else {
-        sent_payload += static_cast<std::size_t>(w);
-      }
-      send_done = sent_header == sizeof(out_header) && sent_payload == out_size;
-    }
-
-    if (!recv_done && (revents & (POLLIN | POLLHUP | POLLERR))) {
-      std::uint8_t* data;
-      std::size_t n, off;
-      if (!header_done) {
-        data = reinterpret_cast<std::uint8_t*>(&in_header);
-        n = sizeof(in_header);
-        off = recv_header;
-      } else {
-        data = in_payload.data();
-        n = in_payload.size();
-        off = recv_payload;
-      }
-      const ssize_t r = ::recv(fd, data + off, n - off, MSG_DONTWAIT);
-      if (r < 0) {
-        if (errno != EINTR && errno != EAGAIN) {
-          if (errno == ECONNRESET) {
-            throw PeerClosedError("dist: peer reset during halo exchange");
-          }
-          throw_errno("recv");
-        }
-      } else if (r == 0) {
-        throw PeerClosedError("dist: peer closed during halo exchange (EOF)");
-      } else if (!header_done) {
-        recv_header += static_cast<std::size_t>(r);
-        if (recv_header == sizeof(in_header)) {
-          validate_header(in_header, tag);
-          in_payload.resize(in_header.length);
-          header_done = true;
-          recv_done = in_payload.empty();
-        }
-      } else {
-        recv_payload += static_cast<std::size_t>(r);
-        recv_done = recv_payload == in_payload.size();
-      }
-    }
-  }
-};
-
-MultiExchange::MultiExchange() = default;
-MultiExchange::~MultiExchange() = default;
-MultiExchange::MultiExchange(MultiExchange&&) noexcept = default;
-MultiExchange& MultiExchange::operator=(MultiExchange&&) noexcept = default;
-
-void MultiExchange::add(const Channel& ch, Tag tag, const void* out,
-                        std::size_t out_size) {
-  WSMD_REQUIRE(ch.valid(), "dist: exchange on closed channel");
-  Op op;
-  op.fd = ch.fd();
-  op.tag = tag;
-  op.out_header.tag = static_cast<std::uint16_t>(tag);
-  op.out_header.length = out_size;
-  op.out_bytes = static_cast<const std::uint8_t*>(out);
-  op.out_size = out_size;
-  ops_.push_back(std::move(op));
-}
-
-bool MultiExchange::post() {
-  std::vector<pollfd> fds;
-  fds.reserve(ops_.size());
-  std::vector<std::size_t> idx;
-  idx.reserve(ops_.size());
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
-    if (op.done()) continue;
-    short events = 0;
-    if (!op.send_done) events |= POLLOUT;
-    if (!op.recv_done) events |= POLLIN;
-    fds.push_back(pollfd{op.fd, events, 0});
-    idx.push_back(i);
-  }
-  if (fds.empty()) return true;
-  const int rc = ::poll(fds.data(), fds.size(), 0);
-  if (rc < 0) {
-    if (errno == EINTR) return false;
-    throw_errno("poll");
-  }
-  if (rc > 0) {
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if (fds[k].revents != 0) ops_[idx[k]].progress(fds[k].revents);
-    }
-  }
-  bool all = true;
-  for (const Op& op : ops_) all = all && op.done();
-  return all;
-}
-
-std::vector<std::vector<std::uint8_t>> MultiExchange::drain(int timeout_ms) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      const Op& op = ops_[i];
-      if (op.done()) continue;
-      short events = 0;
-      if (!op.send_done) events |= POLLOUT;
-      if (!op.recv_done) events |= POLLIN;
-      fds.push_back(pollfd{op.fd, events, 0});
-      idx.push_back(i);
-    }
-    if (fds.empty()) break;
-    const int rc = ::poll(fds.data(), fds.size(), remaining_ms(deadline));
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll");
-    }
-    if (rc == 0) {
-      throw TimeoutError(
-          "dist transport: timed out waiting for halo exchange progress");
-    }
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if (fds[k].revents != 0) ops_[idx[k]].progress(fds[k].revents);
-    }
-  }
-  std::vector<std::vector<std::uint8_t>> results;
-  results.reserve(ops_.size());
-  for (Op& op : ops_) results.push_back(std::move(op.in_payload));
-  ops_.clear();
-  return results;
 }
 
 }  // namespace wsmd::dist

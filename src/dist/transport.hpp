@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file transport.hpp
-/// Framed message transport between the coordinator and rank processes
-/// (and between rank peers) over AF_UNIX stream socketpairs.
+/// Framed message transport over AF_UNIX stream socketpairs: the
+/// coordinator <-> rank control plane. Halo payloads never ride it — they
+/// travel through the per-pair shared-memory rings (shm_channel.hpp),
+/// whose peer socketpair only serves as the pair's death canary.
 ///
 /// Wire format: every message is one frame — a fixed header
 /// {magic "WSMD", protocol version, 16-bit tag, 64-bit payload length}
@@ -15,10 +17,7 @@
 /// that sees EOF throws PeerClosedError (how a dead rank is detected —
 /// the kernel closes its socket ends, so failure propagates to every
 /// peer without heartbeat traffic); a deadline miss throws TimeoutError
-/// (how a *hung* rank is detected). `exchange()` drives a send and a
-/// receive on the same fd simultaneously (POLLIN|POLLOUT state machine),
-/// so two peers can exchange halo slabs larger than the kernel socket
-/// buffers without deadlocking on write-write.
+/// (how a *hung* rank is detected).
 
 #include <cstdint>
 #include <cstring>
@@ -49,15 +48,8 @@ class TimeoutError : public TransportError {
 constexpr std::uint32_t kMagic = 0x444D5357;  // "WSMD" little-endian
 constexpr std::uint16_t kProtocolVersion = 1;
 
-/// Which tier carries the rank <-> rank halo payloads (deck key
-/// `dist.transport`). The AF_UNIX socket plane always exists — it is the
-/// control plane and the failure detector — the choice is only whether
-/// halo payloads ride it too (kSocket) or go through the per-pair POSIX
-/// shared-memory rings (kShm, the default; see shm_channel.hpp).
-enum class HaloTransport { kSocket, kShm };
-
-/// Message tags. Coordinator <-> rank control plane and rank <-> rank halo
-/// plane share one numbering so a crossed wire fails loudly.
+/// Message tags. The control-plane frames and the shm ring messages share
+/// one numbering so a crossed wire fails loudly.
 enum class Tag : std::uint16_t {
   kHello = 1,       ///< rank -> coordinator: Handshake
   kHelloAck = 2,    ///< coordinator -> rank: Handshake echo
@@ -125,13 +117,6 @@ class Channel {
   /// Receive one frame of any tag (the rank command loop's dispatcher).
   std::vector<std::uint8_t> recv_any(Tag& tag, int timeout_ms) const;
 
-  /// Full-duplex: send `out` while receiving a frame tagged `tag` from the
-  /// same peer. Required for the pairwise halo exchange — both sides send
-  /// first, and slabs can exceed the socket buffer.
-  std::vector<std::uint8_t> exchange(Tag tag, const void* out,
-                                     std::size_t out_size,
-                                     int timeout_ms) const;
-
   /// Typed helpers for trivially-copyable bodies.
   template <typename T>
   void send_pod(Tag tag, const T& body, int timeout_ms) const {
@@ -162,45 +147,6 @@ struct ChannelPair {
 };
 ChannelPair make_channel_pair();
 
-/// N concurrent full-duplex exchanges — `Channel::exchange`'s
-/// POLLIN|POLLOUT state machine generalized over many fds in one poll
-/// loop. A rank `add()`s one exchange per halo neighbor, then either
-/// `drain()`s them to completion or interleaves nonblocking `post()`
-/// passes with compute: every registered send makes progress whenever its
-/// socket has buffer space, so neighbor latencies overlap instead of
-/// serializing pair by pair, and the no-write-write-deadlock property of
-/// the single-fd exchange carries over unchanged.
-///
-/// The caller keeps each `out` buffer alive and unmodified until drain()
-/// returns; received payloads come back in add() order.
-class MultiExchange {
- public:
-  MultiExchange();
-  ~MultiExchange();
-  MultiExchange(MultiExchange&&) noexcept;
-  MultiExchange& operator=(MultiExchange&&) noexcept;
-
-  /// Register a pairwise exchange on `ch`: send `out`, receive one frame
-  /// that must carry the same `tag`.
-  void add(const Channel& ch, Tag tag, const void* out, std::size_t out_size);
-
-  /// One nonblocking progress pass: push sends into kernel buffers and
-  /// pull any arrived bytes, without ever sleeping. Returns true when all
-  /// registered exchanges are complete.
-  bool post();
-
-  /// Complete every registered exchange (polling with a deadline like the
-  /// blocking Channel operations) and return the received payloads in
-  /// add() order. Resets the object for reuse.
-  std::vector<std::vector<std::uint8_t>> drain(int timeout_ms);
-
-  bool empty() const { return ops_.empty(); }
-
- private:
-  struct Op;
-  std::vector<Op> ops_;
-};
-
 /// Serialization scratch: append/extract PODs and POD arrays to a byte
 /// buffer in declaration order. Writer and reader are the same build, so
 /// layout agreement is by construction.
@@ -209,20 +155,24 @@ class Packer {
   template <typename T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    append(&v, sizeof(T));
   }
   template <typename T>
   void put_array(const T* data, std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
     put(static_cast<std::uint64_t>(count));
-    const auto* p = reinterpret_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + count * sizeof(T));
+    append(data, count * sizeof(T));
   }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   void clear() { bytes_.clear(); }
 
  private:
+  void append(const void* p, std::size_t n) {
+    if (n == 0) return;  // an empty array's data() may be null
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::memcpy(bytes_.data() + at, p, n);
+  }
   std::vector<std::uint8_t> bytes_;
 };
 

@@ -37,13 +37,6 @@ std::unique_ptr<Engine> make_engine(Backend backend,
       dc.kill_rank = config.dist_kill_rank;
       dc.kill_step = config.dist_kill_step;
       dc.scratch_parent = config.dist_scratch;
-      WSMD_REQUIRE(
-          config.dist_transport == "shm" || config.dist_transport == "socket",
-          "dist.transport must be shm or socket, got '"
-              << config.dist_transport << "'");
-      dc.transport = config.dist_transport == "socket"
-                         ? dist::HaloTransport::kSocket
-                         : dist::HaloTransport::kShm;
       return std::make_unique<dist::DistributedEngine>(s, std::move(potential),
                                                        std::move(dc));
     }

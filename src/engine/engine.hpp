@@ -99,11 +99,6 @@ struct ModeledPhaseCost {
   double swap_seconds = 0.0;     ///< atom-swap steps (~1 extra step each)
   double halo_seconds = 0.0;     ///< halo between row strips (N > 1)
   double total_seconds = 0.0;    ///< modeled clock (max-cycles basis)
-  /// Which transport produced the *measured* halo seconds this prediction
-  /// is joined against ("shm" / "socket"; empty for non-distributed
-  /// backends). Labels the report's halo row so a number is never read
-  /// without its carrier.
-  std::string halo_transport;
 };
 
 /// Cumulative wall-clock accounting of one shard worker: time spent inside
@@ -184,7 +179,6 @@ struct EngineConfig {
   int dist_kill_rank = -1;        ///< dead-rank drill: rank to kill...
   long dist_kill_step = 0;        ///< ...at the start of this step
   std::string dist_scratch;       ///< per-rank scratch parent (""=temp dir)
-  std::string dist_transport = "shm";  ///< halo carrier: "shm" | "socket"
 };
 
 std::unique_ptr<Engine> make_engine(Backend backend,

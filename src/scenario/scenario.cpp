@@ -409,10 +409,11 @@ Scenario scenario_from_deck(const Deck& deck) {
       sc.dist_kill_step = v;
       dist_seen[e.key] = &e;
     } else if (e.key == "dist.transport") {
+      // Legacy key, still accepted because older decks and checkpoints
+      // embed it; it selects nothing (halos always ride the shm rings).
       if (e.value != "shm" && e.value != "socket") {
         bad_entry(deck, e, "want shm|socket");
       }
-      sc.dist_transport = e.value;
       dist_seen[e.key] = &e;
     } else if (e.key == "health.nan" || e.key == "health.energy_drift" ||
                e.key == "health.temperature" || e.key == "health.stall") {
@@ -709,9 +710,6 @@ Deck deck_from_scenario(const Scenario& sc) {
   // resumed with --backend=ranks:4 re-ranks: the slab partition is derived
   // from the rank count at restore, never stored.
   if (parse_backend(sc.backend).backend == engine::Backend::kRanks) {
-    // Transport is emitted unconditionally: a checkpoint-embedded deck
-    // must pin the carrier its run used, not inherit a future default.
-    add("dist.transport", sc.dist_transport);
     if (sc.dist_timeout_s != 300.0) add("dist.timeout", num(sc.dist_timeout_s));
     if (sc.dist_kill_rank >= 0) {
       add("dist.kill_rank", std::to_string(sc.dist_kill_rank));
@@ -921,7 +919,6 @@ std::unique_ptr<engine::Engine> build_engine(
   config.dist_kill_rank = sc.dist_kill_rank;
   config.dist_kill_step = sc.dist_kill_step;
   config.dist_scratch = scratch_dir;
-  config.dist_transport = sc.dist_transport;
   return engine::make_engine(bs.backend, s, std::move(potential), config);
 }
 

@@ -32,11 +32,11 @@
 ///                                    slab of the core grid (N shard
 ///                                    threads per rank; see src/dist/)
 ///   dt, swap_interval, rescale_interval, seed
-///   dist.transport = shm|socket    — ranks: backends only: halo payload
-///                                    carrier — per-pair POSIX shared-memory
-///                                    rings (default) or the AF_UNIX peer
-///                                    sockets; trajectories are bitwise
-///                                    transport-invariant
+///   dist.transport = shm|socket    — legacy (ranks: backends only):
+///                                    parsed and validated so older decks
+///                                    and checkpoints still load, but
+///                                    selects nothing — halos always ride
+///                                    the per-pair shared-memory rings
 ///   dist.timeout = S               — ranks: backends only: per-message
 ///                                    send/recv deadline in seconds before
 ///                                    a rank is declared dead (default 300)
@@ -161,7 +161,9 @@ struct Scenario {
   /// Distributed (ranks:) backend knobs; ignored elsewhere. The kill pair
   /// is the dead-rank fault drill (dist::DistributedConfig): rank
   /// `dist_kill_rank` exits hard before its `dist_kill_step`-th step.
-  std::string dist_transport = "shm";  ///< halo carrier: "shm" | "socket"
+  /// The one ranks: halo carrier, for provenance rows (the legacy
+  /// dist.transport key selects nothing).
+  static constexpr const char* dist_transport = "shm";
   double dist_timeout_s = 300.0;  ///< per-message deadline before a rank
                                   ///< is declared dead
   int dist_kill_rank = -1;        ///< -1 = drill off

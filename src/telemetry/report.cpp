@@ -54,14 +54,7 @@ std::vector<PhaseRow> build_cost_report(
   rows.push_back(make_row("commit", commit, m, modeled.fixed_seconds));
   rows.push_back(make_row("swap", swap, m, modeled.swap_seconds));
   if (distributed) {
-    // Tag the halo row with the carrier that produced the measurement
-    // ("halo[shm]" / "halo[socket]") — a halo number is meaningless
-    // without knowing which wire it rode.
-    std::string halo_label = "halo";
-    if (!modeled.halo_transport.empty())
-      halo_label += "[" + modeled.halo_transport + "]";
-    rows.push_back(make_row(std::move(halo_label), halo, m,
-                            modeled.halo_seconds));
+    rows.push_back(make_row("halo", halo, m, modeled.halo_seconds));
     if (overlap > 0.0) rows.push_back(make_row("overlap", overlap, false, 0.0));
     rows.push_back(make_row("barrier", barrier + dist_barrier, false, 0.0));
   } else {

@@ -222,56 +222,6 @@ int dev_shm_entries() {
   return n;
 }
 
-TEST(DistributedEngine, TrajectoriesAreBitwiseTransportInvariant) {
-  // Same structure, same seed, the two halo carriers: per-atom state and
-  // the fixed-rank-order reductions must agree bitwise. Both tiers run the
-  // identical do_step pipeline; only the wire differs.
-  Fixture f;
-  auto run_with = [&](HaloTransport transport, std::vector<Vec3d>& pos,
-                      std::vector<Vec3d>& vel, engine::Thermo& t) {
-    DistributedConfig dc = f.dist_config(2);
-    dc.wse.swap_interval = 7;  // migrations ride the state exchange too
-    dc.transport = transport;
-    DistributedEngine dist(f.structure, f.potential, dc);
-    Rng rng(31);
-    dist.thermalize(310.0, rng);
-    t = dist.run(30);
-    pos = dist.positions();
-    vel = dist.velocities();
-  };
-  std::vector<Vec3d> ps, pm, vs, vm;
-  engine::Thermo ts, tm;
-  run_with(HaloTransport::kSocket, ps, vs, ts);
-  run_with(HaloTransport::kShm, pm, vm, tm);
-  ASSERT_EQ(ps.size(), pm.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    ASSERT_EQ(ps[i].x, pm[i].x) << "atom " << i;
-    ASSERT_EQ(ps[i].y, pm[i].y) << "atom " << i;
-    ASSERT_EQ(ps[i].z, pm[i].z) << "atom " << i;
-    ASSERT_EQ(vs[i].x, vm[i].x) << "atom " << i;
-    ASSERT_EQ(vs[i].y, vm[i].y) << "atom " << i;
-    ASSERT_EQ(vs[i].z, vm[i].z) << "atom " << i;
-  }
-  EXPECT_EQ(ts.potential_energy, tm.potential_energy);
-  EXPECT_EQ(ts.kinetic_energy, tm.kinetic_energy);
-}
-
-TEST(DistributedEngine, SocketTransportKeepsSerialParity) {
-  // The fallback tier gets the same bitwise-parity scrutiny as the
-  // default: socket ranks vs the serial wafer engine.
-  Fixture f;
-  engine::WaferEngine serial(f.structure, f.potential, f.config());
-  DistributedConfig dc = f.dist_config(3);
-  dc.transport = HaloTransport::kSocket;
-  DistributedEngine dist(f.structure, f.potential, dc);
-  Rng a(17), b(17);
-  serial.thermalize(290.0, a);
-  dist.thermalize(290.0, b);
-  serial.run(25);
-  dist.run(25);
-  expect_identical_state(serial, dist);
-}
-
 TEST(DistributedEngine, ShmSegmentsNeverAppearInDevShm) {
   // Unlink-before-fork: no wsmd shm entry exists even while the engine is
   // alive and exchanging halos, so nothing can be left to leak.
@@ -410,13 +360,10 @@ TEST(DistributedEngine, SetPositionsAndVelocitiesPropagate) {
   expect_identical_state(serial, dist);
 }
 
-class DeadRankDrill : public ::testing::TestWithParam<HaloTransport> {};
-
-TEST_P(DeadRankDrill, TripsRankFailureAndLeavesNoShmDebris) {
+TEST(DeadRankDrill, TripsRankFailureAndLeavesNoShmDebris) {
   Fixture f;
   const int shm_before = dev_shm_entries();
   DistributedConfig dc = f.dist_config(2);
-  dc.transport = GetParam();
   dc.kill_rank = 1;
   dc.kill_step = 3;
   dc.step_timeout_ms = 20'000;
@@ -441,14 +388,6 @@ TEST_P(DeadRankDrill, TripsRankFailureAndLeavesNoShmDebris) {
   // A hard rank death and the abort teardown leak no /dev/shm entries.
   EXPECT_EQ(dev_shm_entries(), shm_before);
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, DeadRankDrill,
-                         ::testing::Values(HaloTransport::kShm,
-                                           HaloTransport::kSocket),
-                         [](const ::testing::TestParamInfo<HaloTransport>& i) {
-                           return i.param == HaloTransport::kShm ? "shm"
-                                                                 : "socket";
-                         });
 
 TEST(DistributedEngine, ModeledHaloCostJoinsSharedFormula) {
   Fixture f;

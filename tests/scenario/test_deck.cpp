@@ -637,6 +637,26 @@ TEST(Scenario, DistKeysValidateEagerlyAndRoundTrip) {
   EXPECT_THROW(scenario_from_deck(parse_deck_string(
                    "backend = ranks:2\ndist.timeout = 0\n")),
                Error);
+  // dist.transport is legacy: both historical carriers parse (and run on
+  // the shm rings), anything else is a typed error naming the deck line,
+  // and the key is still dead configuration off a ranks: backend.
+  for (const char* carrier : {"shm", "socket"}) {
+    EXPECT_NO_THROW(scenario_from_deck(parse_deck_string(
+        std::string("backend = ranks:2\ndist.transport = ") + carrier +
+        "\n")))
+        << carrier;
+  }
+  try {
+    scenario_from_deck(parse_deck_string(
+        "backend = ranks:2\ndist.transport = tcp\n", "t.deck"));
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("t.deck:2"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("shm|socket"), std::string::npos);
+  }
+  EXPECT_THROW(scenario_from_deck(parse_deck_string(
+                   "backend = sharded:2\ndist.transport = shm\n")),
+               Error);
 
   const auto sc = scenario_from_deck(parse_deck_string(
       "backend = ranks:4\ndist.timeout = 15\n"
@@ -644,7 +664,9 @@ TEST(Scenario, DistKeysValidateEagerlyAndRoundTrip) {
   EXPECT_DOUBLE_EQ(sc.dist_timeout_s, 15.0);
   EXPECT_EQ(sc.dist_kill_rank, 3);
   EXPECT_EQ(sc.dist_kill_step, 5);
-  const auto again = scenario_from_deck(deck_from_scenario(sc));
+  const auto round_trip = deck_from_scenario(sc);
+  EXPECT_FALSE(round_trip.has("dist.transport"));
+  const auto again = scenario_from_deck(round_trip);
   EXPECT_DOUBLE_EQ(again.dist_timeout_s, 15.0);
   EXPECT_EQ(again.dist_kill_rank, 3);
   EXPECT_EQ(again.dist_kill_step, 5);

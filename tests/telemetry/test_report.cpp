@@ -66,10 +66,10 @@ TEST(CostReport, JoinsSpanTotalsAgainstModeledBreakdown) {
   for (const auto& r : rows) EXPECT_TRUE(r.has_modeled) << r.phase;
 }
 
-TEST(CostReport, DistributedRowsCarryTransportAndOverlap) {
+TEST(CostReport, DistributedRowsCarryHaloAndOverlap) {
   // dist.halo_* spans flip the report into distributed mode: the halo row
-  // is tagged with the carrier that produced the measurement, and the
-  // compute hidden behind the exchange gets its own overlap row.
+  // joins them against the modeled halo cost, and the compute hidden
+  // behind the exchange gets its own overlap row.
   begin_session();
   add_span_time("wse.density", 1.0);
   add_span_time("dist.halo_pack", 0.2);
@@ -82,17 +82,15 @@ TEST(CostReport, DistributedRowsCarryTransportAndOverlap) {
   engine::ModeledPhaseCost modeled;
   modeled.valid = true;
   modeled.halo_seconds = 0.3;
-  modeled.halo_transport = "shm";
   const auto rows = build_cost_report(modeled);
-  const auto& halo = row_named(rows, "halo[shm]");
+  const auto& halo = row_named(rows, "halo");
   EXPECT_DOUBLE_EQ(halo.measured_seconds, 0.6);
   EXPECT_DOUBLE_EQ(halo.ratio, 2.0);
   const auto& overlap = row_named(rows, "overlap");
   EXPECT_DOUBLE_EQ(overlap.measured_seconds, 0.4);
   EXPECT_FALSE(overlap.has_modeled);
-  // The table renders the tagged label untruncated.
   const std::string table = format_cost_report(rows);
-  EXPECT_NE(table.find("halo[shm]"), std::string::npos) << table;
+  EXPECT_NE(table.find("halo "), std::string::npos) << table;
 }
 
 TEST(CostReport, NoModelMeansDashColumns) {
