@@ -143,8 +143,10 @@ struct StepSchedule {
 /// Short of that, no pair outside the shortlist can come within rcut, so
 /// the accepted rows — and the trajectory — are bitwise those of the full
 /// gather. A default-constructed workspace always rebuilds first. Only
-/// indices are stored: the force phase re-sieves the shortlist into
-/// per-call scratch rather than keep a second full-stride row.
+/// indices are stored: the density and force phases each sieve the
+/// shortlist once into per-call scratch (indices, displacements, r2), and
+/// the force row reads the displacements from there, so no second
+/// full-stride row is kept.
 struct StepWorkspace {
   // Verlet shortlist (phases 1-2), kept across steps.
   std::vector<std::uint32_t> shortlist_idx;    ///< rc + skin rows, flat
@@ -347,7 +349,8 @@ class WseMd {
 
   /// Phase 4: force evaluation + leap-frog integration into the workspace
   /// (requires fprime_ of all neighborhoods, i.e. a barrier after the
-  /// density phase). Re-sieves each atom's shortlist against rcut.
+  /// density phase). Sieves each atom's shortlist against rcut once and
+  /// feeds the accepted displacements straight to the force row.
   void force_phase(const ShardRect& shard, StepWorkspace& ws) const;
 
   /// Swap in the integrated state, accumulate the potential energy, and
@@ -453,8 +456,10 @@ class WseMd {
   const eam::ProfileF32* profile() const { return profile_.get(); }
 
  private:
-  void gather_neighborhood(int cx, int cy,
-                           std::vector<std::uint32_t>& out) const;
+  /// Candidate exchange for the atom on occupied core (cx, cy): writes the
+  /// ids of its window's other atoms to `out` in arrival order and returns
+  /// their count. `out` needs room for every cell of the (2b+1)² window.
+  std::size_t gather_neighborhood(int cx, int cy, std::uint32_t* out) const;
   /// Shared rebuild decision of the step begins: the shortlist of the
   /// atoms in `anchored` (every core whose atom a kernel of the step may
   /// gather) is stale when the mapping version or the row stride changed,
@@ -526,6 +531,9 @@ class WseMd {
   Vec3fPlanes positions_;
   Vec3fPlanes velocities_;
   std::vector<int> types_;
+  /// Per type: 1/m in force-to-acceleration units, FP32 (the force phase's
+  /// integration factor).
+  std::vector<float> inv_mass_;
   // Embedding derivative, exchanged per step. Mutable: the lazy initial
   // potential_energy() evaluation republishes it from a const context
   // (it is derived state, recomputed every step from positions).

@@ -38,12 +38,14 @@ ThermoFormat thermo_format_from_name(const std::string& name) {
 }
 
 ThermoLogger::ThermoLogger(std::ostream& os, ThermoFormat format)
-    : os_(&os), format_(format) {
+    : os_(&os), name_("thermo stream"), format_(format) {
   if (format_ == ThermoFormat::kCsv) *os_ << kCsvHeader << '\n';
 }
 
 ThermoLogger::ThermoLogger(const std::string& path, ThermoFormat format)
-    : owned_(std::make_unique<std::ofstream>(path)), format_(format) {
+    : owned_(std::make_unique<std::ofstream>(path)),
+      name_(path),
+      format_(format) {
   os_ = owned_.get();
   WSMD_REQUIRE(os_->good(), "cannot open '" << path << "' for writing");
   if (format_ == ThermoFormat::kCsv) *os_ << kCsvHeader << '\n';
@@ -71,9 +73,19 @@ void ThermoLogger::write(const ThermoSample& s) {
         .set("temperature_K", s.temperature);
     *os_ << obj.encode() << '\n';
   }
-  WSMD_REQUIRE(os_->good(), "thermo log write failed at step " << s.step);
+  if (!os_->good()) {
+    throw WriteError(name_, wsmd::format("thermo row at step %ld", s.step));
+  }
   last_step_ = s.step;
   ++written_;
+}
+
+void ThermoLogger::finish() {
+  os_->flush();
+  if (!os_->good()) {
+    throw WriteError(name_,
+                     wsmd::format("flushing %zu thermo row(s)", written_));
+  }
 }
 
 std::vector<ThermoSample> read_thermo_csv(std::istream& is) {

@@ -38,6 +38,9 @@ ThermoFormat thermo_format_from_name(const std::string& name);
 
 /// Streaming writer. The CSV header is written on construction; every
 /// sample is validated (finite values, monotonically non-decreasing step).
+/// Rows are buffered: call finish() at the end of a run to flush them and
+/// learn whether they reached the file (the destructor flushes too, but
+/// cannot report a failure).
 class ThermoLogger {
  public:
   /// Write to an external stream (not owned).
@@ -51,12 +54,17 @@ class ThermoLogger {
 
   void write(const ThermoSample& sample);
 
+  /// Flush every buffered row; throws WriteError naming the file when the
+  /// stream failed (a full disk).
+  void finish();
+
   std::size_t samples_written() const { return written_; }
   ThermoFormat format() const { return format_; }
 
  private:
   std::unique_ptr<std::ostream> owned_;
   std::ostream* os_ = nullptr;
+  std::string name_;  ///< the file path, or "thermo stream" when not owned
   ThermoFormat format_;
   std::size_t written_ = 0;
   long last_step_ = 0;

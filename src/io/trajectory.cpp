@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace wsmd::io {
 
@@ -23,8 +24,10 @@ void XyzTrajectoryWriter::append(const Box& box,
                                  const std::vector<int>& types,
                                  const std::string& comment) {
   write_xyz_frame(*os_, box, positions, types, names_, comment);
-  WSMD_REQUIRE(os_->good(), "trajectory write to '" << path_ << "' failed");
   os_->flush();
+  if (!os_->good()) {
+    throw WriteError(path_, format("frame %zu", frames_ + 1));
+  }
   ++frames_;
 }
 

@@ -27,7 +27,8 @@ class XyzTrajectoryWriter {
   XyzTrajectoryWriter(const XyzTrajectoryWriter&) = delete;
   XyzTrajectoryWriter& operator=(const XyzTrajectoryWriter&) = delete;
 
-  /// Append one frame; throws on non-finite coordinates.
+  /// Append one frame and flush it; throws on non-finite coordinates
+  /// (before writing anything) and WriteError when the file rejects it.
   void append(const Box& box, const std::vector<Vec3d>& positions,
               const std::vector<int>& types, const std::string& comment = "");
 

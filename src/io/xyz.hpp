@@ -21,7 +21,9 @@
 namespace wsmd::io {
 
 /// Write one extended-XYZ frame from raw state. `names` maps type index ->
-/// chemical symbol. Throws on non-finite coordinates.
+/// chemical symbol. Numbers print with 10 significant digits (`%.10g`),
+/// whatever the stream's own flags. Throws on non-finite coordinates,
+/// before any byte reaches the stream.
 void write_xyz_frame(std::ostream& os, const Box& box,
                      const std::vector<Vec3d>& positions,
                      const std::vector<int>& types,

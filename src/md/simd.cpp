@@ -132,7 +132,8 @@ std::size_t sieve_f32_scalar(const float* px, const float* py, const float* pz,
                              float xi, float yi, float zi,
                              const std::uint32_t* idx, std::size_t count,
                              const BoxF32& box, float rc2,
-                             std::uint32_t* out_idx, float* out_r2) {
+                             std::uint32_t* out_idx, float* out_dx,
+                             float* out_dy, float* out_dz, float* out_r2) {
   std::size_t out_n = 0;
   for (std::size_t m = 0; m < count; ++m) {
     const std::uint32_t j = idx[m];
@@ -144,6 +145,9 @@ std::size_t sieve_f32_scalar(const float* px, const float* py, const float* pz,
     dz -= std::nearbyint(dz * box.inv_len[2]) * box.len[2];
     const float r2 = dx * dx + dy * dy + dz * dz;
     out_idx[out_n] = j;
+    out_dx[out_n] = dx;
+    out_dy[out_n] = dy;
+    out_dz[out_n] = dz;
     out_r2[out_n] = r2;
     out_n += (r2 < rc2) ? 1 : 0;
   }
@@ -178,12 +182,11 @@ float rho_row_f32_scalar(const eam::ProfileF32::Raw& tab, const int* types,
 }
 
 PairAccumF32 force_row_f32_scalar(const eam::ProfileF32::Raw& tab,
-                                  const float* px, const float* py,
-                                  const float* pz, float xi, float yi,
-                                  float zi, const BoxF32& box,
                                   const int* types, const float* fprime,
                                   float fprime_i, int ti,
-                                  const std::uint32_t* idx, std::size_t n,
+                                  const std::uint32_t* idx, const float* dx,
+                                  const float* dy, const float* dz,
+                                  const float* r2, std::size_t n,
                                   bool pairwise_only) {
   float afx = 0.0f, afy = 0.0f, afz = 0.0f, aphi = 0.0f;
   const int nr = tab.nr;
@@ -197,15 +200,7 @@ PairAccumF32 force_row_f32_scalar(const eam::ProfileF32::Raw& tab,
         continue;
       }
       const std::uint32_t j = idx[m];
-      // Recompute the displacement exactly as the sieve did.
-      float dx = px[j] - xi;
-      float dy = py[j] - yi;
-      float dz = pz[j] - zi;
-      dx -= std::nearbyint(dx * box.inv_len[0]) * box.len[0];
-      dy -= std::nearbyint(dy * box.inv_len[1]) * box.len[1];
-      dz -= std::nearbyint(dz * box.inv_len[2]) * box.len[2];
-      const float r2 = dx * dx + dy * dy + dz * dz;
-      const float t = r2 * tab.inv_dr2;
+      const float t = r2[m] * tab.inv_dr2;
       int k = static_cast<int>(t);
       k = k < nr - 1 ? k : nr - 1;
       const float frac = t - static_cast<float>(k);
@@ -222,9 +217,9 @@ PairAccumF32 force_row_f32_scalar(const eam::ProfileF32::Raw& tab,
         pf = pf + fprime_i * (cj[0] + cj[1] * frac);
         pf = pf + fprime[j] * (ci[0] + ci[1] * frac);
       }
-      lfx[l] = dx * pf;
-      lfy[l] = dy * pf;
-      lfz[l] = dz * pf;
+      lfx[l] = dx[m] * pf;
+      lfy[l] = dy[m] * pf;
+      lfz[l] = dz[m] * pf;
     }
     afx += ((lfx[0] + lfx[4]) + (lfx[2] + lfx[6])) +
            ((lfx[1] + lfx[5]) + (lfx[3] + lfx[7]));

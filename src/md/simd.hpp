@@ -121,29 +121,31 @@ struct KernelTable {
                                 const double* r2, std::size_t n,
                                 bool pairwise_only);
 
-  /// FP32 distance sieve: gathers candidate positions by index (the wafer
-  /// path stores only indices — at 800k atoms the per-neighbor
-  /// displacement cache the FP64 path keeps would not fit). out_idx and
-  /// out_r2 need capacity >= count + kPadF32.
+  /// FP32 distance sieve, the shape of sieve_f64: accepted entries are
+  /// compacted in input order into out_idx/out_dx/out_dy/out_dz/out_r2
+  /// (capacity >= count + kPadF32 each). The wafer engine keeps only the
+  /// candidate indices across steps and sieves each row into per-call
+  /// scratch, so the displacements live only as long as one row.
   std::size_t (*sieve_f32)(const float* px, const float* py, const float* pz,
                            float xi, float yi, float zi,
                            const std::uint32_t* idx, std::size_t count,
                            const BoxF32& box, float rc2,
-                           std::uint32_t* out_idx, float* out_r2);
+                           std::uint32_t* out_idx, float* out_dx,
+                           float* out_dy, float* out_dz, float* out_r2);
 
   /// FP32 density pass over an accepted row.
   float (*rho_row_f32)(const eam::ProfileF32::Raw& tab, const int* types,
                        const std::uint32_t* idx, const float* r2,
                        std::size_t n);
 
-  /// FP32 force pass: re-gathers positions and recomputes the displacement
-  /// with the exact sieve expressions (bitwise the same r2).
+  /// FP32 force pass over an accepted row, the shape of force_row_f64:
+  /// pair + embedding forces from the displacements the sieve stored.
   PairAccumF32 (*force_row_f32)(const eam::ProfileF32::Raw& tab,
-                                const float* px, const float* py,
-                                const float* pz, float xi, float yi, float zi,
-                                const BoxF32& box, const int* types,
-                                const float* fprime, float fprime_i, int ti,
-                                const std::uint32_t* idx, std::size_t n,
+                                const int* types, const float* fprime,
+                                float fprime_i, int ti,
+                                const std::uint32_t* idx, const float* dx,
+                                const float* dy, const float* dz,
+                                const float* r2, std::size_t n,
                                 bool pairwise_only);
 };
 

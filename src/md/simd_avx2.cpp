@@ -275,7 +275,8 @@ WSMD_AVX2 std::size_t sieve_f32_avx2(const float* px, const float* py,
                                      float zi, const std::uint32_t* idx,
                                      std::size_t count, const BoxF32& box,
                                      float rc2, std::uint32_t* out_idx,
-                                     float* out_r2) {
+                                     float* out_dx, float* out_dy,
+                                     float* out_dz, float* out_r2) {
   const __m256 vxi = _mm256_set1_ps(xi);
   const __m256 vyi = _mm256_set1_ps(yi);
   const __m256 vzi = _mm256_set1_ps(zi);
@@ -320,6 +321,9 @@ WSMD_AVX2 std::size_t sieve_f32_avx2(const float* px, const float* py,
         reinterpret_cast<const __m256i*>(kPack.perm8[mask]));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_idx + out_n),
                         _mm256_permutevar8x32_epi32(vj, perm));
+    _mm256_storeu_ps(out_dx + out_n, _mm256_permutevar8x32_ps(dx, perm));
+    _mm256_storeu_ps(out_dy + out_n, _mm256_permutevar8x32_ps(dy, perm));
+    _mm256_storeu_ps(out_dz + out_n, _mm256_permutevar8x32_ps(dz, perm));
     _mm256_storeu_ps(out_r2 + out_n, _mm256_permutevar8x32_ps(r2, perm));
     out_n += static_cast<std::size_t>(__builtin_popcount(
         static_cast<unsigned>(mask)));
@@ -359,19 +363,10 @@ WSMD_AVX2 float rho_row_f32_avx2(const eam::ProfileF32::Raw& tab,
 }
 
 WSMD_AVX2 PairAccumF32 force_row_f32_avx2(
-    const eam::ProfileF32::Raw& tab, const float* px, const float* py,
-    const float* pz, float xi, float yi, float zi, const BoxF32& box,
-    const int* types, const float* fprime, float fprime_i, int ti,
-    const std::uint32_t* idx, std::size_t n, bool pairwise_only) {
-  const __m256 vxi = _mm256_set1_ps(xi);
-  const __m256 vyi = _mm256_set1_ps(yi);
-  const __m256 vzi = _mm256_set1_ps(zi);
-  const __m256 vl0 = _mm256_set1_ps(box.len[0]);
-  const __m256 vl1 = _mm256_set1_ps(box.len[1]);
-  const __m256 vl2 = _mm256_set1_ps(box.len[2]);
-  const __m256 vi0 = _mm256_set1_ps(box.inv_len[0]);
-  const __m256 vi1 = _mm256_set1_ps(box.inv_len[1]);
-  const __m256 vi2 = _mm256_set1_ps(box.inv_len[2]);
+    const eam::ProfileF32::Raw& tab, const int* types, const float* fprime,
+    float fprime_i, int ti, const std::uint32_t* idx, const float* dx,
+    const float* dy, const float* dz, const float* r2, std::size_t n,
+    bool pairwise_only) {
   const __m256 vinv = _mm256_set1_ps(tab.inv_dr2);
   const __m256i vnr = _mm256_set1_epi32(tab.nr);
   const __m256i vnr1 = _mm256_set1_epi32(tab.nr - 1);
@@ -387,25 +382,8 @@ WSMD_AVX2 PairAccumF32 force_row_f32_avx2(
     const __m256 mps = _mm256_castsi256_ps(m32);
     const __m256i vj =
         _mm256_maskload_epi32(reinterpret_cast<const int*>(idx + m0), m32);
-    __m256 dx =
-        _mm256_sub_ps(_mm256_mask_i32gather_ps(zero, px, vj, mps, 4), vxi);
-    __m256 dy =
-        _mm256_sub_ps(_mm256_mask_i32gather_ps(zero, py, vj, mps, 4), vyi);
-    __m256 dz =
-        _mm256_sub_ps(_mm256_mask_i32gather_ps(zero, pz, vj, mps, 4), vzi);
-    dx = _mm256_sub_ps(
-        dx, _mm256_mul_ps(
-                _mm256_round_ps(_mm256_mul_ps(dx, vi0), kRoundEven), vl0));
-    dy = _mm256_sub_ps(
-        dy, _mm256_mul_ps(
-                _mm256_round_ps(_mm256_mul_ps(dy, vi1), kRoundEven), vl1));
-    dz = _mm256_sub_ps(
-        dz, _mm256_mul_ps(
-                _mm256_round_ps(_mm256_mul_ps(dz, vi2), kRoundEven), vl2));
-    const __m256 r2 = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-        _mm256_mul_ps(dz, dz));
-    const __m256 vt = _mm256_mul_ps(r2, vinv);
+    const __m256 vr2 = _mm256_maskload_ps(r2 + m0, m32);
+    const __m256 vt = _mm256_mul_ps(vr2, vinv);
     const __m256i vk = _mm256_min_epi32(_mm256_cvttps_epi32(vt), vnr1);
     const __m256 vfrac = _mm256_sub_ps(vt, _mm256_cvtepi32_ps(vk));
     const __m256i vtj =
@@ -445,12 +423,12 @@ WSMD_AVX2 PairAccumF32 force_row_f32_avx2(
           pf, _mm256_mul_ps(vfpj,
                             _mm256_add_ps(di0, _mm256_mul_ps(di1, vfrac))));
     }
-    // Invalid lanes carry junk dx (their position gather was masked); AND
-    // with the lane mask forces their products to +0.0, matching the
-    // scalar remainder policy bit for bit.
-    afx += hsum8(_mm256_and_ps(_mm256_mul_ps(dx, pf), mps));
-    afy += hsum8(_mm256_and_ps(_mm256_mul_ps(dy, pf), mps));
-    afz += hsum8(_mm256_and_ps(_mm256_mul_ps(dz, pf), mps));
+    const __m256 vdx = _mm256_maskload_ps(dx + m0, m32);
+    const __m256 vdy = _mm256_maskload_ps(dy + m0, m32);
+    const __m256 vdz = _mm256_maskload_ps(dz + m0, m32);
+    afx += hsum8(_mm256_mul_ps(vdx, pf));
+    afy += hsum8(_mm256_mul_ps(vdy, pf));
+    afz += hsum8(_mm256_mul_ps(vdz, pf));
     aphi += hsum8(vphi);
   }
   return {afx, afy, afz, aphi};

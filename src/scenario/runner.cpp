@@ -881,6 +881,8 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
     }
   }
   finalize_exports();
+  // The thermo rows are buffered: a full disk shows only when they flush.
+  if (thermo_log) thermo_log->finish();
 
   if (!result.summary_path.empty()) {
     BenchJson summary("scenario_" + sc.name);

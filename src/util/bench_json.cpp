@@ -153,7 +153,8 @@ void BenchJson::write_to(const std::string& path) const {
   std::ofstream out(path);
   WSMD_REQUIRE(out.good(), "cannot open " << path << " for writing");
   out << encode();
-  WSMD_REQUIRE(out.good(), "failed writing " << path);
+  out.flush();
+  if (!out.good()) throw WriteError(path, "");
 }
 
 }  // namespace wsmd

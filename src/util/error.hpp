@@ -22,6 +22,27 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// An output file could not be written in full (a full disk, a closed
+/// pipe). Writers check their stream after flushing it, so a run never
+/// ends cleanly with its output silently missing.
+class WriteError : public Error {
+ public:
+  WriteError(const std::string& path, const std::string& detail)
+      : Error(message(path, detail)), path_(path) {}
+  /// The file that failed.
+  const std::string& path() const { return path_; }
+
+ private:
+  static std::string message(const std::string& path,
+                             const std::string& detail) {
+    std::ostringstream os;
+    os << "write to '" << path << "' failed";
+    if (!detail.empty()) os << " (" << detail << ")";
+    return os.str();
+  }
+  std::string path_;
+};
+
 namespace detail {
 [[noreturn]] inline void throw_error(const char* cond, const char* file,
                                      int line, const std::string& msg) {

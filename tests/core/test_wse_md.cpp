@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "eam/zhou.hpp"
 #include "lattice/grain_boundary.hpp"
@@ -161,6 +163,102 @@ TEST(WseMd, SwapsReduceAssignmentCostAfterScramble) {
   engine.run(30);
   const double recovered_cost = engine.assignment_cost();
   EXPECT_LT(recovered_cost, scrambled_cost);
+}
+
+/// The greedy partner choice of paper Sec. III-D, scored from scratch for
+/// every core of the grid: each candidate swap's displacements come
+/// straight from AtomMapping::logical_xy and nominal_position. This is the
+/// specification WseMd::swap_select must reproduce exactly.
+std::vector<int> brute_force_partners(const WseMd& md) {
+  const AtomMapping& m = md.mapping();
+  const auto pos = md.positions();
+  const int w = m.grid_width();
+  const int h = m.grid_height();
+  const auto disp = [&](long atom, const CoreCoord& c) {
+    if (atom < 0) return 0.0;
+    const Vec3d nom = m.nominal_position(c);
+    const Vec3d lg = m.logical_xy(pos[static_cast<std::size_t>(atom)]);
+    return std::max(std::fabs(lg.x - nom.x), std::fabs(lg.y - nom.y));
+  };
+  std::vector<int> partner(m.core_count(), -1);
+  for (int cy = 0; cy < h; ++cy) {
+    for (int cx = 0; cx < w; ++cx) {
+      const CoreCoord me{cx, cy};
+      const long a = m.atom_at(cx, cy);
+      double best_gain = 1e-9;
+      int best = -1;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          const int nx = cx + dx, ny = cy + dy;
+          if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
+          const CoreCoord other{nx, ny};
+          const long bt = m.atom_at(nx, ny);
+          if (a < 0 && bt < 0) continue;
+          const double before = std::max(disp(a, me), disp(bt, other));
+          const double after = std::max(disp(a, other), disp(bt, me));
+          if (before - after > best_gain) {
+            best_gain = before - after;
+            best = ny * w + nx;
+          }
+        }
+      }
+      partner[static_cast<std::size_t>(cy) * w + cx] = best;
+    }
+  }
+  return partner;
+}
+
+TEST(WseMd, SwapSelectMatchesBruteForceOnEveryStrip) {
+  // A scrambled mapping over thermally displaced atoms gives many cores a
+  // partner. swap_select over the whole grid, and over every row strip of
+  // every strip count (1-row strips and the strips at the grid edges
+  // included), must choose exactly the brute-force partners, and write
+  // only its own strip's slots. Periodic axes exercise the fold.
+  lattice::GrainBoundaryParams gb;
+  gb.element = "Ta";
+  gb.tilt_angle_deg = 16.0;
+  const auto gb_structure =
+      lattice::make_grain_boundary_with_atom_count(gb, 400).structure;
+  Fixture slab(5, 3, {true, true, false});
+  const std::vector<const lattice::Structure*> structures{&gb_structure,
+                                                          &slab.structure};
+  for (const lattice::Structure* s : structures) {
+    WseMd md(*s, slab.potential, slab.config());
+    Rng rng(17);
+    md.thermalize(600.0, rng);
+    md.run(3);
+    md.scramble_mapping(rng, 150);
+    const std::vector<int> expected = brute_force_partners(md);
+    ASSERT_GT(std::count_if(expected.begin(), expected.end(),
+                            [](int p) { return p >= 0; }),
+              10);
+
+    const ShardRect full = md.full_grid();
+    constexpr int kUntouched = -2;
+    std::vector<int> partner(md.mapping().core_count(), kUntouched);
+    md.swap_select(full, partner);
+    ASSERT_EQ(partner, expected);
+
+    const int h = full.y1 - full.y0;
+    const auto w = static_cast<std::size_t>(full.x1 - full.x0);
+    for (int count = 1; count <= h; ++count) {
+      for (int k = 0; k < count; ++k) {
+        const ShardRect strip = row_strip(full, k, count);
+        std::fill(partner.begin(), partner.end(), kUntouched);
+        md.swap_select(strip, partner);
+        for (int y = 0; y < h; ++y) {
+          const bool inside = y >= strip.y0 && y < strip.y1;
+          for (std::size_t x = 0; x < w; ++x) {
+            const std::size_t c = static_cast<std::size_t>(y) * w + x;
+            ASSERT_EQ(partner[c], inside ? expected[c] : kUntouched)
+                << "strip " << k << " of " << count << ", core (" << x
+                << ", " << y << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(WseMd, SwapStatsReported) {

@@ -11,11 +11,14 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/thermo_log.hpp"
 #include "io/trajectory.hpp"
 #include "io/xyz.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace wsmd {
 namespace {
@@ -61,6 +64,100 @@ TEST(Xyz, RejectsUnnamedType) {
   const auto s = tiny_structure();  // types 0 and 1
   std::stringstream ss;
   EXPECT_THROW(io::write_xyz_frame(ss, s, {"Cu"}), Error);
+}
+
+/// The frame an ostream at precision(10) writes: the byte-for-byte
+/// specification of write_xyz_frame.
+std::string ostream_frame(const Box& box, const std::vector<Vec3d>& positions,
+                          const std::vector<int>& types,
+                          const std::vector<std::string>& names,
+                          const std::string& comment) {
+  std::ostringstream os;
+  os.precision(10);
+  os << positions.size() << '\n';
+  const Vec3d len = box.lengths();
+  os << "Lattice=\"" << len.x << " 0 0 0 " << len.y << " 0 0 0 " << len.z
+     << "\" Properties=species:S:1:pos:R:3";
+  if (!comment.empty()) os << ' ' << comment;
+  os << '\n';
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const Vec3d& r = positions[i];
+    os << names[static_cast<std::size_t>(types[i])] << ' ' << r.x << ' '
+       << r.y << ' ' << r.z << '\n';
+  }
+  return os.str();
+}
+
+std::string written_frame(const Box& box, const std::vector<Vec3d>& positions,
+                          const std::vector<int>& types,
+                          const std::vector<std::string>& names,
+                          const std::string& comment) {
+  std::ostringstream os;
+  io::write_xyz_frame(os, box, positions, types, names, comment);
+  return os.str();
+}
+
+TEST(Xyz, FrameBytesMatchOstreamAtPrecision10) {
+  // Zeros of both signs, tiny and huge magnitudes (exponent form), more
+  // digits than fit, negatives, and values whose 10th digit rounds up
+  // into a carry (9.99999999996 -> "10", 9999999999.7 -> "1e+10").
+  const std::vector<double> values = {
+      0.0,           -0.0,           1e-7,           1e+16,
+      123456.78901234, -123456.78901234, -2.5,       -1e-7,
+      9.99999999996, 0.099999999996, 9999999999.7,  -999999.99999999,
+      1e-5,          1e-4,           1234567890.0,   12345678901.0,
+      5e-324,        1.7976931348623157e308, 0.1,    1.0 / 3.0};
+  std::vector<Vec3d> positions;
+  std::vector<int> types;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    positions.push_back({values[i], values[(i + 7) % values.size()],
+                         values[(i + 13) % values.size()]});
+    types.push_back(static_cast<int>(i % 2));
+  }
+  const std::vector<std::string> names{"Ta", "W"};
+  const Box box({-0.5, 0.0, 0.0}, {33.0000000004, 1e-7, 123456.78901234});
+  for (const std::string comment : {"", "step=20 E=-1.5 T=300"}) {
+    EXPECT_EQ(written_frame(box, positions, types, names, comment),
+              ostream_frame(box, positions, types, names, comment));
+  }
+}
+
+TEST(Xyz, FrameLargerThanTheWriteBufferMatchesOstream) {
+  // ~250 KB of rows plus a 70,000-character comment: both cross the
+  // writer's 64 KiB buffer.
+  Rng rng(2024);
+  std::vector<Vec3d> positions(6000);
+  std::vector<int> types(positions.size());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    positions[i] = {rng.uniform() * 400.0 - 200.0, rng.uniform() * 1e-3,
+                    rng.gaussian() * 1e6};
+    types[i] = static_cast<int>(i % 3);
+  }
+  const std::vector<std::string> names{"Cu", "W", "Ta"};
+  const Box box({0, 0, 0}, {400.0, 250.5, 64.25});
+  const std::string long_comment(70000, 'c');
+  for (const std::string& comment : {std::string("big"), long_comment}) {
+    const std::string bytes =
+        written_frame(box, positions, types, names, comment);
+    EXPECT_GT(bytes.size(), 128u * 1024u);
+    EXPECT_EQ(bytes, ostream_frame(box, positions, types, names, comment));
+  }
+}
+
+TEST(Xyz, NonFinitePositionThrowsBeforeAnyByte) {
+  // The bad atom is the last of a frame larger than the write buffer, so
+  // a writer that validated as it went would already have flushed bytes.
+  std::vector<Vec3d> positions(6000, Vec3d{1.0, 2.0, 3.0});
+  const std::vector<int> types(positions.size(), 0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    positions.back().y = bad;
+    std::ostringstream os;
+    EXPECT_THROW(io::write_xyz_frame(os, Box({0, 0, 0}, {10, 10, 10}),
+                                     positions, types, {"Cu"}),
+                 Error);
+    EXPECT_TRUE(os.str().empty());
+  }
 }
 
 TEST(Xyz, ReaderRejectsTruncatedFrame) {
@@ -112,6 +209,59 @@ TEST(Trajectory, AppendRejectsNaNWithoutTruncatingTheFile) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].size(), s.size());
   std::remove(path.c_str());
+}
+
+/// Open /dev/full (every write fails with ENOSPC), or skip the test on a
+/// system without it.
+#define REQUIRE_DEV_FULL()                                       \
+  do {                                                           \
+    if (!std::ofstream("/dev/full").good()) {                    \
+      GTEST_SKIP() << "/dev/full cannot be opened for writing";  \
+    }                                                            \
+  } while (false)
+
+TEST(Trajectory, FullDiskRaisesWriteError) {
+  REQUIRE_DEV_FULL();
+  const auto s = tiny_structure();
+  io::XyzTrajectoryWriter w("/dev/full", {"Cu", "W"});
+  try {
+    w.append(s.box, s.positions, s.types);
+    FAIL() << "a frame written to a full disk must not pass silently";
+  } catch (const WriteError& ex) {
+    EXPECT_EQ(ex.path(), "/dev/full");
+  }
+  EXPECT_EQ(w.frames_written(), 0u);
+}
+
+TEST(Xyz, WriteFileToFullDiskRaisesWriteError) {
+  REQUIRE_DEV_FULL();
+  EXPECT_THROW(io::write_xyz_file("/dev/full", tiny_structure(), {"Cu", "W"}),
+               WriteError);
+}
+
+TEST(ThermoLog, FinishOnFullDiskRaisesWriteError) {
+  REQUIRE_DEV_FULL();
+  io::ThermoLogger log("/dev/full", io::ThermoFormat::kCsv);
+  io::ThermoSample s;
+  s.step = 1;
+  log.write(s);  // buffered: the failure shows when the rows flush
+  try {
+    log.finish();
+    FAIL() << "a thermo log on a full disk must not finish silently";
+  } catch (const WriteError& ex) {
+    EXPECT_EQ(ex.path(), "/dev/full");
+    EXPECT_NE(std::string(ex.what()).find("/dev/full"), std::string::npos);
+  }
+}
+
+TEST(ThermoLog, FinishSucceedsOnAWorkingStream) {
+  std::stringstream ss;
+  io::ThermoLogger log(ss, io::ThermoFormat::kCsv);
+  io::ThermoSample s;
+  s.step = 4;
+  log.write(s);
+  EXPECT_NO_THROW(log.finish());
+  EXPECT_EQ(io::read_thermo_csv(ss).size(), 1u);
 }
 
 TEST(ThermoLog, CsvRoundTripIsExact) {

@@ -189,19 +189,23 @@ TEST(SimdParity, F32KernelsMatchScalarBitwise) {
     ASSERT_LE(count, f.candidates.size());
     const std::size_t cap = count + simd::kPadF32;
     std::vector<std::uint32_t> idx_a(cap), idx_b(cap);
-    std::vector<float> r2_a(cap), r2_b(cap);
+    std::vector<float> dx_a(cap), dy_a(cap), dz_a(cap), r2_a(cap);
+    std::vector<float> dx_b(cap), dy_b(cap), dz_b(cap), r2_b(cap);
     const Vec3f ri = f.pos32.get(0);
-    const std::size_t na =
-        sc.sieve_f32(f.pos32.x(), f.pos32.y(), f.pos32.z(), ri.x, ri.y, ri.z,
-                     f.candidates.data(), count, f.box32, rc2, idx_a.data(),
-                     r2_a.data());
-    const std::size_t nb =
-        vx.sieve_f32(f.pos32.x(), f.pos32.y(), f.pos32.z(), ri.x, ri.y, ri.z,
-                     f.candidates.data(), count, f.box32, rc2, idx_b.data(),
-                     r2_b.data());
+    const std::size_t na = sc.sieve_f32(
+        f.pos32.x(), f.pos32.y(), f.pos32.z(), ri.x, ri.y, ri.z,
+        f.candidates.data(), count, f.box32, rc2, idx_a.data(), dx_a.data(),
+        dy_a.data(), dz_a.data(), r2_a.data());
+    const std::size_t nb = vx.sieve_f32(
+        f.pos32.x(), f.pos32.y(), f.pos32.z(), ri.x, ri.y, ri.z,
+        f.candidates.data(), count, f.box32, rc2, idx_b.data(), dx_b.data(),
+        dy_b.data(), dz_b.data(), r2_b.data());
     ASSERT_EQ(na, nb) << "sieve count diverged at row length " << count;
     for (std::size_t k = 0; k < na; ++k) {
       ASSERT_EQ(idx_a[k], idx_b[k]) << "row " << count << " entry " << k;
+      ASSERT_EQ(dx_a[k], dx_b[k]) << "row " << count << " entry " << k;
+      ASSERT_EQ(dy_a[k], dy_b[k]) << "row " << count << " entry " << k;
+      ASSERT_EQ(dz_a[k], dz_b[k]) << "row " << count << " entry " << k;
       ASSERT_EQ(r2_a[k], r2_b[k]) << "row " << count << " entry " << k;
     }
 
@@ -211,19 +215,23 @@ TEST(SimdParity, F32KernelsMatchScalarBitwise) {
                                        r2_b.data(), nb);
     EXPECT_EQ(rho_a, rho_b) << "rho diverged at row length " << count;
 
-    for (const bool pairwise_only : {false, true}) {
-      const auto acc_a = sc.force_row_f32(
-          raw, f.pos32.x(), f.pos32.y(), f.pos32.z(), ri.x, ri.y, ri.z,
-          f.box32, f.types.data(), f.fprime32.data(), f.fprime32[0], 0,
-          idx_a.data(), na, pairwise_only);
-      const auto acc_b = vx.force_row_f32(
-          raw, f.pos32.x(), f.pos32.y(), f.pos32.z(), ri.x, ri.y, ri.z,
-          f.box32, f.types.data(), f.fprime32.data(), f.fprime32[0], 0,
-          idx_b.data(), nb, pairwise_only);
-      EXPECT_EQ(acc_a.fx, acc_b.fx) << "row " << count;
-      EXPECT_EQ(acc_a.fy, acc_b.fy) << "row " << count;
-      EXPECT_EQ(acc_a.fz, acc_b.fz) << "row " << count;
-      EXPECT_EQ(acc_a.phi, acc_b.phi) << "row " << count;
+    // The force row over every prefix of the accepted row, so each
+    // remainder class of its own 8-lane blocks is covered too.
+    for (std::size_t n = 0; n <= na; ++n) {
+      for (const bool pairwise_only : {false, true}) {
+        const auto acc_a = sc.force_row_f32(
+            raw, f.types.data(), f.fprime32.data(), f.fprime32[0], 0,
+            idx_a.data(), dx_a.data(), dy_a.data(), dz_a.data(), r2_a.data(),
+            n, pairwise_only);
+        const auto acc_b = vx.force_row_f32(
+            raw, f.types.data(), f.fprime32.data(), f.fprime32[0], 0,
+            idx_b.data(), dx_b.data(), dy_b.data(), dz_b.data(), r2_b.data(),
+            n, pairwise_only);
+        EXPECT_EQ(acc_a.fx, acc_b.fx) << "row " << count << " prefix " << n;
+        EXPECT_EQ(acc_a.fy, acc_b.fy) << "row " << count << " prefix " << n;
+        EXPECT_EQ(acc_a.fz, acc_b.fz) << "row " << count << " prefix " << n;
+        EXPECT_EQ(acc_a.phi, acc_b.phi) << "row " << count << " prefix " << n;
+      }
     }
   }
 }

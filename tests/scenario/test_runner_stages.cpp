@@ -13,11 +13,17 @@
 ///     concatenation mangled "./"-prefixed paths), relative paths join
 ///     under --output-dir with proper path semantics, and nested parents
 ///     are created.
+///
+///   - A full disk fails the run: thermo rows and the summary that never
+///     reach their file raise WriteError, and the `wsmd` CLI exits 1.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "io/thermo_log.hpp"
@@ -137,6 +143,48 @@ TEST(ResolveOutputPath, NestedRelativeOutputsCreateParents) {
 
 TEST(ResolveOutputPath, EmptyStaysEmpty) {
   EXPECT_EQ(resolve_output_path("", "out"), "");
+}
+
+bool dev_full_writable() { return std::ofstream("/dev/full").good(); }
+
+TEST(FullDisk, ThermoAndSummaryWritesFailTheRun) {
+  if (!dev_full_writable()) GTEST_SKIP() << "/dev/full cannot be opened";
+  for (const char* key : {"thermo", "summary"}) {
+    Deck deck = parse_deck_string(
+        "name = full_disk\n"
+        "element = Ta\n"
+        "geometry = slab\n"
+        "replicate = 3 3 2\n"
+        "seed = 5\n"
+        "thermalize = 300\n"
+        "run = 10\n",
+        "full_disk.deck");
+    deck.set(key, "/dev/full");
+    try {
+      run_scenario(scenario_from_deck(deck));
+      ADD_FAILURE() << key << " on a full disk must fail the run";
+    } catch (const WriteError& ex) {
+      EXPECT_EQ(ex.path(), "/dev/full") << key;
+    }
+  }
+}
+
+TEST(FullDisk, WsmdExitsOne) {
+  if (!dev_full_writable()) GTEST_SKIP() << "/dev/full cannot be opened";
+  // The wsmd binary is built next to the test executables.
+  const fs::path wsmd =
+      fs::read_symlink("/proc/self/exe").parent_path() / "wsmd";
+  if (!fs::exists(wsmd)) GTEST_SKIP() << "no wsmd binary at " << wsmd;
+  for (const char* key : {"thermo", "summary"}) {
+    const std::string cmd =
+        wsmd.string() +
+        " --quiet element=Ta geometry=slab 'replicate=3 3 2' seed=5"
+        " thermalize=300 run=10 " +
+        key + "=/dev/full 2>/dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << key;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << key;
+  }
 }
 
 }  // namespace

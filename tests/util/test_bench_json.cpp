@@ -7,6 +7,8 @@
 #include <limits>
 #include <sstream>
 
+#include "util/error.hpp"
+
 namespace wsmd {
 namespace {
 
@@ -60,6 +62,16 @@ TEST(BenchJson, ProvenanceHasRequiredKeys) {
   EXPECT_NE(meta.find("\"compiler\""), std::string::npos) << meta;
   EXPECT_NE(meta.find("\"build_type\""), std::string::npos) << meta;
   EXPECT_NE(meta.find("\"threads\""), std::string::npos) << meta;
+}
+
+TEST(BenchJson, WriteToFullDiskRaisesWriteError) {
+  if (!std::ofstream("/dev/full").good()) {
+    GTEST_SKIP() << "/dev/full cannot be opened for writing";
+  }
+  BenchJson b("unit_test");
+  b.add_row().set("x", 1);
+  // The document fits the stream buffer: only the flush can fail.
+  EXPECT_THROW(b.write_to("/dev/full"), WriteError);
 }
 
 TEST(BenchJson, WritesFile) {
