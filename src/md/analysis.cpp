@@ -2,11 +2,114 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "md/cell_list.hpp"
 #include "util/error.hpp"
 
 namespace wsmd::md {
+
+namespace {
+
+struct Bond {
+  Vec3d d;    ///< minimum-image displacement to the neighbor
+  double r2;  ///< norm2(d), as the cell-list walk computed it
+};
+
+/// How a pair key names the two bonds of a pair: one bit per bond while
+/// there are at most 64 bonds, the two indices in 32-bit halves beyond.
+struct BitKeys {
+  static std::uint64_t of(std::uint32_t a, std::uint32_t b) {
+    return (std::uint64_t{1} << a) | (std::uint64_t{1} << b);
+  }
+  static bool disjoint(std::uint64_t p, std::uint64_t q) {
+    return (p & q) == 0;
+  }
+};
+struct IndexKeys {
+  static std::uint64_t of(std::uint32_t a, std::uint32_t b) {
+    return a | (std::uint64_t{b} << 32);
+  }
+  static bool disjoint(std::uint64_t p, std::uint64_t q) {
+    const auto pa = static_cast<std::uint32_t>(p);
+    const auto pb = static_cast<std::uint32_t>(p >> 32);
+    const auto qa = static_cast<std::uint32_t>(q);
+    const auto qb = static_cast<std::uint32_t>(q >> 32);
+    return (pa != qa) & (pa != qb) & (pb != qa) & (pb != qb);
+  }
+};
+
+/// The candidate opposite-bond pairs of one atom in (a, b) order, a < b:
+/// |r_a + r_b|^2 and the pair's key. Reused across the atoms of a call,
+/// with one slot past the last pair for the scan's sentinel.
+struct PairList {
+  std::vector<double> v;
+  std::vector<std::uint64_t> key;
+};
+
+/// Greedy opposite-bond pairing over the `n` shortest bonds: repeatedly
+/// take the unused pair with the smallest |r_a + r_b|^2 — the first such
+/// pair in (a, b) order — and sum those minima. Exact for perfect
+/// lattices; a standard approximation (LAMMPS compute centro/atom uses the
+/// same idea).
+///
+/// Each round first compacts away the pairs that share a bond with the
+/// previous pick, keeping the (a, b) order, then scans what is left with
+/// two independent argmin accumulators (even and odd positions; a tie
+/// goes to the lower position). The pick, its tie order and the summation
+/// order are those of a full rescan of the unused bonds.
+template <typename Keys>
+double greedy_pairing(const Bond* bonds, std::uint32_t n, PairList& pairs) {
+  const std::size_t capacity = std::size_t{n} * (n - 1) / 2 + 1;
+  if (pairs.v.size() < capacity) {
+    pairs.v.resize(capacity);
+    pairs.key.resize(capacity);
+  }
+  double* v = pairs.v.data();
+  std::uint64_t* key = pairs.key.data();
+  std::size_t m = 0;
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = a + 1; b < n; ++b) {
+      v[m] = norm2(bonds[a].d + bonds[b].d);
+      key[m] = Keys::of(a, b);
+      ++m;
+    }
+  }
+  double csp = 0.0;
+  std::uint64_t pick = 0;
+  for (std::uint32_t round = 0; round < n / 2; ++round) {
+    if (round > 0) {
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        const double x = v[k];
+        const std::uint64_t q = key[k];
+        v[kept] = x;
+        key[kept] = q;
+        kept += Keys::disjoint(q, pick);
+      }
+      m = kept;
+    }
+    v[m] = 2e300;  // sentinel for an odd count: never below `best`
+    double b0 = 1e300, b1 = 1e300;
+    std::size_t k0 = m, k1 = m;
+    for (std::size_t k = 0; k < m; k += 2) {
+      const bool t0 = v[k] < b0, t1 = v[k + 1] < b1;
+      b0 = t0 ? v[k] : b0;
+      k0 = t0 ? k : k0;
+      b1 = t1 ? v[k + 1] : b1;
+      k1 = t1 ? k + 1 : k1;
+    }
+    const bool odd = (b1 < b0) | ((b1 == b0) & (k1 < k0));
+    const std::size_t kb = odd ? k1 : k0;
+    csp += odd ? b1 : b0;
+    // No pair below 1e300 (only with rcut near overflow): the pick is
+    // bond 0 with itself, as in a plain rescan.
+    pick = kb < m ? key[kb] : Keys::of(0, 0);
+  }
+  return csp;
+}
+
+}  // namespace
 
 StructureAnalysis analyze_structure(const Box& box,
                                     const std::vector<Vec3d>& positions,
@@ -28,49 +131,36 @@ StructureAnalysis analyze_structure(const Box& box,
   out.centrosymmetry.assign(positions.size(), 0.0);
   out.coordination.assign(positions.size(), 0);
 
-  std::vector<Vec3d> bonds;
+  // Per-call buffers: the bonds (with the r2 the walk computed) and the
+  // pair list of the kept bonds.
+  std::vector<Bond> bonds;
+  bonds.reserve(64);
+  const auto kept = static_cast<std::size_t>(neighbor_count);
+  PairList pairs;
   for (std::size_t i = 0; i < positions.size(); ++i) {
     bonds.clear();
-    cl.for_each_neighbor(i, [&](std::size_t, const Vec3d& d, double) {
-      bonds.push_back(d);
+    cl.for_each_neighbor(i, [&](std::size_t, const Vec3d& d, double r2) {
+      bonds.push_back({d, r2});
     });
     out.coordination[i] = static_cast<int>(bonds.size());
 
-    // Keep the `neighbor_count` shortest bonds.
-    std::sort(bonds.begin(), bonds.end(), [](const Vec3d& a, const Vec3d& b) {
-      return norm2(a) < norm2(b);
-    });
-    const std::size_t n =
-        std::min(bonds.size(), static_cast<std::size_t>(neighbor_count));
+    // Keep the `neighbor_count` shortest bonds. A full std::sort: its
+    // permutation, ties included, depends only on the comparator outcomes
+    // (r2 == norm2(d)), and the CSVs pin that tie order; libstdc++'s
+    // introsort is not stable above 16 elements, so nth_element or a
+    // partial sort would keep other tied bonds.
+    std::sort(bonds.begin(), bonds.end(),
+              [](const Bond& a, const Bond& b) { return a.r2 < b.r2; });
+    const std::size_t n = std::min(bonds.size(), kept);
     if (n < 2) {
       // Isolated atom: maximal asymmetry marker.
       out.centrosymmetry[i] = rcut * rcut;
       continue;
     }
-    // Greedy opposite-bond pairing: repeatedly take the unused pair with
-    // the smallest |r_a + r_b|^2. Exact for perfect lattices; a standard
-    // approximation (LAMMPS compute centro/atom uses the same idea).
-    std::vector<bool> used(n, false);
-    double csp = 0.0;
-    for (std::size_t pair = 0; pair < n / 2; ++pair) {
-      double best = 1e300;
-      std::size_t ba = 0, bb = 0;
-      for (std::size_t a = 0; a < n; ++a) {
-        if (used[a]) continue;
-        for (std::size_t b = a + 1; b < n; ++b) {
-          if (used[b]) continue;
-          const double v = norm2(bonds[a] + bonds[b]);
-          if (v < best) {
-            best = v;
-            ba = a;
-            bb = b;
-          }
-        }
-      }
-      used[ba] = used[bb] = true;
-      csp += best;
-    }
-    out.centrosymmetry[i] = csp;
+    const auto nb = static_cast<std::uint32_t>(n);
+    out.centrosymmetry[i] =
+        nb <= 64 ? greedy_pairing<BitKeys>(bonds.data(), nb, pairs)
+                 : greedy_pairing<IndexKeys>(bonds.data(), nb, pairs);
   }
   return out;
 }

@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
 namespace wsmd::md {
+
+namespace {
+
+/// Cells per axis are capped so a far-flung (finite) atom on an open axis
+/// cannot ask for more cells than 32-bit ids hold; no real deck comes near.
+constexpr double kMaxCellsPerAxis = 1024.0;
+
+bool finite(const Vec3d& r) {
+  return std::isfinite(r.x) && std::isfinite(r.y) && std::isfinite(r.z);
+}
+
+}  // namespace
 
 void CellList::require_min_image(const Box& box, double cutoff) {
   for (std::size_t a = 0; a < 3; ++a) {
@@ -22,80 +35,115 @@ void CellList::build(const Box& box, const std::vector<Vec3d>& positions,
                      double radius) {
   WSMD_REQUIRE(radius > 0.0, "cell-list radius must be positive");
   WSMD_REQUIRE(!positions.empty(), "cannot build a cell list for zero atoms");
-  box_ = box;
+  WSMD_REQUIRE(positions.size() < std::numeric_limits<std::uint32_t>::max(),
+               "cell list holds at most 2^32 - 2 atoms");
   positions_ = &positions;
   radius_ = radius;
-  const std::size_t n = positions.size();
+  r2max_ = radius * radius;
+  const Vec3d len = box.lengths();
+  for (std::size_t a = 0; a < 3; ++a) {
+    periodic_[a] = box.periodic[a];
+    len_[a] = len[a];
+  }
+  any_periodic_ = periodic_[0] || periodic_[1] || periodic_[2];
+  const auto n = static_cast<std::uint32_t>(positions.size());
 
-  // Binning region: periodic axes use the box, open axes the atom extrema.
+  // Binning region: periodic axes use the box, open axes the extrema of
+  // the finite atoms (the box itself when there are none).
   Vec3d lo = box.lo, hi = box.hi;
   for (std::size_t a = 0; a < 3; ++a) {
     if (box.periodic[a]) continue;
-    double mn = positions[0][a], mx = positions[0][a];
+    double mn = std::numeric_limits<double>::infinity();
+    double mx = -mn;
     for (const auto& r : positions) {
+      if (!finite(r)) continue;
       mn = std::min(mn, r[a]);
       mx = std::max(mx, r[a]);
     }
+    if (mn > mx) continue;
     lo[a] = mn - 1e-9;
     hi[a] = mx + 1e-9;
   }
-  lo_ = lo;
+  int ncell[3];
+  double cell_edge[3];
   for (std::size_t a = 0; a < 3; ++a) {
-    const double len = hi[a] - lo[a];
-    ncell_[a] = std::max(1, static_cast<int>(std::floor(len / radius)));
-    cell_edge_[a] = len / ncell_[a];
+    const double extent = hi[a] - lo[a];
+    ncell[a] = static_cast<int>(
+        std::clamp(std::floor(extent / radius), 1.0, kMaxCellsPerAxis));
+    cell_edge[a] = extent / ncell[a];
   }
 
-  const std::size_t total_cells = static_cast<std::size_t>(ncell_[0]) *
-                                  static_cast<std::size_t>(ncell_[1]) *
-                                  static_cast<std::size_t>(ncell_[2]);
+  const auto nx = static_cast<std::uint32_t>(ncell[0]);
+  const auto ny = static_cast<std::uint32_t>(ncell[1]);
+  const std::uint32_t total_cells =
+      nx * ny * static_cast<std::uint32_t>(ncell[2]);
+  auto flat_id = [&](const int c[3]) {
+    return (static_cast<std::uint32_t>(c[2]) * ny +
+            static_cast<std::uint32_t>(c[1])) *
+               nx +
+           static_cast<std::uint32_t>(c[0]);
+  };
 
   // Bin atoms (counting sort into CSR keeps per-cell atoms in index order,
-  // which makes traversal deterministic).
+  // which makes traversal deterministic). Non-finite atoms go to the extra
+  // cell `total_cells`, which has no slots and an empty span list.
   atom_cell_.resize(n);
-  cell_start_.assign(total_cells + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
+  cell_start_.assign(static_cast<std::size_t>(total_cells) + 1, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!finite(positions[i])) {
+      atom_cell_[i] = total_cells;
+      continue;
+    }
     int c[3];
     for (std::size_t a = 0; a < 3; ++a) {
-      double x = positions[i][a] - lo_[a];
+      double x = positions[i][a] - lo[a];
       if (box.periodic[a]) {
-        const double len = hi[a] - lo[a];
-        x -= std::floor(x / len) * len;
+        const double period = hi[a] - lo[a];
+        x -= std::floor(x / period) * period;
       }
-      c[a] = std::clamp(static_cast<int>(std::floor(x / cell_edge_[a])), 0,
-                        ncell_[a] - 1);
+      c[a] = static_cast<int>(std::clamp(std::floor(x / cell_edge[a]), 0.0,
+                                         static_cast<double>(ncell[a] - 1)));
     }
-    const std::size_t flat =
-        (static_cast<std::size_t>(c[2]) * ncell_[1] + c[1]) * ncell_[0] + c[0];
+    const std::uint32_t flat = flat_id(c);
     atom_cell_[i] = flat;
     ++cell_start_[flat + 1];
   }
-  for (std::size_t c = 0; c < total_cells; ++c) {
+  for (std::uint32_t c = 0; c < total_cells; ++c) {
     cell_start_[c + 1] += cell_start_[c];
   }
-  cell_atoms_.resize(n);
+  const std::uint32_t slots = cell_start_[total_cells];
+  cell_atoms_.resize(slots);
+  atom_slot_.assign(n, 0);
+  xs_.assign(slots + kBlock, 0.0);
+  ys_.assign(slots + kBlock, 0.0);
+  zs_.assign(slots + kBlock, 0.0);
   {
-    std::vector<std::size_t> cursor(cell_start_.begin(),
-                                    cell_start_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      cell_atoms_[cursor[atom_cell_[i]]++] = i;
+    std::vector<std::uint32_t> cursor(cell_start_.begin(),
+                                      cell_start_.end() - 1);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (atom_cell_[i] == total_cells) continue;
+      const std::uint32_t s = cursor[atom_cell_[i]]++;
+      cell_atoms_[s] = i;
+      atom_slot_[i] = s;
+      xs_[s] = positions[i].x;
+      ys_[s] = positions[i].y;
+      zs_[s] = positions[i].z;
     }
   }
 
-  // Precompute each cell's deduplicated 27-stencil. With < 3 cells along a
-  // periodic axis the wrapped offsets collide; sort+unique keeps each
-  // neighbor cell exactly once so queries never double-visit an atom.
-  stencil_start_.assign(total_cells + 1, 0);
-  stencil_cells_.clear();
-  stencil_cells_.reserve(total_cells * 27);
-  std::size_t scratch[27];
-  for (std::size_t cell = 0; cell < total_cells; ++cell) {
-    const int cx = static_cast<int>(cell % static_cast<std::size_t>(ncell_[0]));
-    const int cy = static_cast<int>(
-        (cell / static_cast<std::size_t>(ncell_[0])) %
-        static_cast<std::size_t>(ncell_[1]));
-    const int cz = static_cast<int>(cell / (static_cast<std::size_t>(ncell_[0]) *
-                                            static_cast<std::size_t>(ncell_[1])));
+  // Each cell's deduplicated 27-stencil, merged into spans. With < 3 cells
+  // along a periodic axis the wrapped offsets collide; sort+unique keeps
+  // each neighbor cell exactly once so queries never double-visit an atom.
+  // Ascending cell ids are ascending slots, so the spans of a sorted
+  // stencil keep the visit order; adjacent slot ranges (consecutive ids, or
+  // ids separated only by empty cells) merge into one span.
+  span_start_.assign(static_cast<std::size_t>(total_cells) + 2, 0);
+  spans_.clear();
+  std::uint32_t scratch[27];
+  for (std::uint32_t cell = 0; cell < total_cells; ++cell) {
+    const int cx = static_cast<int>(cell % nx);
+    const int cy = static_cast<int>(cell / nx % ny);
+    const int cz = static_cast<int>(cell / (nx * ny));
     std::size_t count = 0;
     for (int dz = -1; dz <= 1; ++dz) {
       for (int dy = -1; dy <= 1; ++dy) {
@@ -104,17 +152,14 @@ void CellList::build(const Box& box, const std::vector<Vec3d>& positions,
           bool skip = false;
           for (std::size_t a = 0; a < 3; ++a) {
             if (box.periodic[a]) {
-              cc[a] = (cc[a] + ncell_[a]) % ncell_[a];
-            } else if (cc[a] < 0 || cc[a] >= ncell_[a]) {
+              cc[a] = (cc[a] + ncell[a]) % ncell[a];
+            } else if (cc[a] < 0 || cc[a] >= ncell[a]) {
               skip = true;
               break;
             }
           }
           if (skip) continue;
-          scratch[count++] =
-              (static_cast<std::size_t>(cc[2]) * ncell_[1] + cc[1]) *
-                  ncell_[0] +
-              cc[0];
+          scratch[count++] = flat_id(cc);
         }
       }
     }
@@ -122,10 +167,19 @@ void CellList::build(const Box& box, const std::vector<Vec3d>& positions,
     const std::size_t unique_count =
         static_cast<std::size_t>(std::unique(scratch, scratch + count) -
                                  scratch);
-    stencil_cells_.insert(stencil_cells_.end(), scratch,
-                          scratch + unique_count);
-    stencil_start_[cell + 1] = stencil_cells_.size();
+    const std::size_t first = spans_.size();
+    for (std::size_t k = 0; k < unique_count; ++k) {
+      const Span s{cell_start_[scratch[k]], cell_start_[scratch[k] + 1]};
+      if (s.begin == s.end) continue;
+      if (spans_.size() > first && spans_.back().end == s.begin) {
+        spans_.back().end = s.end;
+      } else {
+        spans_.push_back(s);
+      }
+    }
+    span_start_[cell + 1] = static_cast<std::uint32_t>(spans_.size());
   }
+  span_start_[total_cells + 1] = span_start_[total_cells];
 }
 
 }  // namespace wsmd::md

@@ -92,12 +92,14 @@ void ObserverBus::finish() {
   finished_ = true;
 }
 
-std::size_t ObserverBus::failed_outputs() const {
-  std::size_t failed = 0;
+void ObserverBus::require_outputs() const {
+  WSMD_REQUIRE(finished_, "require_outputs() before finish()");
   for (const auto& s : slots_) {
-    if (!s.probe->output_ok()) ++failed;
+    if (!s.probe->output_ok()) {
+      throw WriteError(s.probe->output_path(),
+                       std::string(s.probe->kind()) + " probe stream");
+    }
   }
-  return failed;
 }
 
 void ObserverBus::summarize(JsonObject& meta) const {

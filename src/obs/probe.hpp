@@ -77,7 +77,8 @@ class Probe {
 
   /// Health of the probe's output stream: false once a write/flush failed
   /// (io::SeriesWriter latched a failure) — the output file is incomplete.
-  /// Meaningful any time; drivers report it after finish().
+  /// Meaningful any time; ObserverBus::require_outputs() turns a failure
+  /// into a WriteError after finish().
   virtual bool output_ok() const { return true; }
 
   /// Serialize / restore the probe's accumulators (checkpoint/restart).
@@ -136,8 +137,10 @@ class ObserverBus {
   /// summarize().
   void finish();
 
-  /// Number of probes whose output stream failed (output_ok() == false).
-  std::size_t failed_outputs() const;
+  /// Throw WriteError naming the first probe whose output stream failed
+  /// (output_ok() == false); call after finish(), so every probe has
+  /// flushed its file first.
+  void require_outputs() const;
 
   /// Fold every probe's summary into `meta`.
   void summarize(JsonObject& meta) const;

@@ -99,6 +99,7 @@ AnalyzeResult analyze_trajectory(const Scenario& sc,
 
   bus->finish();
   result.observables = collect_probe_outputs(*bus, opt.log);
+  bus->require_outputs();
 
   result.summary_path = obs_config.prefix + ".summary.json";
   BenchJson summary("analyze_" + sc.name);

@@ -860,12 +860,6 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
   if (bus) {
     bus->finish();
     result.observables = collect_probe_outputs(*bus, opt.log);
-    result.probe_output_failures = bus->failed_outputs();
-    if (result.probe_output_failures > 0) {
-      say(format("  warning: %zu probe output stream(s) reported write "
-                 "failures — observable files are incomplete",
-                 result.probe_output_failures));
-    }
   }
 
   // Disarm telemetry and export before the summary: the collected data
@@ -882,7 +876,9 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
   }
   finalize_exports();
   // The thermo rows are buffered: a full disk shows only when they flush.
+  // The probes flushed at bus->finish(); a stream that failed fails the run.
   if (thermo_log) thermo_log->finish();
+  if (bus) bus->require_outputs();
 
   if (!result.summary_path.empty()) {
     BenchJson summary("scenario_" + sc.name);

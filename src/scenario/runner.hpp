@@ -111,9 +111,6 @@ struct ScenarioResult {
   std::string trace_path;
   std::string metrics_path;
   engine::ModeledPhaseCost modeled;
-  /// Probes whose output stream failed mid-run (io::SeriesWriter surfaced
-  /// a write/flush failure instead of silently dropping rows).
-  std::size_t probe_output_failures = 0;
   /// Interval snapshots streamed into the metrics file (empty unless
   /// telemetry.snapshot > 0) — the dashboard's time series.
   std::vector<telemetry::SnapshotRow> snapshots;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "eam/zhou.hpp"
 #include "lattice/grain_boundary.hpp"
@@ -88,6 +91,39 @@ TEST(Centrosymmetry, GrainBoundaryBandDetected) {
   // Most of the boundary band is defective; grain interiors are clean.
   EXPECT_GT(static_cast<double>(boundary_defects) / boundary_total, 0.5);
   EXPECT_LT(static_cast<double>(interior_defects) / interior_total, 0.05);
+}
+
+TEST(Centrosymmetry, NonFiniteAtomIsIsolatedAndLeavesOthersUnchanged) {
+  // A NaN atom has no bonds (CSP = rcut^2, coordination 0) and is nobody's
+  // bond: every other atom's CSP is bit for bit that of the structure
+  // without it, at the start of the list (which once seeded the binning
+  // extrema) and in the middle.
+  const double a = 3.165;
+  const double rcut = 1.2 * a;
+  for (const bool periodic : {false, true}) {
+    const auto s = lattice::replicate(lattice::UnitCell::bcc(a), 4, 4, 4, 0,
+                                      {periodic, periodic, periodic});
+    for (const std::size_t bad : {std::size_t{0}, s.size() / 2}) {
+      auto pos = s.positions;
+      pos[bad].y = std::numeric_limits<double>::quiet_NaN();
+      const auto out = analyze_structure(s.box, pos, rcut, 8);
+      EXPECT_EQ(out.centrosymmetry[bad], rcut * rcut);
+      EXPECT_EQ(out.coordination[bad], 0);
+
+      auto without = pos;
+      without.erase(without.begin() + static_cast<std::ptrdiff_t>(bad));
+      const auto expect = analyze_structure(s.box, without, rcut, 8);
+      for (std::size_t i = 0, k = 0; i < pos.size(); ++i) {
+        if (i == bad) continue;
+        std::uint64_t got_bits, want_bits;
+        std::memcpy(&got_bits, &out.centrosymmetry[i], sizeof got_bits);
+        std::memcpy(&want_bits, &expect.centrosymmetry[k], sizeof want_bits);
+        EXPECT_EQ(got_bits, want_bits) << "atom " << i;
+        EXPECT_EQ(out.coordination[i], expect.coordination[k]) << "atom " << i;
+        ++k;
+      }
+    }
+  }
 }
 
 TEST(Centrosymmetry, RejectsBadArguments) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "lattice/lattice.hpp"
@@ -220,6 +221,73 @@ TEST(CellList, PairIterationVisitsEachUnorderedPairOnce) {
                          [&](std::size_t, const Vec3d&, double) { ++directed; });
   }
   EXPECT_EQ(directed, 2 * pairs.size());
+}
+
+TEST(CellList, NonFiniteAtomsNeitherHaveNorAreNeighbors) {
+  // A NaN (or infinite) coordinate must not widen or collapse the binning
+  // region, and the atom must not reach the float-to-int cast of binning.
+  Rng rng(41);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto periodic :
+       {std::array<bool, 3>{false, false, false},
+        std::array<bool, 3>{true, true, true}}) {
+    const Box box({0, 0, 0}, {12, 13, 11}, periodic);
+    const auto clean = random_gas(rng, box, 150);
+    for (const std::size_t bad : {std::size_t{0}, std::size_t{75}}) {
+      for (const Vec3d poison : {Vec3d{nan, 1.0, 1.0}, Vec3d{2.0, inf, nan}}) {
+        auto pos = clean;
+        pos[bad] = poison;
+        const double radius = 2.5;
+        CellList cl;
+        cl.build(box, pos, radius);
+
+        auto without = pos;
+        without.erase(without.begin() + static_cast<std::ptrdiff_t>(bad));
+        CellList reference;
+        reference.build(box, without, radius);
+        EXPECT_EQ(cl.cell_count(), reference.cell_count())
+            << "atom " << bad << " periodic " << periodic[0];
+
+        for (std::size_t i = 0; i < pos.size(); ++i) {
+          std::set<std::size_t> got;
+          cl.for_each_neighbor(
+              i, [&](std::size_t j, const Vec3d&, double) { got.insert(j); });
+          if (i == bad) {
+            EXPECT_TRUE(got.empty()) << "non-finite atom " << bad;
+          } else {
+            EXPECT_EQ(got, brute_force_neighbors(box, pos, i, radius))
+                << "atom " << i << " next to non-finite atom " << bad;
+          }
+        }
+        cl.for_each_pair([&](std::size_t i, std::size_t j, const Vec3d&,
+                             double) {
+          EXPECT_NE(i, bad);
+          EXPECT_NE(j, bad);
+        });
+      }
+    }
+  }
+}
+
+TEST(CellList, FarFlungFiniteAtomKeepsBinningBounded) {
+  // An atom thrown 1e30 A out on an open axis must not ask for ~1e29 cells
+  // (a float-to-int overflow): the axis is capped and the search stays
+  // exact.
+  Rng rng(43);
+  const Box box({0, 0, 0}, {12, 13, 11});
+  auto pos = random_gas(rng, box, 120);
+  pos[60].x = 1e30;
+  const double radius = 2.5;
+  CellList cl;
+  cl.build(box, pos, radius);
+  EXPECT_LE(cl.cell_count(), 1024u * 5u * 4u);
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    std::set<std::size_t> got;
+    cl.for_each_neighbor(
+        i, [&](std::size_t j, const Vec3d&, double) { got.insert(j); });
+    EXPECT_EQ(got, brute_force_neighbors(box, pos, i, radius)) << "atom " << i;
+  }
 }
 
 }  // namespace

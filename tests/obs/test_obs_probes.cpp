@@ -23,6 +23,7 @@
 #include "obs/rdf.hpp"
 #include "obs/vacf.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace wsmd::obs {
 namespace {
@@ -84,6 +85,43 @@ TEST(Rdf, FirstPeakOfPerfectBccIsNearestNeighborDistance) {
   const double rcut = 1.8 * a;
   const double peak = rdf_peak_position(s, rcut, bins);
   EXPECT_NEAR(peak, a * std::sqrt(3.0) / 2.0, rcut / bins);
+}
+
+TEST(Rdf, HistogramEqualsAllPairsCount) {
+  // The cell-list pair walk must bin exactly the pairs an O(N^2) loop over
+  // Box::minimum_image finds: same pairs, same r2 bits, same bins.
+  const double a = 3.615;
+  Rng rng(17);
+  for (const bool periodic : {false, true}) {
+    auto s = lattice::replicate(lattice::UnitCell::fcc(a), 5, 5, 5, 0,
+                                {periodic, periodic, periodic});
+    for (auto& r : s.positions) {
+      r += Vec3d{rng.gaussian(0.0, 0.1), rng.gaussian(0.0, 0.1),
+                 rng.gaussian(0.0, 0.1)};
+    }
+    RdfProbe::Config c;
+    c.rcut = 1.8 * a;
+    c.bins = 300;
+    c.path = tmp_path("rdf_pairs.csv");
+    RdfProbe probe(c);
+    probe.sample(frame_of(0, 0.0, s.box, s.positions));
+    probe.sample(frame_of(1, 0.002, s.box, s.positions));
+
+    std::vector<double> expect(static_cast<std::size_t>(c.bins), 0.0);
+    const double inv_width = c.bins / c.rcut;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      for (std::size_t j = i + 1; j < s.size(); ++j) {
+        const double r2 =
+            norm2(s.box.minimum_image(s.positions[i], s.positions[j]));
+        if (r2 >= c.rcut * c.rcut) continue;
+        const auto bin = static_cast<std::size_t>(std::sqrt(r2) * inv_width);
+        if (bin < expect.size()) expect[bin] += 2.0;  // two samples
+      }
+    }
+    EXPECT_EQ(probe.histogram(), expect) << "periodic " << periodic;
+    probe.finish();
+    std::remove(c.path.c_str());
+  }
 }
 
 TEST(Rdf, RejectsRcutBeyondMinimumImageRange) {

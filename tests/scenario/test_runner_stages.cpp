@@ -14,8 +14,9 @@
 ///     under --output-dir with proper path semantics, and nested parents
 ///     are created.
 ///
-///   - A full disk fails the run: thermo rows and the summary that never
-///     reach their file raise WriteError, and the `wsmd` CLI exits 1.
+///   - A full disk fails the run: thermo rows, the summary and probe
+///     streams that never reach their file raise WriteError, and the
+///     `wsmd` CLI (run and analyze) exits 1.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -27,6 +28,7 @@
 #include <string>
 
 #include "io/thermo_log.hpp"
+#include "scenario/analyze.hpp"
 #include "scenario/deck.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -185,6 +187,79 @@ TEST(FullDisk, WsmdExitsOne) {
     ASSERT_TRUE(WIFEXITED(status)) << key;
     EXPECT_EQ(WEXITSTATUS(status), 1) << key;
   }
+}
+
+/// A temp directory whose `<prefix>.rdf.csv` and `<prefix>.analysis.rdf.csv`
+/// are symlinks to /dev/full: the rdf probe stream of a run (and of an
+/// offline replay) with `observe.prefix = <dir>/fd` opens fine and fails
+/// when it flushes its table.
+struct FullProbeDir {
+  FullProbeDir() : dir(fs::temp_directory_path() / "wsmd_full_probe") {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    fs::create_symlink("/dev/full", dir / "fd.rdf.csv");
+    fs::create_symlink("/dev/full", dir / "fd.analysis.rdf.csv");
+  }
+  ~FullProbeDir() { fs::remove_all(dir); }
+  std::string prefix() const { return (dir / "fd").string(); }
+  fs::path dir;
+};
+
+constexpr const char* kProbeDeck =
+    "name = full_probe\n"
+    "element = Ta\n"
+    "geometry = slab\n"
+    "replicate = 3 3 2\n"
+    "seed = 5\n"
+    "thermalize = 300\n"
+    "run = 10\n"
+    "observe.probes = rdf\n"
+    "observe.every = 5\n";
+
+TEST(FullDisk, ProbeStreamFailsTheRunAndTheReplay) {
+  if (!dev_full_writable()) GTEST_SKIP() << "/dev/full cannot be opened";
+  const FullProbeDir full;
+  Deck deck = parse_deck_string(kProbeDeck, "full_probe.deck");
+  deck.set("observe.prefix", full.prefix());
+  deck.set("xyz", (full.dir / "traj.xyz").string());
+  deck.set("xyz_every", "5");
+  const Scenario sc = scenario_from_deck(deck);
+  try {
+    run_scenario(sc);
+    ADD_FAILURE() << "an rdf stream on a full disk must fail the run";
+  } catch (const WriteError& ex) {
+    EXPECT_EQ(ex.path(), full.prefix() + ".rdf.csv");
+  }
+  // The trajectory was written in full before the probes were checked.
+  try {
+    analyze_trajectory(sc, (full.dir / "traj.xyz").string());
+    ADD_FAILURE() << "an rdf stream on a full disk must fail the replay";
+  } catch (const WriteError& ex) {
+    EXPECT_EQ(ex.path(), full.prefix() + ".analysis.rdf.csv");
+  }
+}
+
+TEST(FullDisk, WsmdExitsOneOnAFailedProbeStream) {
+  if (!dev_full_writable()) GTEST_SKIP() << "/dev/full cannot be opened";
+  const fs::path wsmd =
+      fs::read_symlink("/proc/self/exe").parent_path() / "wsmd";
+  if (!fs::exists(wsmd)) GTEST_SKIP() << "no wsmd binary at " << wsmd;
+  const FullProbeDir full;
+  const std::string deck = (full.dir / "full_probe.deck").string();
+  std::ofstream(deck) << kProbeDeck << "observe.prefix = " << full.prefix()
+                      << "\nxyz = " << (full.dir / "traj.xyz").string()
+                      << "\nxyz_every = 5\n";
+  const int run = std::system((wsmd.string() + " --quiet " + deck +
+                               " 2>/dev/null >/dev/null")
+                                  .c_str());
+  ASSERT_TRUE(WIFEXITED(run));
+  EXPECT_EQ(WEXITSTATUS(run), 1);
+  const int replay =
+      std::system((wsmd.string() + " analyze " + deck + " " +
+                   (full.dir / "traj.xyz").string() + " 2>/dev/null >/dev/null")
+                      .c_str());
+  ASSERT_TRUE(WIFEXITED(replay));
+  EXPECT_EQ(WEXITSTATUS(replay), 1);
 }
 
 }  // namespace
