@@ -16,28 +16,19 @@ struct Bond {
   double r2;  ///< norm2(d), as the cell-list walk computed it
 };
 
-/// How a pair key names the two bonds of a pair: one bit per bond while
-/// there are at most 64 bonds, the two indices in 32-bit halves beyond.
-struct BitKeys {
-  static std::uint64_t of(std::uint32_t a, std::uint32_t b) {
-    return (std::uint64_t{1} << a) | (std::uint64_t{1} << b);
-  }
-  static bool disjoint(std::uint64_t p, std::uint64_t q) {
-    return (p & q) == 0;
-  }
-};
-struct IndexKeys {
-  static std::uint64_t of(std::uint32_t a, std::uint32_t b) {
-    return a | (std::uint64_t{b} << 32);
-  }
-  static bool disjoint(std::uint64_t p, std::uint64_t q) {
-    const auto pa = static_cast<std::uint32_t>(p);
-    const auto pb = static_cast<std::uint32_t>(p >> 32);
-    const auto qa = static_cast<std::uint32_t>(q);
-    const auto qb = static_cast<std::uint32_t>(q >> 32);
-    return (pa != qa) & (pa != qb) & (pb != qa) & (pb != qb);
-  }
-};
+/// A pair's key: the indices of its two bonds in the 32-bit halves.
+std::uint64_t pair_key(std::uint32_t a, std::uint32_t b) {
+  return a | (std::uint64_t{b} << 32);
+}
+
+/// True when pairs `p` and `q` share no bond.
+bool disjoint(std::uint64_t p, std::uint64_t q) {
+  const auto pa = static_cast<std::uint32_t>(p);
+  const auto pb = static_cast<std::uint32_t>(p >> 32);
+  const auto qa = static_cast<std::uint32_t>(q);
+  const auto qb = static_cast<std::uint32_t>(q >> 32);
+  return (pa != qa) & (pa != qb) & (pb != qa) & (pb != qb);
+}
 
 /// The candidate opposite-bond pairs of one atom in (a, b) order, a < b:
 /// |r_a + r_b|^2 and the pair's key. Reused across the atoms of a call,
@@ -58,7 +49,6 @@ struct PairList {
 /// two independent argmin accumulators (even and odd positions; a tie
 /// goes to the lower position). The pick, its tie order and the summation
 /// order are those of a full rescan of the unused bonds.
-template <typename Keys>
 double greedy_pairing(const Bond* bonds, std::uint32_t n, PairList& pairs) {
   const std::size_t capacity = std::size_t{n} * (n - 1) / 2 + 1;
   if (pairs.v.size() < capacity) {
@@ -71,7 +61,7 @@ double greedy_pairing(const Bond* bonds, std::uint32_t n, PairList& pairs) {
   for (std::uint32_t a = 0; a < n; ++a) {
     for (std::uint32_t b = a + 1; b < n; ++b) {
       v[m] = norm2(bonds[a].d + bonds[b].d);
-      key[m] = Keys::of(a, b);
+      key[m] = pair_key(a, b);
       ++m;
     }
   }
@@ -85,7 +75,7 @@ double greedy_pairing(const Bond* bonds, std::uint32_t n, PairList& pairs) {
         const std::uint64_t q = key[k];
         v[kept] = x;
         key[kept] = q;
-        kept += Keys::disjoint(q, pick);
+        kept += disjoint(q, pick);
       }
       m = kept;
     }
@@ -104,7 +94,7 @@ double greedy_pairing(const Bond* bonds, std::uint32_t n, PairList& pairs) {
     csp += odd ? b1 : b0;
     // No pair below 1e300 (only with rcut near overflow): the pick is
     // bond 0 with itself, as in a plain rescan.
-    pick = kb < m ? key[kb] : Keys::of(0, 0);
+    pick = kb < m ? key[kb] : pair_key(0, 0);
   }
   return csp;
 }
@@ -157,10 +147,8 @@ StructureAnalysis analyze_structure(const Box& box,
       out.centrosymmetry[i] = rcut * rcut;
       continue;
     }
-    const auto nb = static_cast<std::uint32_t>(n);
-    out.centrosymmetry[i] =
-        nb <= 64 ? greedy_pairing<BitKeys>(bonds.data(), nb, pairs)
-                 : greedy_pairing<IndexKeys>(bonds.data(), nb, pairs);
+    out.centrosymmetry[i] = greedy_pairing(
+        bonds.data(), static_cast<std::uint32_t>(n), pairs);
   }
   return out;
 }

@@ -10,10 +10,6 @@ namespace wsmd::md {
 
 namespace {
 
-/// Cells per axis are capped so a far-flung (finite) atom on an open axis
-/// cannot ask for more cells than 32-bit ids hold; no real deck comes near.
-constexpr double kMaxCellsPerAxis = 1024.0;
-
 bool finite(const Vec3d& r) {
   return std::isfinite(r.x) && std::isfinite(r.y) && std::isfinite(r.z);
 }
@@ -37,7 +33,6 @@ void CellList::build(const Box& box, const std::vector<Vec3d>& positions,
   WSMD_REQUIRE(!positions.empty(), "cannot build a cell list for zero atoms");
   WSMD_REQUIRE(positions.size() < std::numeric_limits<std::uint32_t>::max(),
                "cell list holds at most 2^32 - 2 atoms");
-  positions_ = &positions;
   radius_ = radius;
   r2max_ = radius * radius;
   const Vec3d len = box.lengths();
@@ -51,26 +46,45 @@ void CellList::build(const Box& box, const std::vector<Vec3d>& positions,
   // Binning region: periodic axes use the box, open axes the extrema of
   // the finite atoms (the box itself when there are none).
   Vec3d lo = box.lo, hi = box.hi;
-  for (std::size_t a = 0; a < 3; ++a) {
-    if (box.periodic[a]) continue;
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -mn;
-    for (const auto& r : positions) {
-      if (!finite(r)) continue;
-      mn = std::min(mn, r[a]);
-      mx = std::max(mx, r[a]);
+  Vec3d mn{std::numeric_limits<double>::infinity(),
+           std::numeric_limits<double>::infinity(),
+           std::numeric_limits<double>::infinity()};
+  Vec3d mx = -mn;
+  std::uint32_t finite_atoms = 0;
+  for (const auto& r : positions) {
+    if (!finite(r)) continue;
+    ++finite_atoms;
+    for (std::size_t a = 0; a < 3; ++a) {
+      mn[a] = std::min(mn[a], r[a]);
+      mx[a] = std::max(mx[a], r[a]);
     }
-    if (mn > mx) continue;
-    lo[a] = mn - 1e-9;
-    hi[a] = mx + 1e-9;
+  }
+  for (std::size_t a = 0; a < 3; ++a) {
+    if (box.periodic[a] || finite_atoms == 0) continue;
+    lo[a] = mn[a] - 1e-9;
+    hi[a] = mx[a] + 1e-9;
+  }
+
+  // Cells of edge >= radius, at most max(27, 2 per finite atom) of them
+  // (and 2^30): a finite atom flung far out on open axes would otherwise
+  // ask for up to (extent / radius)^3 cells. Past the cap the widest axis
+  // is halved until the grid fits; edges only grow, so the search stays
+  // exact. No deck comes near the cap.
+  const double max_cells = std::clamp(2.0 * finite_atoms, 27.0, 0x1p30);
+  double cells[3];
+  for (std::size_t a = 0; a < 3; ++a) {
+    cells[a] = std::clamp(std::floor((hi[a] - lo[a]) / radius), 1.0,
+                          max_cells);
+  }
+  while (cells[0] * cells[1] * cells[2] > max_cells) {
+    double& widest = *std::max_element(cells, cells + 3);
+    widest = std::floor(widest / 2.0);
   }
   int ncell[3];
   double cell_edge[3];
   for (std::size_t a = 0; a < 3; ++a) {
-    const double extent = hi[a] - lo[a];
-    ncell[a] = static_cast<int>(
-        std::clamp(std::floor(extent / radius), 1.0, kMaxCellsPerAxis));
-    cell_edge[a] = extent / ncell[a];
+    ncell[a] = static_cast<int>(cells[a]);
+    cell_edge[a] = (hi[a] - lo[a]) / ncell[a];
   }
 
   const auto nx = static_cast<std::uint32_t>(ncell[0]);

@@ -24,12 +24,14 @@
 /// - for_each_neighbor visits stencil cells by ascending id and the atoms of
 ///   a cell by ascending index — ascending slot order;
 /// - d and r2 carry the bits of Box::minimum_image and norm2: the same
-///   per-axis subtraction, std::round of d / length and multiply;
+///   per-axis subtraction and min_image_1d (util/box.hpp);
 /// - for_each_pair reports each unordered pair once as (i, j) with i < j and
 ///   d = rj - ri, its distance computed once.
 ///
 /// Non-finite atoms (a NaN or infinite coordinate) get no slot: they neither
-/// have nor are neighbors, and they do not widen the binning region.
+/// have nor are neighbors, and they do not widen the binning region. The
+/// grid holds at most max(27, 2 x finite atoms) cells: a finite atom flung
+/// far out on open axes coarsens the grid instead of growing it.
 ///
 /// Correctness contract, shared with the Verlet list it was extracted from:
 /// distances use the minimum-image convention, which is exact only while at
@@ -61,8 +63,7 @@ class CellList {
   /// Bin `positions` into cells of edge >= `radius`. For periodic axes the
   /// box bounds are authoritative; open axes bin over the extrema of the
   /// finite atoms (atoms may drift outside the nominal box). The list keeps
-  /// a pointer to `positions`: the vector must stay alive and unmodified
-  /// while queries run (every call site builds and queries back-to-back).
+  /// its own slot-ordered copy of the positions.
   void build(const Box& box, const std::vector<Vec3d>& positions,
              double radius);
 
@@ -116,9 +117,9 @@ class CellList {
     for (std::uint32_t k = 0; k < kBlock; ++k) {
       double ax = xs[k] - xi, ay = ys[k] - yi, az = zs[k] - zi;
       if constexpr (kPeriodic) {
-        if (periodic_[0]) ax -= std::round(ax / len_[0]) * len_[0];
-        if (periodic_[1]) ay -= std::round(ay / len_[1]) * len_[1];
-        if (periodic_[2]) az -= std::round(az / len_[2]) * len_[2];
+        if (periodic_[0]) ax = min_image_1d(ax, len_[0]);
+        if (periodic_[1]) ay = min_image_1d(ay, len_[1]);
+        if (periodic_[2]) az = min_image_1d(az, len_[2]);
       }
       dx[k] = ax;
       dy[k] = ay;
@@ -152,13 +153,15 @@ class CellList {
 
   template <bool kPeriodic, typename F>
   void neighbors(std::size_t i, F& f) const {
+    // A non-finite atom reads the placeholder slot 0 (the planes are never
+    // empty) but walks no span: its span list is empty.
     const std::uint32_t cell = atom_cell_[i];
-    const Vec3d ri = (*positions_)[i];
     const std::uint32_t self = atom_slot_[i];
+    const double xi = xs_[self], yi = ys_[self], zi = zs_[self];
     for (std::uint32_t sp = span_start_[cell]; sp < span_start_[cell + 1];
          ++sp) {
-      walk<kPeriodic>(spans_[sp].begin, spans_[sp].end, ri.x, ri.y, ri.z,
-                      self, [&](std::uint32_t s, const Vec3d& d, double r2) {
+      walk<kPeriodic>(spans_[sp].begin, spans_[sp].end, xi, yi, zi, self,
+                      [&](std::uint32_t s, const Vec3d& d, double r2) {
                         f(static_cast<std::size_t>(cell_atoms_[s]), d, r2);
                       });
     }
@@ -194,7 +197,6 @@ class CellList {
     }
   }
 
-  const std::vector<Vec3d>* positions_ = nullptr;
   double radius_ = 0.0;
   double r2max_ = 0.0;
   bool any_periodic_ = false;
@@ -204,7 +206,7 @@ class CellList {
   /// atom -> flat cell id; non-finite atoms get cell_count(), whose span
   /// list is empty.
   std::vector<std::uint32_t> atom_cell_;
-  std::vector<std::uint32_t> atom_slot_;   ///< atom -> slot (finite atoms)
+  std::vector<std::uint32_t> atom_slot_;   ///< atom -> slot (0 if non-finite)
   std::vector<std::uint32_t> cell_start_;  ///< cell -> first slot (CSR)
   std::vector<std::uint32_t> cell_atoms_;  ///< slot -> atom id
   std::vector<double> xs_, ys_, zs_;       ///< slot -> position, padded

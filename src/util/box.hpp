@@ -17,6 +17,13 @@
 
 namespace wsmd {
 
+/// Minimum image of one displacement component along a periodic axis of
+/// length `len`. The one place this rounding lives: Box::minimum_image and
+/// md::CellList's distance blocks must agree bit for bit.
+inline double min_image_1d(double d, double len) {
+  return d - std::round(d / len) * len;
+}
+
 struct Box {
   Vec3d lo{0, 0, 0};
   Vec3d hi{0, 0, 0};
@@ -54,7 +61,7 @@ struct Box {
     const Vec3d len = lengths();
     for (std::size_t a = 0; a < 3; ++a) {
       if (!periodic[a]) continue;
-      d[a] -= std::round(d[a] / len[a]) * len[a];
+      d[a] = min_image_1d(d[a], len[a]);
     }
     return d;
   }

@@ -366,9 +366,9 @@ TEST(CentrosymmetryParity, MatchesGreedyOracleBitwise) {
   EXPECT_GT(widest_row, 16u);
 }
 
-TEST(CentrosymmetryParity, MatchesGreedyOracleBeyond64Bonds) {
-  // Past 64 kept bonds the pairing names bonds by index instead of by bit;
-  // a dense gas with a wide radius keeps 66 of its ~160 bonds per atom.
+TEST(CentrosymmetryParity, MatchesGreedyOracleForWideRows) {
+  // Any even neighbor count works: a dense gas with a wide radius keeps 66
+  // of its ~160 bonds per atom (2,145 candidate pairs per row).
   Rng rng(7);
   const Box box({0, 0, 0}, {10, 10, 10});
   const auto pos = random_gas(rng, box, 600);

@@ -271,22 +271,27 @@ TEST(CellList, NonFiniteAtomsNeitherHaveNorAreNeighbors) {
 }
 
 TEST(CellList, FarFlungFiniteAtomKeepsBinningBounded) {
-  // An atom thrown 1e30 A out on an open axis must not ask for ~1e29 cells
-  // (a float-to-int overflow): the axis is capped and the search stays
-  // exact.
+  // An atom thrown 1e30 A out on open axes must not ask for ~1e29 cells per
+  // axis (a float-to-int overflow) or gigabytes of cell arrays: the grid
+  // stays O(N) and the search stays exact.
   Rng rng(43);
   const Box box({0, 0, 0}, {12, 13, 11});
-  auto pos = random_gas(rng, box, 120);
-  pos[60].x = 1e30;
-  const double radius = 2.5;
-  CellList cl;
-  cl.build(box, pos, radius);
-  EXPECT_LE(cl.cell_count(), 1024u * 5u * 4u);
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    std::set<std::size_t> got;
-    cl.for_each_neighbor(
-        i, [&](std::size_t j, const Vec3d&, double) { got.insert(j); });
-    EXPECT_EQ(got, brute_force_neighbors(box, pos, i, radius)) << "atom " << i;
+  const auto clean = random_gas(rng, box, 120);
+  for (const Vec3d far : {Vec3d{1e30, 5.0, 5.0}, Vec3d{1e30, 1e30, 1e30},
+                          Vec3d{-1e30, 1e30, 5.0}}) {
+    auto pos = clean;
+    pos[60] = far;
+    const double radius = 2.5;
+    CellList cl;
+    cl.build(box, pos, radius);
+    EXPECT_LE(cl.cell_count(), 2 * pos.size()) << far;
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      std::set<std::size_t> got;
+      cl.for_each_neighbor(
+          i, [&](std::size_t j, const Vec3d&, double) { got.insert(j); });
+      EXPECT_EQ(got, brute_force_neighbors(box, pos, i, radius))
+          << far << " atom " << i;
+    }
   }
 }
 
