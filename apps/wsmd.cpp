@@ -118,8 +118,7 @@ void print_usage(std::FILE* out) {
                "  --list-elements   show available Zhou parameter sets\n"
                "  --help            this text\n"
                "\n"
-               "deck keys: name element pair_style potential geometry\n"
-               "  scale replicate\n"
+               "deck keys: name element pair_style geometry scale replicate\n"
                "  vacancy_fraction tilt_angle_deg gb_atoms backend dt\n"
                "  swap_interval rescale_interval seed thermalize\n"
                "  equilibrate ramp quench run xyz xyz_every thermo\n"
@@ -130,6 +129,9 @@ void print_usage(std::FILE* out) {
                "  dist.timeout dist.kill_rank dist.kill_step\n"
                "  (dist.transport = shm|socket is a legacy key: accepted,\n"
                "  selects nothing — halos always ride shared memory)\n"
+               "legacy keys: potential = tabulated is accepted and selects\n"
+               "  nothing (engines evaluate the profile tables only);\n"
+               "  potential = analytic is rejected (the path was removed)\n"
                "health keys (run-health watchdog; warn|abort|off):\n"
                "  health.nan health.energy_drift health.energy_band\n"
                "  health.temperature health.temperature_band health.stall\n"
@@ -144,8 +146,8 @@ void print_usage(std::FILE* out) {
 void print_scenario(const wsmd::scenario::Scenario& sc) {
   using wsmd::format;
   std::printf("scenario %s:\n", sc.name.c_str());
-  std::printf("  element   = %s (%s, potential %s)\n", sc.element.c_str(),
-              sc.pair_style.c_str(), sc.potential.c_str());
+  std::printf("  element   = %s (%s)\n", sc.element.c_str(),
+              sc.pair_style.c_str());
   std::printf("  geometry  = %s\n", sc.geometry.c_str());
   if (sc.replicate[0] > 0) {
     std::printf("  replicate = %d %d %d\n", sc.replicate[0], sc.replicate[1],

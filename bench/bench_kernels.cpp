@@ -5,21 +5,34 @@
 /// *host* performance of the simulator itself (not modeled WSE time) and
 /// guard against performance regressions in the reproduction code.
 ///
-/// Besides the microbenches, the binary self-times the force hot path on
-/// both evaluation modes and both precisions — analytic virtual dispatch
-/// vs the flattened r²-indexed PotentialProfile — and emits
+/// Besides the microbenches, the binary self-times the production force
+/// paths against three frozen reference loops and emits
 /// `BENCH_kernels.json` (pairs/sec per {kernel, path}) for the CI bench
 /// gate: `tools/check_bench_regression.py` checks the rows against
-/// bench/baseline.json and enforces the profile-vs-analytic speedup
-/// ratios, so de-virtualizing the inner loop can never silently regress.
+/// bench/baseline.json and enforces the speedup ratios, so the table-driven
+/// batched kernels can never silently regress.
+///
+/// The engines evaluate only their profile tables, so the denominators of
+/// the ratio floors live here, as bench-owned copies of the loops the
+/// engines used to carry (the pattern of bench/e2e/host_speed.cpp: a
+/// yardstick must not move when the product or a test helper changes):
+///   * `analytic` (FP64): the two-pass analytic loop, serial — virtual
+///     potential calls and one sqrt per pair;
+///   * `profile` (FP64): the scalar one-pair-at-a-time profile-table loop;
+///   * `analytic` (FP32 wafer): the wafer's analytic density and force
+///     rows over rcut + skin candidate rows, without the step's gather,
+///     commit and accounting work.
+/// Do not edit them: a changed yardstick changes what every floor means.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "core/wse_md.hpp"
 #include "eam/profile.hpp"
@@ -29,7 +42,9 @@
 #include "md/simd.hpp"
 #include "md/simulation.hpp"
 #include "util/bench_json.hpp"
+#include "util/soa.hpp"
 #include "util/spline.hpp"
+#include "util/units.hpp"
 #include "wse/multicast.hpp"
 
 namespace {
@@ -155,7 +170,281 @@ void BM_MarchingMulticast(benchmark::State& state) {
 }
 BENCHMARK(BM_MarchingMulticast)->Arg(1)->Arg(2)->Arg(4);
 
-/// --- BENCH_kernels.json: analytic vs profiled vs SoA pairs/sec ----------
+/// --- Frozen reference loops (the ratio-floor denominators) --------------
+
+/// FP64 analytic sweep: the two-pass loop through the potential's virtual
+/// functional form, serial, in 256-atom tiles with tile-ordered energy
+/// sums. Scratch persists across calls.
+class FrozenAnalyticF64 {
+ public:
+  double compute(md::AtomSystem& system, const md::NeighborList& neighbors) {
+    constexpr std::size_t kTile = 256;
+    const auto& pot = system.potential();
+    const auto& pos = system.positions();
+    const auto& types = system.types();
+    const Box& box = system.box();
+    const std::size_t n = system.size();
+
+    const double rc = pot.cutoff();
+    const double rc2 = rc * rc;
+    const bool pairwise_only = pot.is_pairwise_only();
+
+    auto& forces = system.forces();
+    forces.resize(n);
+
+    const std::size_t ntiles = (n + kTile - 1) / kTile;
+    tile_embed_.assign(ntiles, 0.0);
+    tile_pair_.assign(ntiles, 0.0);
+
+    rho_.assign(n, 0.0);
+    fprime_.assign(n, 0.0);
+    if (!pairwise_only) {
+      for (std::size_t t = 0; t < ntiles; ++t) {
+        const std::size_t i0 = t * kTile;
+        const std::size_t i1 = i0 + kTile < n ? i0 + kTile : n;
+        double embed_acc = 0.0;
+        for (std::size_t i = i0; i < i1; ++i) {
+          double rho = 0.0;
+          for (std::size_t j : neighbors.neighbors(i)) {
+            const Vec3d d = box.minimum_image(pos[i], pos[j]);
+            const double r2 = norm2(d);
+            if (r2 >= rc2) continue;
+            rho += pot.density(types[j], std::sqrt(r2));
+          }
+          rho_[i] = rho;
+          embed_acc += pot.embed(types[i], rho);
+          fprime_[i] = pot.embed_deriv(types[i], rho);
+        }
+        tile_embed_[t] = embed_acc;
+      }
+    }
+
+    for (std::size_t t = 0; t < ntiles; ++t) {
+      const std::size_t i0 = t * kTile;
+      const std::size_t i1 = i0 + kTile < n ? i0 + kTile : n;
+      double pair_acc = 0.0;
+      for (std::size_t i = i0; i < i1; ++i) {
+        Vec3d f{0, 0, 0};
+        for (std::size_t j : neighbors.neighbors(i)) {
+          const Vec3d d = box.minimum_image(pos[i], pos[j]);  // rj - ri
+          const double r2 = norm2(d);
+          if (r2 >= rc2) continue;
+          const double r = std::sqrt(r2);
+          pair_acc += pot.pair(types[i], types[j], r);
+          double fmag = pot.pair_deriv(types[i], types[j], r);
+          if (!pairwise_only) {
+            fmag += fprime_[i] * pot.density_deriv(types[j], r) +
+                    fprime_[j] * pot.density_deriv(types[i], r);
+          }
+          f += d * (fmag / r);
+        }
+        forces[i] = f;
+      }
+      tile_pair_[t] = pair_acc;
+    }
+
+    double e_embed = 0.0;
+    for (double e : tile_embed_) e_embed += e;
+    double pair_sum = 0.0;
+    for (double e : tile_pair_) pair_sum += e;
+    return 0.5 * pair_sum + e_embed;
+  }
+
+ private:
+  std::vector<double> rho_, fprime_, tile_embed_, tile_pair_;
+};
+
+/// FP64 per-pair profile sweep: one r²-indexed table lookup per accepted
+/// pair, no sqrt, no batching. Scratch persists across calls.
+class FrozenProfileF64 {
+ public:
+  double compute(md::AtomSystem& system, const md::NeighborList& neighbors,
+                 const eam::ProfileF64& prof) {
+    const auto& pos = system.positions();
+    const auto& types = system.types();
+    const Box& box = system.box();
+    const std::size_t n = system.size();
+
+    const double rc2 = prof.cutoff_sq();
+    const bool pairwise_only = prof.pairwise_only();
+
+    auto& forces = system.forces();
+    forces.assign(n, Vec3d{0, 0, 0});
+
+    double e_embed = 0.0;
+    double e_pair = 0.0;
+
+    rho_.assign(n, 0.0);
+    fprime_.assign(n, 0.0);
+    if (!pairwise_only) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double rho = 0.0;
+        for (std::size_t j : neighbors.neighbors(i)) {
+          const Vec3d d = box.minimum_image(pos[i], pos[j]);
+          const double r2 = norm2(d);
+          if (r2 >= rc2) continue;
+          rho += prof.density(types[j], r2);
+        }
+        rho_[i] = rho;
+        double f, fp;
+        prof.embed(types[i], rho, f, fp);
+        e_embed += f;
+        fprime_[i] = fp;
+      }
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+      Vec3d f{0, 0, 0};
+      double pair_acc = 0.0;
+      const double fprime_i = fprime_[i];
+      const int ti = types[i];
+      for (std::size_t j : neighbors.neighbors(i)) {
+        const Vec3d d = box.minimum_image(pos[i], pos[j]);  // rj - ri
+        const double r2 = norm2(d);
+        if (r2 >= rc2) continue;
+        double phi, phi_force;
+        prof.pair(ti, types[j], r2, phi, phi_force);
+        pair_acc += phi;
+        double fmag_over_r = phi_force;
+        if (!pairwise_only) {
+          fmag_over_r += fprime_i * prof.density_force(types[j], r2) +
+                         fprime_[j] * prof.density_force(ti, r2);
+        }
+        f += d * fmag_over_r;
+      }
+      forces[i] = f;
+      e_pair += 0.5 * pair_acc;
+    }
+    return e_pair + e_embed;
+  }
+
+ private:
+  std::vector<double> rho_, fprime_;
+};
+
+/// FP32 analytic wafer sweep: the wafer's per-candidate density and force
+/// rows through the potential's virtual functional form (FP32 minimum
+/// image, `r2 < rc2`, sqrt in double) plus the leap-frog update, over
+/// candidate rows from one Verlet list at rcut + WseMd::kShortlistSkin.
+/// The state never advances (the update lands in scratch), so every sweep
+/// is the same work. No gather, commit or cost-model accounting.
+class FrozenAnalyticWafer {
+ public:
+  FrozenAnalyticWafer(const core::WseMd& md, const lattice::Structure& s,
+                      eam::EamPotentialPtr potential)
+      : pot_(std::move(potential)),
+        box_(s.box),
+        types_(s.types),
+        rcut_(pot_->cutoff()),
+        dt_(static_cast<float>(md.config().dt)),
+        nl_(pot_->cutoff(), core::WseMd::kShortlistSkin) {
+    const auto r = md.positions();
+    const auto v = md.velocities();
+    nl_.build(box_, r);
+    positions_.resize(r.size());
+    velocities_.resize(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      positions_.set(i, Vec3f(r[i]));
+      velocities_.set(i, Vec3f(v[i]));
+    }
+    new_positions_.resize(r.size());
+    new_velocities_.resize(r.size());
+    fprime_.assign(r.size(), 0.0f);
+    pe_embed_.assign(r.size(), 0.0);
+    pair_half_.assign(r.size(), 0.0f);
+    box_len_f_ = Vec3f(box_.lengths());
+    for (std::size_t a = 0; a < 3; ++a) {
+      box_periodic_[a] = box_.periodic[a];
+      box_inv_len_f_[a] = 1.0f / box_len_f_[a];
+    }
+    for (int t = 0; t < pot_->num_types(); ++t) {
+      inv_mass_.push_back(
+          static_cast<float>(1.0 / pot_->mass(t) * units::kForceToAccel));
+    }
+  }
+
+  /// One density + force sweep; returns the accepted (r < rcut) pairs.
+  std::size_t sweep() {
+    const auto& pot = *pot_;
+    const auto rc2 = static_cast<float>(rcut_ * rcut_);
+    const bool pairwise_only = pot.is_pairwise_only();
+    const std::size_t n = positions_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3f ri = positions_.get(i);
+      float rho = 0.0f;
+      for (const std::uint32_t j : nl_.neighbors(i)) {
+        const Vec3f d = minimum_image_f(ri, positions_.get(j));
+        const float r2 = dot(d, d);
+        if (r2 >= rc2) continue;
+        if (pairwise_only) continue;
+        rho += static_cast<float>(
+            pot.density(types_[j], std::sqrt(static_cast<double>(r2))));
+      }
+      if (pairwise_only) {
+        pe_embed_[i] = 0.0;
+        fprime_[i] = 0.0f;
+      } else {
+        pe_embed_[i] = pot.embed(types_[i], rho);
+        fprime_[i] = static_cast<float>(pot.embed_deriv(types_[i], rho));
+      }
+    }
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3f ri = positions_.get(i);
+      const float fprime_i = fprime_[i];
+      const int ti = types_[i];
+      Vec3f force{0, 0, 0};
+      float pair_acc = 0.0f;
+      for (const std::uint32_t j : nl_.neighbors(i)) {
+        const Vec3f d = minimum_image_f(ri, positions_.get(j));
+        const float r2 = dot(d, d);
+        if (r2 >= rc2) continue;
+        ++accepted;
+        const double rd = std::sqrt(static_cast<double>(r2));
+        pair_acc += static_cast<float>(pot.pair(ti, types_[j], rd));
+        float fmag = static_cast<float>(pot.pair_deriv(ti, types_[j], rd));
+        if (!pairwise_only) {
+          fmag += fprime_i * static_cast<float>(
+                                 pot.density_deriv(types_[j], rd)) +
+                  fprime_[j] *
+                      static_cast<float>(pot.density_deriv(ti, rd));
+        }
+        force += d * (fmag / static_cast<float>(rd));
+      }
+      pair_half_[i] = pair_acc;
+      const Vec3f a = force * inv_mass_[static_cast<std::size_t>(ti)];
+      const Vec3f v_new = velocities_.get(i) + a * dt_;
+      new_velocities_.set(i, v_new);
+      new_positions_.set(i, Vec3f(box_.wrap(Vec3d(ri + v_new * dt_))));
+    }
+    return accepted;
+  }
+
+ private:
+  Vec3f minimum_image_f(const Vec3f& ri, const Vec3f& rj) const {
+    Vec3f d = rj - ri;
+    for (std::size_t a = 0; a < 3; ++a) {
+      if (!box_periodic_[a]) continue;
+      d[a] -= std::nearbyint(d[a] * box_inv_len_f_[a]) * box_len_f_[a];
+    }
+    return d;
+  }
+
+  eam::EamPotentialPtr pot_;
+  Box box_;
+  std::vector<int> types_;
+  double rcut_;
+  float dt_;
+  md::NeighborList nl_;
+  Vec3fPlanes positions_, velocities_, new_positions_, new_velocities_;
+  std::vector<float> fprime_, pair_half_, inv_mass_;
+  std::vector<double> pe_embed_;
+  Vec3f box_len_f_{0, 0, 0};
+  Vec3f box_inv_len_f_{0, 0, 0};
+  std::array<bool, 3> box_periodic_{false, false, false};
+};
+
+/// --- BENCH_kernels.json: production paths vs the frozen loops -----------
 
 /// Evaluations per second of `fn`: one warmup call (touch tables, fault
 /// pages, warm the branch predictors), then three independent ~0.25 s
@@ -186,9 +475,9 @@ double evals_per_second(const Fn& fn) {
 void emit_pairs_bench() {
   const auto p = eam::zhou_parameters("Ta");
 
-  // FP64 reference force kernel: same system, same neighbor list, the two
-  // evaluation paths of md::EamForceKernel. pairs = full-list entries per
-  // sweep (both paths walk the identical list).
+  // FP64 reference force kernel: same system, same neighbor list, the
+  // production path and the two frozen FP64 loops. pairs = full-list
+  // entries per sweep (every path walks the identical list).
   const auto crystal = lattice::replicate(
       lattice::UnitCell::of(p.structure, p.lattice_constant()), 8, 8, 8, 0,
       {true, true, true});
@@ -199,55 +488,53 @@ void emit_pairs_bench() {
   md::NeighborList nl(pot->cutoff(), 1.0);
   nl.build(sys.box(), sys.positions());
   const auto ref_pairs = static_cast<double>(nl.total_entries());
-  md::EamForceKernel kernel;
   const eam::ProfileF64 prof64(*pot);
   double sink = 0.0;
-  const double ref_analytic =
-      ref_pairs * evals_per_second([&] { sink += kernel.compute(sys, nl); });
-  // PR 5's de-virtualized per-pair profile loop, kept as an explicit path:
-  // the soa-vs-profile ratio below is the measured win of batching alone.
+  FrozenAnalyticF64 analytic64;
+  const double ref_analytic = ref_pairs * evals_per_second([&] {
+                                sink += analytic64.compute(sys, nl);
+                              });
+  // The de-virtualized per-pair profile loop: the soa-vs-profile ratio
+  // below is the measured win of batching alone.
+  FrozenProfileF64 profile64;
   const double ref_profile = ref_pairs * evals_per_second([&] {
-                               sink += kernel.compute(
-                                   sys, nl, &prof64, nullptr,
-                                   md::EamForceKernel::EvalPath::kPairwise);
+                               sink += profile64.compute(sys, nl, prof64);
                              });
   // The production hot path: SoA pair batches through the dispatched
   // simd kernels, on the active tier and pinned to the scalar tier.
+  md::EamForceKernel kernel;
   const double ref_soa = ref_pairs * evals_per_second([&] {
-                           sink += kernel.compute(sys, nl, &prof64);
+                           sink += kernel.compute(sys, nl, prof64);
                          });
   simd::set_tier_override(simd::Tier::kScalar);
   const double ref_soa_scalar = ref_pairs * evals_per_second([&] {
-                                  sink += kernel.compute(sys, nl, &prof64);
+                                  sink += kernel.compute(sys, nl, prof64);
                                 });
   simd::clear_tier_override();
 
-  // FP32 wafer step (phases 1-4): serial WseMd on a paper-slab miniature.
-  // The tabulated config runs the batched SoA phase kernels; analytic runs
-  // per-candidate virtual calls. pairs = accepted interactions per step.
+  // FP32 wafer step (phases 1-4): serial WseMd on a paper-slab miniature,
+  // running the batched SoA phase kernels; pairs = accepted interactions
+  // per step. The frozen analytic wafer sweep starts from the same state
+  // and counts its own accepted pairs.
   const auto slab = lattice::paper_slab("Ta", 48);
-  core::WseMdConfig tab_cfg;
-  tab_cfg.mapping.cell_size = p.lattice_constant();
-  core::WseMdConfig ana_cfg = tab_cfg;
-  ana_cfg.tabulated = false;
-  core::WseMd tab(slab, pot, tab_cfg);
-  core::WseMd ana(slab, pot, ana_cfg);
+  core::WseMdConfig cfg;
+  cfg.mapping.cell_size = p.lattice_constant();
+  core::WseMd tab(slab, pot, cfg);
   Rng wrng(13);
   tab.thermalize(290.0, wrng);
-  ana.set_velocities(tab.velocities());
-  const auto count_pairs = [](core::WseMd& eng) {
-    return eng.step().mean_interactions *
-           static_cast<double>(eng.atom_count());
-  };
-  const double wafer_pairs = count_pairs(tab);
+  FrozenAnalyticWafer ana(tab, slab, pot);
+  const double wafer_pairs =
+      tab.step().mean_interactions * static_cast<double>(tab.atom_count());
   const double wafer_soa =
       wafer_pairs * evals_per_second([&] { sink += tab.step().max_cycles; });
   simd::set_tier_override(simd::Tier::kScalar);
   const double wafer_soa_scalar =
       wafer_pairs * evals_per_second([&] { sink += tab.step().max_cycles; });
   simd::clear_tier_override();
-  const double wafer_analytic =
-      wafer_pairs * evals_per_second([&] { sink += ana.step().max_cycles; });
+  const auto ana_pairs = static_cast<double>(ana.sweep());
+  const double wafer_analytic = ana_pairs * evals_per_second([&] {
+                                  sink += static_cast<double>(ana.sweep());
+                                });
 
   BenchJson out("kernels");
   out.meta()

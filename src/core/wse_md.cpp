@@ -34,23 +34,22 @@ struct SievedRow {
   std::vector<float> dx, dy, dz, r2;
 };
 
+const eam::EamPotential& require_potential(
+    const eam::EamPotentialPtr& potential) {
+  WSMD_REQUIRE(potential != nullptr, "WseMd needs a potential");
+  return *potential;
+}
+
 }  // namespace
 
 WseMd::WseMd(const lattice::Structure& s, eam::EamPotentialPtr potential,
              WseMdConfig config)
     : config_(config),
       potential_(std::move(potential)),
+      profile_(require_potential(potential_)),
       box_(s.box),
       mapping_(AtomMapping::for_structure(s, config.mapping)) {
-  WSMD_REQUIRE(potential_ != nullptr, "WseMd needs a potential");
   rcut_ = potential_->cutoff();
-  if (config_.tabulated) {
-    // The paper's per-core table copies: one FP32 profile shared by every
-    // worker (the host simulation holds one copy; the real machine
-    // replicates it into each tile's SRAM). Deterministic build — restart
-    // and shard decomposition cannot perturb it.
-    profile_ = std::make_shared<eam::ProfileF32>(*potential_);
-  }
   box_len_f_ = Vec3f(box_.lengths());
   for (std::size_t a = 0; a < 3; ++a) {
     box_periodic_[a] = box_.periodic[a];
@@ -418,11 +417,9 @@ void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
   const auto rc2 = static_cast<float>(rcut_ * rcut_);
   const auto keep2 = static_cast<float>((rcut_ + kShortlistSkin) *
                                         (rcut_ + kShortlistSkin));
-  const eam::ProfileF32* prof = profile_.get();
   const bool pairwise_only = potential_->is_pairwise_only();
   const simd::KernelTable& kern = simd::kernels();
-  eam::ProfileF32::Raw raw{};
-  if (prof != nullptr) raw = prof->raw();
+  const eam::ProfileF32::Raw raw = profile_.raw();
   const float* px = positions_.x();
   const float* py = positions_.y();
   const float* pz = positions_.z();
@@ -442,74 +439,42 @@ void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
       if (ai < 0) continue;
       const auto i = static_cast<std::size_t>(ai);
       std::uint32_t* row = ws.shortlist_idx.data() + i * ws.shortlist_stride;
-      std::size_t gathered_n = 0;
-      if (ws.rebuild) {
-        gathered_n = gather_neighborhood(cx, cy, gathered.data());
-        ws.candidates[i] = static_cast<std::uint32_t>(gathered_n);
-      }
       const Vec3f ri = positions_.get(i);
-      float rho = 0.0f;
+      // Batched sieve: 8-wide accept test compacting the accepted entries;
+      // then one 8-wide table sweep over the survivors. A rebuild sieves
+      // the gathered window at rcut + skin into the shortlist and derives
+      // the rcut row from the r2 it computed.
       std::uint32_t m = 0;
-      if (prof != nullptr) {
-        // Batched sieve: 8-wide accept test compacting the accepted
-        // entries; then one 8-wide table sweep over the survivors. A
-        // rebuild sieves the gathered window at rcut + skin into the
-        // shortlist and derives the rcut row from the r2 it computed.
-        if (ws.rebuild) {
-          const std::size_t kept = kern.sieve_f32(
-              px, py, pz, ri.x, ri.y, ri.z, gathered.data(), gathered_n,
-              sbox_, keep2, row, sieved.dx.data(), sieved.dy.data(),
-              sieved.dz.data(), r2_kept.data());
-          ws.shortlist_count[i] = static_cast<std::uint32_t>(kept);
-          for (std::size_t k = 0; k < kept; ++k) {
-            sieved.idx[m] = row[k];
-            sieved.r2[m] = r2_kept[k];
-            m += r2_kept[k] < rc2 ? 1 : 0;
-          }
-        } else {
-          m = static_cast<std::uint32_t>(sieved.sieve(
-              kern, positions_, ri, row, ws.shortlist_count[i], sbox_, rc2));
-        }
-        if (!pairwise_only) {
-          rho = kern.rho_row_f32(raw, types_.data(), sieved.idx.data(),
-                                 sieved.r2.data(), m);
+      if (ws.rebuild) {
+        const std::size_t gathered_n =
+            gather_neighborhood(cx, cy, gathered.data());
+        ws.candidates[i] = static_cast<std::uint32_t>(gathered_n);
+        const std::size_t kept = kern.sieve_f32(
+            px, py, pz, ri.x, ri.y, ri.z, gathered.data(), gathered_n, sbox_,
+            keep2, row, sieved.dx.data(), sieved.dy.data(), sieved.dz.data(),
+            r2_kept.data());
+        ws.shortlist_count[i] = static_cast<std::uint32_t>(kept);
+        for (std::size_t k = 0; k < kept; ++k) {
+          sieved.idx[m] = row[k];
+          sieved.r2[m] = r2_kept[k];
+          m += r2_kept[k] < rc2 ? 1 : 0;
         }
       } else {
-        // Analytic path: per-candidate accept + direct potential calls.
-        const std::uint32_t* src = ws.rebuild ? gathered.data() : row;
-        const std::size_t count =
-            ws.rebuild ? gathered_n : ws.shortlist_count[i];
-        std::uint32_t kept = 0;
-        for (std::size_t k = 0; k < count; ++k) {
-          const std::uint32_t j = src[k];
-          const Vec3f d = minimum_image_f(ri, positions_.get(j));
-          const float r2 = dot(d, d);
-          if (ws.rebuild) {
-            if (r2 >= keep2) continue;
-            row[kept++] = j;
-          }
-          if (r2 >= rc2) continue;
-          ++m;
-          if (pairwise_only) continue;  // phase 3 skipped for pair styles
-          rho += static_cast<float>(potential_->density(
-              types_[j], std::sqrt(static_cast<double>(r2))));
-        }
-        if (ws.rebuild) ws.shortlist_count[i] = kept;
+        m = static_cast<std::uint32_t>(sieved.sieve(
+            kern, positions_, ri, row, ws.shortlist_count[i], sbox_, rc2));
       }
       ws.neighbor_count[i] = m;
-      if (pairwise_only) {
+      if (pairwise_only) {  // phase 3 skipped for pair styles
         ws.pe_embed[i] = 0.0;
         fprime_[i] = 0.0f;
-      } else if (prof != nullptr) {
-        float f, fp;
-        prof->embed(types_[i], rho, f, fp);
-        ws.pe_embed[i] = f;
-        fprime_[i] = fp;
-      } else {
-        ws.pe_embed[i] = potential_->embed(types_[i], rho);
-        fprime_[i] =
-            static_cast<float>(potential_->embed_deriv(types_[i], rho));
+        continue;
       }
+      const float rho = kern.rho_row_f32(raw, types_.data(), sieved.idx.data(),
+                                         sieved.r2.data(), m);
+      float f, fp;
+      profile_.embed(types_[i], rho, f, fp);
+      ws.pe_embed[i] = f;
+      fprime_[i] = fp;
     }
   }
 }
@@ -520,11 +485,9 @@ void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
   // exchange on the real machine.
   const auto dt = static_cast<float>(config_.dt);
   const auto rc2 = static_cast<float>(rcut_ * rcut_);
-  const eam::ProfileF32* prof = profile_.get();
   const bool pairwise_only = potential_->is_pairwise_only();
   const simd::KernelTable& kern = simd::kernels();
-  eam::ProfileF32::Raw raw{};
-  if (prof != nullptr) raw = prof->raw();
+  const eam::ProfileF32::Raw raw = profile_.raw();
   const long* cores = mapping_.core_atoms().data();
   const auto w = static_cast<std::size_t>(mapping_.grid_width());
   // Per-call scratch for the rcut row sieved from the shortlist.
@@ -535,47 +498,20 @@ void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
       if (ai < 0) continue;
       const auto i = static_cast<std::size_t>(ai);
       const Vec3f ri = positions_.get(i);
-      const float fprime_i = fprime_[i];
       const int ti = types_[i];
       const std::uint32_t* row =
           ws.shortlist_idx.data() + i * ws.shortlist_stride;
-      const std::uint32_t count = ws.shortlist_count[i];
-      Vec3f force{0, 0, 0};
-      float pair_acc = 0.0f;
-      std::uint32_t m = 0;
-      if (prof != nullptr) {
-        // Batched force row: one sieve of the shortlist hands each accepted
-        // pair's displacement and r2 straight to the 8-wide table sweeps.
-        m = static_cast<std::uint32_t>(
-            sieved.sieve(kern, positions_, ri, row, count, sbox_, rc2));
-        const simd::PairAccumF32 acc = kern.force_row_f32(
-            raw, types_.data(), fprime_.data(), fprime_i, ti,
-            sieved.idx.data(), sieved.dx.data(), sieved.dy.data(),
-            sieved.dz.data(), sieved.r2.data(), m, pairwise_only);
-        force = Vec3f{acc.fx, acc.fy, acc.fz};
-        pair_acc = acc.phi;
-      } else {
-        for (std::uint32_t k = 0; k < count; ++k) {
-          const std::uint32_t j = row[k];
-          const Vec3f d = minimum_image_f(ri, positions_.get(j));
-          const float r2 = dot(d, d);
-          if (r2 >= rc2) continue;
-          ++m;
-          const double rd = std::sqrt(static_cast<double>(r2));
-          pair_acc += static_cast<float>(potential_->pair(ti, types_[j], rd));
-          float fmag =
-              static_cast<float>(potential_->pair_deriv(ti, types_[j], rd));
-          if (!pairwise_only) {
-            fmag += fprime_i * static_cast<float>(
-                                   potential_->density_deriv(types_[j], rd)) +
-                    fprime_[j] * static_cast<float>(
-                                     potential_->density_deriv(ti, rd));
-          }
-          force += d * (fmag / static_cast<float>(rd));
-        }
-      }
-      ws.pair_half[i] = pair_acc;
+      // Batched force row: one sieve of the shortlist hands each accepted
+      // pair's displacement and r2 straight to the 8-wide table sweeps.
+      const auto m = static_cast<std::uint32_t>(sieved.sieve(
+          kern, positions_, ri, row, ws.shortlist_count[i], sbox_, rc2));
+      const simd::PairAccumF32 acc = kern.force_row_f32(
+          raw, types_.data(), fprime_.data(), fprime_[i], ti,
+          sieved.idx.data(), sieved.dx.data(), sieved.dy.data(),
+          sieved.dz.data(), sieved.r2.data(), m, pairwise_only);
+      ws.pair_half[i] = acc.phi;
 
+      const Vec3f force{acc.fx, acc.fy, acc.fz};
       const Vec3f a = force * inv_mass_[static_cast<std::size_t>(ti)];
       const Vec3f v_new = velocities_.get(i) + a * dt;
       ws.new_velocities.set(i, v_new);

@@ -5,7 +5,9 @@
 ///
 /// Each core is a worker owning at most one atom (id, position, velocity,
 /// FP32 — the paper's wafer kernels run single precision) plus local copies
-/// of the potential tables. A timestep executes the paper's five phases:
+/// of the potential tables: the phase kernels evaluate the potential only
+/// through one FP32 r²-indexed profile (eam/profile.hpp), never through its
+/// functional form. A timestep executes the paper's five phases:
 ///
 ///   1. Candidate exchange — multicast positions through the (2b+1)^2
 ///      neighborhood (systolic marching multicast; the wavelet-level
@@ -59,13 +61,6 @@ struct WseMdConfig {
   /// Neighborhood radius override; 0 derives the radius from the mapping
   /// (required_b plus one hop of slack for thermal motion).
   int b_override = 0;
-  /// Evaluate the phase-2..4 kernels from a flattened FP32 r²-indexed
-  /// PotentialProfile (eam/profile) — the paper's per-core table copies —
-  /// instead of virtual potential calls with a per-pair sqrt. Built once at
-  /// construction; deterministic, so checkpoint restore and serial-vs-
-  /// sharded parity are unaffected. `false` keeps the analytic path
-  /// (scenario key `potential = analytic`).
-  bool tabulated = true;
 };
 
 /// Per-step accounting, mirroring the counters the paper reports.
@@ -452,9 +447,6 @@ class WseMd {
   };
   const CumulativeStats& cumulative_stats() const { return cum_; }
 
-  /// The flattened FP32 evaluation tables (null on the analytic path).
-  const eam::ProfileF32* profile() const { return profile_.get(); }
-
  private:
   /// Candidate exchange for the atom on occupied core (cx, cy): writes the
   /// ids of its window's other atoms to `out` in arrival order and returns
@@ -494,11 +486,11 @@ class WseMd {
   /// wse.* counters.
   WseStepStats account_step(WseStepStats stats);
 
-  /// FP32 minimum-image displacement rj - ri (analytic path and the
-  /// shortlist displacement check; the tabulated path runs the batched
-  /// sieve instead). The candidate loops run this for every gathered
-  /// candidate, so it stays entirely in FP32. nearbyint — not round — so
-  /// the correction matches the SIMD kernels' round-half-even
+  /// FP32 minimum-image displacement rj - ri for the shortlist
+  /// displacement check (an atom's offset from its anchor; the phase
+  /// kernels run the batched sieve instead). It runs for every anchored
+  /// atom each step, so it stays entirely in FP32. nearbyint — not round —
+  /// so the correction matches the SIMD kernels' round-half-even
   /// `_mm256_round_ps` convention.
   Vec3f minimum_image_f(const Vec3f& ri, const Vec3f& rj) const {
     Vec3f d = rj - ri;
@@ -511,9 +503,12 @@ class WseMd {
 
   WseMdConfig config_;
   eam::EamPotentialPtr potential_;
-  eam::ProfileF32Ptr profile_;  ///< set when config_.tabulated
+  /// The paper's per-core table copies: one flattened FP32 r²-indexed
+  /// profile (eam/profile.hpp) every worker reads. The host holds one copy;
+  /// the real machine replicates it into each tile's SRAM.
+  eam::ProfileF32 profile_;
   Box box_;
-  // FP32 copies of the box geometry for the per-candidate minimum image.
+  // FP32 copies of the box geometry for the anchor displacement check.
   Vec3f box_len_f_{0, 0, 0};
   Vec3f box_inv_len_f_{0, 0, 0};
   std::array<bool, 3> box_periodic_{false, false, false};

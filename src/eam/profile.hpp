@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "eam/potential.hpp"
@@ -203,7 +202,5 @@ extern template class PotentialProfile<double>;
 
 using ProfileF32 = PotentialProfile<float>;
 using ProfileF64 = PotentialProfile<double>;
-using ProfileF32Ptr = std::shared_ptr<const ProfileF32>;
-using ProfileF64Ptr = std::shared_ptr<const ProfileF64>;
 
 }  // namespace wsmd::eam

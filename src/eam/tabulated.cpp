@@ -126,20 +126,6 @@ double TabulatedEam::embed_deriv(int type, double rho) const {
   return embed_[static_cast<std::size_t>(type)].derivative(rho);
 }
 
-const CubicSplineTable& TabulatedEam::density_table(int type) const {
-  WSMD_REQUIRE(type >= 0 && type < num_types(), "type out of range");
-  return rho_[static_cast<std::size_t>(type)];
-}
-
-const CubicSplineTable& TabulatedEam::embed_table(int type) const {
-  WSMD_REQUIRE(type >= 0 && type < num_types(), "type out of range");
-  return embed_[static_cast<std::size_t>(type)];
-}
-
-const CubicSplineTable& TabulatedEam::pair_table(int ti, int tj) const {
-  return pair_[pair_index(ti, tj)];
-}
-
 std::size_t TabulatedEam::table_bytes_fp32() const {
   std::size_t samples = 0;
   for (const auto& t : rho_) samples += t.n();

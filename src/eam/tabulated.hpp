@@ -41,13 +41,6 @@ class TabulatedEam final : public EamPotential {
   double embed(int type, double rho) const override;
   double embed_deriv(int type, double rho) const override;
 
-  /// Raw table access (used by the setfl writer and the WSE worker memory
-  /// model, which must account for per-core table bytes against the 48 kB
-  /// tile SRAM budget).
-  const CubicSplineTable& density_table(int type) const;
-  const CubicSplineTable& embed_table(int type) const;
-  const CubicSplineTable& pair_table(int ti, int tj) const;
-
   /// Total bytes of FP32 table data a single worker core must hold for one
   /// atom of each listed type (paper Sec. III-A worker state).
   std::size_t table_bytes_fp32() const;

@@ -25,10 +25,6 @@ ReferenceEngine::ReferenceEngine(const lattice::Structure& s,
   sim_.compute_forces();  // thermo() is meaningful from construction on
 }
 
-ReferenceEngine::ReferenceEngine(md::Simulation sim) : sim_(std::move(sim)) {
-  sim_.compute_forces();
-}
-
 std::vector<Vec3d> ReferenceEngine::positions() const {
   return sim_.system().positions().to_aos();
 }

@@ -18,8 +18,6 @@ class ReferenceEngine final : public Engine {
  public:
   ReferenceEngine(const lattice::Structure& s, eam::EamPotentialPtr potential,
                   md::SimulationConfig config = {});
-  /// Adopt an existing simulation (e.g. one already equilibrated).
-  explicit ReferenceEngine(md::Simulation sim);
 
   md::Simulation& simulation() { return sim_; }
   const md::Simulation& simulation() const { return sim_; }

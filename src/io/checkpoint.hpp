@@ -39,11 +39,13 @@ namespace wsmd::io {
 /// change to the embedded deck's semantics; readers reject other versions
 /// with a clear error instead of guessing.
 ///
-/// v2: the embedded deck pins `potential` / `pair_style`. A v1 checkpoint
-/// carries neither, and the runs that wrote it evaluated forces through
-/// the then-only analytic path — resolving the missing key to today's
-/// `tabulated` default would silently switch the evaluation kernels under
-/// a resumed trajectory, so v1 files are rejected instead.
+/// v2: the embedded deck pins `pair_style`. A v1 checkpoint carries no
+/// `pair_style` / `potential` keys, and the runs that wrote it evaluated
+/// forces through the analytic path, which no longer exists — a v1 file
+/// cannot resume its trajectory, so it is rejected. `potential` is now a
+/// legacy key: older v2 files embed `potential = tabulated`, which still
+/// parses and selects nothing; new files omit it (an older reader defaults
+/// the missing key to `tabulated`, the same engines).
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Little typed writer over a binary ostream. Strings and vectors are

@@ -138,27 +138,6 @@ void write_xyz_file(const std::string& path, const lattice::Structure& s,
   if (!os.good()) throw WriteError(path, "");
 }
 
-void write_lammps_dump_frame(std::ostream& os, const lattice::Structure& s,
-                             long timestep) {
-  const auto saved_precision = os.precision(10);
-  os << "ITEM: TIMESTEP\n" << timestep << '\n';
-  os << "ITEM: NUMBER OF ATOMS\n" << s.size() << '\n';
-  os << "ITEM: BOX BOUNDS";
-  for (std::size_t a = 0; a < 3; ++a) {
-    os << (s.box.periodic[a] ? " pp" : " ff");
-  }
-  os << '\n';
-  os << s.box.lo.x << ' ' << s.box.hi.x << '\n';
-  os << s.box.lo.y << ' ' << s.box.hi.y << '\n';
-  os << s.box.lo.z << ' ' << s.box.hi.z << '\n';
-  os << "ITEM: ATOMS id type x y z\n";
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    os << (i + 1) << ' ' << (s.types[i] + 1) << ' ' << s.positions[i].x << ' '
-       << s.positions[i].y << ' ' << s.positions[i].z << '\n';
-  }
-  os.precision(saved_precision);
-}
-
 std::vector<XyzFrame> read_xyz(std::istream& is) {
   std::vector<XyzFrame> frames;
   std::string line;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file xyz.hpp
-/// Extended-XYZ trajectory output and LAMMPS-style dump writing.
+/// Extended-XYZ trajectory output and reading.
 ///
 /// Used by the examples and the `wsmd` scenario driver so users can inspect
 /// slabs and grain boundaries in OVITO/VMD, the same tools used for figures
@@ -39,11 +39,6 @@ void write_xyz_frame(std::ostream& os, const lattice::Structure& s,
 void write_xyz_file(const std::string& path, const lattice::Structure& s,
                     const std::vector<std::string>& names,
                     const std::string& comment = "");
-
-/// Write a LAMMPS dump-style frame ("ITEM: TIMESTEP" etc., atom style
-/// "id type x y z").
-void write_lammps_dump_frame(std::ostream& os, const lattice::Structure& s,
-                             long timestep);
 
 /// One parsed XYZ frame (species as symbols; the comment line verbatim).
 struct XyzFrame {

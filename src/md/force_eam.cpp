@@ -1,7 +1,5 @@
 #include "md/force_eam.hpp"
 
-#include <cmath>
-
 #include "engine/shard_pool.hpp"
 #include "md/simd.hpp"
 #include "telemetry/telemetry.hpp"
@@ -51,104 +49,10 @@ simd::BoxF64 make_simd_box(const Box& box) {
 
 double EamForceKernel::compute(AtomSystem& system,
                                const NeighborList& neighbors,
-                               const eam::ProfileF64* profile,
-                               engine::ShardPool* pool, EvalPath path) {
+                               const eam::ProfileF64& prof,
+                               engine::ShardPool* pool) {
   WSMD_REQUIRE(neighbors.atom_count() == system.size(),
                "neighbor list built for a different atom count");
-  if (profile != nullptr) {
-    if (path == EvalPath::kPairwise) {
-      return compute_pairwise(system, neighbors, *profile);
-    }
-    return compute_batched(system, neighbors, *profile, pool);
-  }
-  return compute_analytic(system, neighbors, pool);
-}
-
-double EamForceKernel::compute_analytic(AtomSystem& system,
-                                        const NeighborList& neighbors,
-                                        engine::ShardPool* pool) {
-  const auto& pot = system.potential();
-  const auto& pos = system.positions();
-  const auto& types = system.types();
-  const Box& box = system.box();
-  const std::size_t n = system.size();
-
-  const double rc = pot.cutoff();
-  const double rc2 = rc * rc;
-  const bool pairwise_only = pot.is_pairwise_only();
-
-  auto& forces = system.forces();
-  forces.resize(n);
-
-  const std::size_t ntiles = (n + kForceTile - 1) / kForceTile;
-  tile_embed_.assign(ntiles, 0.0);
-  tile_pair_.assign(ntiles, 0.0);
-
-  // Pass 1: densities and embedding derivatives.
-  rho_.assign(n, 0.0);
-  fprime_.assign(n, 0.0);
-  if (!pairwise_only) {
-    for_tiles(pool, ntiles, [&](std::size_t t) {
-      const std::size_t i0 = t * kForceTile;
-      const std::size_t i1 = i0 + kForceTile < n ? i0 + kForceTile : n;
-      double embed_acc = 0.0;
-      for (std::size_t i = i0; i < i1; ++i) {
-        double rho = 0.0;
-        for (std::size_t j : neighbors.neighbors(i)) {
-          const Vec3d d = box.minimum_image(pos[i], pos[j]);
-          const double r2 = norm2(d);
-          if (r2 >= rc2) continue;
-          rho += pot.density(types[j], std::sqrt(r2));
-        }
-        rho_[i] = rho;
-        embed_acc += pot.embed(types[i], rho);
-        fprime_[i] = pot.embed_deriv(types[i], rho);
-      }
-      tile_embed_[t] = embed_acc;
-    });
-  }
-  // for_tiles barrier: every fprime_[j] is published before pass 2 reads it.
-
-  // Pass 2: pair + embedding forces.
-  for_tiles(pool, ntiles, [&](std::size_t t) {
-    const std::size_t i0 = t * kForceTile;
-    const std::size_t i1 = i0 + kForceTile < n ? i0 + kForceTile : n;
-    double pair_acc = 0.0;
-    for (std::size_t i = i0; i < i1; ++i) {
-      Vec3d f{0, 0, 0};
-      for (std::size_t j : neighbors.neighbors(i)) {
-        const Vec3d d = box.minimum_image(pos[i], pos[j]);  // rj - ri
-        const double r2 = norm2(d);
-        if (r2 >= rc2) continue;
-        const double r = std::sqrt(r2);
-        pair_acc += pot.pair(types[i], types[j], r);
-        double fmag = pot.pair_deriv(types[i], types[j], r);
-        if (!pairwise_only) {
-          fmag += fprime_[i] * pot.density_deriv(types[j], r) +
-                  fprime_[j] * pot.density_deriv(types[i], r);
-        }
-        // Force on i: -dU/dr * unit(ri - rj) == +fmag * unit(rj - ri) ...
-        // with fmag = dU/dr. Writing it via d = rj - ri keeps the signs
-        // compact.
-        f += d * (fmag / r);
-      }
-      forces[i] = f;
-    }
-    tile_pair_[t] = pair_acc;
-  });
-
-  e_embed_ = 0.0;
-  for (double e : tile_embed_) e_embed_ += e;
-  double pair_sum = 0.0;
-  for (double e : tile_pair_) pair_sum += e;
-  e_pair_ = 0.5 * pair_sum;  // full list counts each pair twice
-  return e_pair_ + e_embed_;
-}
-
-double EamForceKernel::compute_batched(AtomSystem& system,
-                                       const NeighborList& neighbors,
-                                       const eam::ProfileF64& prof,
-                                       engine::ShardPool* pool) {
   const auto& types = system.types();
   const std::size_t n = system.size();
 
@@ -244,73 +148,6 @@ double EamForceKernel::compute_batched(AtomSystem& system,
   double pair_sum = 0.0;
   for (double e : tile_pair_) pair_sum += e;
   e_pair_ = 0.5 * pair_sum;  // full list counts each pair twice
-  return e_pair_ + e_embed_;
-}
-
-double EamForceKernel::compute_pairwise(AtomSystem& system,
-                                        const NeighborList& neighbors,
-                                        const eam::ProfileF64& prof) {
-  const auto& pos = system.positions();
-  const auto& types = system.types();
-  const Box& box = system.box();
-  const std::size_t n = system.size();
-
-  const double rc2 = prof.cutoff_sq();
-  const bool pairwise_only = prof.pairwise_only();
-
-  auto& forces = system.forces();
-  forces.assign(n, Vec3d{0, 0, 0});
-
-  e_embed_ = 0.0;
-  e_pair_ = 0.0;
-
-  // Pass 1: densities and embedding derivatives — one r²-indexed lookup per
-  // accepted pair, no sqrt.
-  rho_.assign(n, 0.0);
-  fprime_.assign(n, 0.0);
-  if (!pairwise_only) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double rho = 0.0;
-      for (std::size_t j : neighbors.neighbors(i)) {
-        const Vec3d d = box.minimum_image(pos[i], pos[j]);
-        const double r2 = norm2(d);
-        if (r2 >= rc2) continue;
-        rho += prof.density(types[j], r2);
-      }
-      rho_[i] = rho;
-      double f, fp;
-      prof.embed(types[i], rho, f, fp);
-      e_embed_ += f;
-      fprime_[i] = fp;
-    }
-  }
-
-  // Pass 2: pair + embedding forces. The force kernels are tabulated
-  // pre-divided by r, so the update is one fused multiply per component —
-  // no sqrt, no division.
-  for (std::size_t i = 0; i < n; ++i) {
-    Vec3d f{0, 0, 0};
-    double pair_acc = 0.0;
-    const double fprime_i = fprime_[i];
-    const int ti = types[i];
-    for (std::size_t j : neighbors.neighbors(i)) {
-      const Vec3d d = box.minimum_image(pos[i], pos[j]);  // rj - ri
-      const double r2 = norm2(d);
-      if (r2 >= rc2) continue;
-      double phi, phi_force;
-      prof.pair(ti, types[j], r2, phi, phi_force);
-      pair_acc += phi;
-      double fmag_over_r = phi_force;
-      if (!pairwise_only) {
-        fmag_over_r += fprime_i * prof.density_force(types[j], r2) +
-                       fprime_[j] * prof.density_force(ti, r2);
-      }
-      f += d * fmag_over_r;
-    }
-    forces[i] = f;
-    e_pair_ += 0.5 * pair_acc;  // full list counts each pair twice
-  }
-
   return e_pair_ + e_embed_;
 }
 

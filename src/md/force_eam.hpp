@@ -11,15 +11,12 @@
 /// This is the same decomposition LAMMPS's pair_eam uses and the same terms
 /// the paper's per-core kernel computes (Table III).
 ///
-/// Evaluation paths sharing the pass structure:
-///   * analytic — virtual EamPotential calls with a per-pair sqrt (the
-///     ground-truth functional form, kept selectable for validation);
-///   * batched — the production hot path: a SIMD distance sieve compacts
-///     each neighbor row into accepted (idx, d, r²) lanes once, then the
-///     density and force passes run the vectorized r²-indexed
-///     PotentialProfile lookups (md/simd.hpp) over the compacted rows;
-///   * pairwise — the PR 5 scalar one-pair-at-a-time profile loop, kept as
-///     the bench comparator for the batching win.
+/// One evaluation path, the table-driven one every engine run takes: a SIMD
+/// distance sieve compacts each neighbor row into accepted (idx, d, r²)
+/// lanes once, then the density and force passes run the vectorized
+/// r²-indexed PotentialProfile lookups (md/simd.hpp) over the compacted
+/// rows. The analytic functional form is checked against it atom by atom
+/// in tests/md/test_forces.cpp.
 ///
 /// Threading: atoms are carved into fixed 256-atom tiles dispatched
 /// round-robin over an engine::ShardPool. Each tile writes only its own
@@ -45,22 +42,15 @@ namespace wsmd::md {
 /// Scratch + result holder for force evaluations; reusable across steps.
 class EamForceKernel {
  public:
-  enum class EvalPath {
-    kBatched,   ///< SIMD sieve + batched table lookups (default)
-    kPairwise,  ///< legacy scalar per-pair profile loop (bench comparator)
-  };
-
   /// Evaluate forces into `system.forces()`. Returns total potential energy
   /// (pair + embedding) in eV. The neighbor list must be current and built
   /// with the potential's cutoff (list entries beyond the cutoff are
-  /// filtered here — the list radius includes the skin). When `profile` is
-  /// non-null it must be built from the system's potential; the evaluation
-  /// then runs table-driven instead of through virtual calls. A non-null
-  /// `pool` threads the sweep (deterministically — see above).
+  /// filtered here — the list radius includes the skin). `profile` must be
+  /// built from the system's potential. A non-null `pool` threads the sweep
+  /// (deterministically — see above).
   double compute(AtomSystem& system, const NeighborList& neighbors,
-                 const eam::ProfileF64* profile = nullptr,
-                 engine::ShardPool* pool = nullptr,
-                 EvalPath path = EvalPath::kBatched);
+                 const eam::ProfileF64& profile,
+                 engine::ShardPool* pool = nullptr);
 
   /// Host densities from the most recent compute() (diagnostics/tests).
   const std::vector<double>& densities() const { return rho_; }
@@ -71,22 +61,14 @@ class EamForceKernel {
   double pair_energy() const { return e_pair_; }
 
  private:
-  double compute_analytic(AtomSystem& system, const NeighborList& neighbors,
-                          engine::ShardPool* pool);
-  double compute_batched(AtomSystem& system, const NeighborList& neighbors,
-                         const eam::ProfileF64& profile,
-                         engine::ShardPool* pool);
-  double compute_pairwise(AtomSystem& system, const NeighborList& neighbors,
-                          const eam::ProfileF64& profile);
-
   std::vector<double> rho_;
   std::vector<double> fprime_;
   double e_embed_ = 0.0;
   double e_pair_ = 0.0;
 
-  // Batched-path scratch: per-row compacted sieve output in one padded CSR
-  // block (row i starts at acc_off_[i]; the +kPadF64-per-row padding absorbs
-  // the sieve's full-width compaction stores), reused across steps.
+  // Per-row compacted sieve output in one padded CSR block (row i starts at
+  // acc_off_[i]; the +kPadF64-per-row padding absorbs the sieve's full-width
+  // compaction stores), reused across steps.
   std::vector<std::size_t> acc_off_;
   std::vector<std::uint32_t> acc_n_;
   std::vector<std::uint32_t> acc_idx_;

@@ -13,12 +13,10 @@ namespace wsmd::md {
 Simulation::Simulation(AtomSystem system, SimulationConfig config)
     : system_(std::move(system)),
       config_(config),
-      neighbors_(system_.potential().cutoff(), config.skin) {
+      neighbors_(system_.potential().cutoff(), config.skin),
+      profile_(system_.potential()) {
   WSMD_REQUIRE(config_.dt > 0.0, "timestep must be positive");
   WSMD_REQUIRE(config_.threads >= 0, "threads must be >= 0 (0 = auto)");
-  if (config_.tabulated) {
-    profile_ = std::make_shared<eam::ProfileF64>(system_.potential());
-  }
   int workers = config_.threads;
   if (workers == 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
@@ -41,7 +39,7 @@ double Simulation::compute_forces() {
     }
   }
   telemetry::ScopedSpan span("md.force");
-  last_pe_ = kernel_.compute(system_, neighbors_, profile_.get(), pool_.get());
+  last_pe_ = kernel_.compute(system_, neighbors_, profile_, pool_.get());
   forces_current_ = true;
   return last_pe_;
 }
@@ -105,7 +103,7 @@ void Simulation::restore_state(const SimulationState& state) {
   neighbors_.build(system_.box(), state.neighbor_anchor.empty()
                                       ? state.positions
                                       : state.neighbor_anchor);
-  last_pe_ = kernel_.compute(system_, neighbors_, profile_.get(), pool_.get());
+  last_pe_ = kernel_.compute(system_, neighbors_, profile_, pool_.get());
   forces_current_ = true;
 }
 

@@ -6,7 +6,9 @@
 ///
 /// This is the "LAMMPS role" in the reproduction: ground-truth FP64
 /// trajectories, equilibration, and the CPU-side baseline whose per-step
-/// cost the platform models (src/baseline) are calibrated against.
+/// cost the platform models (src/baseline) are calibrated against. Forces
+/// come from the FP64 PotentialProfile tables built at construction, the
+/// same representation the wafer engine evaluates in FP32.
 
 #include <functional>
 #include <memory>
@@ -31,11 +33,6 @@ struct SimulationConfig {
   std::optional<double> rescale_temperature_K;
   /// Rescale interval in steps (when rescale_temperature_K is set).
   int rescale_interval = 10;
-  /// Evaluate forces from a flattened r²-indexed PotentialProfile
-  /// (eam/profile, built once at construction) instead of virtual per-pair
-  /// potential calls — the production hot path. `false` keeps the analytic
-  /// functional form in the loop (scenario key `potential = analytic`).
-  bool tabulated = true;
   /// Worker threads for the force sweep (scenario backend `reference:N`).
   /// 1 = serial (no pool), 0 = hardware concurrency. Any value produces
   /// bitwise-identical trajectories: the sweep tiles atoms at a fixed width
@@ -106,15 +103,14 @@ class Simulation {
 
   const NeighborList& neighbor_list() const { return neighbors_; }
 
-  /// The flattened evaluation tables (null on the analytic path).
-  const eam::ProfileF64* profile() const { return profile_.get(); }
-
  private:
   AtomSystem system_;
   SimulationConfig config_;
   NeighborList neighbors_;
   EamForceKernel kernel_;
-  eam::ProfileF64Ptr profile_;  ///< set when config_.tabulated
+  /// The flattened r²-indexed evaluation tables, built once from the
+  /// system's potential (eam/profile.hpp).
+  eam::ProfileF64 profile_;
   /// Force-sweep worker pool (null when config_.threads resolves to 1).
   std::unique_ptr<engine::ShardPool> pool_;
   long step_ = 0;

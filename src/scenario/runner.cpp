@@ -211,12 +211,6 @@ void validate_resume(const Scenario& sc, const lattice::Structure& structure,
                                               << ") — the interaction "
                                                  "family is part of the "
                                                  "trajectory");
-  WSMD_REQUIRE(saved.potential == sc.potential,
-               "resume: potential= changed ("
-                   << saved.potential << " -> " << sc.potential
-                   << ") — the evaluation path (profile tables vs analytic "
-                      "form) is part of the trajectory, not an output "
-                      "option");
   WSMD_REQUIRE(saved.rescale_interval == sc.rescale_interval,
                "resume: rescale_interval changed ("
                    << saved.rescale_interval << " -> " << sc.rescale_interval

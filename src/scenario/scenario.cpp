@@ -205,10 +205,16 @@ Scenario scenario_from_deck(const Deck& deck) {
       }
       sc.pair_style = e.value;
     } else if (e.key == "potential") {
-      if (e.value != "tabulated" && e.value != "analytic") {
-        bad_entry(deck, e, "want tabulated|analytic");
+      // Legacy key, still accepted because every checkpoint written before
+      // its removal embeds it; both engines evaluate the profile tables
+      // only, so the one value left selects nothing.
+      if (e.value == "analytic") {
+        bad_entry(deck, e,
+                  "the analytic evaluation path was removed; engines "
+                  "evaluate the profile tables only (drop the key or set "
+                  "tabulated)");
       }
-      sc.potential = e.value;
+      if (e.value != "tabulated") bad_entry(deck, e, "want tabulated");
     } else if (e.key == "geometry") {
       if (e.value != "slab" && e.value != "bulk" &&
           e.value != "grain_boundary") {
@@ -681,11 +687,9 @@ Deck deck_from_scenario(const Scenario& sc) {
 
   add("name", sc.name);
   add("element", sc.element);
-  // Emitted unconditionally (defaults included): the checkpoint's embedded
-  // deck must pin the evaluation path, or a resume could silently continue
-  // a tabulated trajectory on the analytic kernels.
+  // Emitted unconditionally (default included): the checkpoint's embedded
+  // deck must pin the interaction family.
   add("pair_style", sc.pair_style);
-  add("potential", sc.potential);
   add("geometry", sc.geometry);
   if (sc.geometry == "grain_boundary") {
     add("tilt_angle_deg", num(sc.tilt_angle_deg));
@@ -902,14 +906,11 @@ std::unique_ptr<engine::Engine> build_engine(
   }
 
   engine::EngineConfig config;
-  const bool tabulated = sc.potential == "tabulated";
   config.reference.dt = sc.dt;
-  config.reference.tabulated = tabulated;
   // `reference:N` spins up the deterministic threaded force sweep; the
   // trajectory is bitwise-identical at any N (see md/force_eam.hpp).
   config.reference.threads = bs.threads;
   config.wafer.dt = sc.dt;
-  config.wafer.tabulated = tabulated;
   config.wafer.swap_interval = sc.swap_interval;
   config.wafer.mapping.cell_size = material_facts(sc).lattice_constant;
   config.threads = bs.threads;

@@ -16,10 +16,12 @@
 ///                                    (default) or built-in noble-gas LJ
 ///                                    (pure pair potential; the engines
 ///                                    skip the density pass)
-///   potential = tabulated|analytic — force-evaluation path: flattened
-///                                    r²-indexed profile tables (default,
-///                                    the paper's per-core table copies)
-///                                    or the analytic functional form
+///   potential = tabulated          — legacy: parsed so older decks and
+///                                    checkpoints still load, but selects
+///                                    nothing (both engines evaluate the
+///                                    r²-indexed profile tables only);
+///                                    `analytic` is rejected, the path
+///                                    was removed
 ///   geometry  = slab|bulk|grain_boundary
 ///   scale     = N                  — paper_slab divisor (geometry=slab,
 ///                                    when no explicit `replicate`)
@@ -144,7 +146,6 @@ struct Scenario {
   std::string name = "scenario";
   std::string element = "Cu";
   std::string pair_style = "eam";       ///< eam | lj
-  std::string potential = "tabulated";  ///< tabulated | analytic
   std::string geometry = "slab";  ///< slab | bulk | grain_boundary
   int scale = 64;                 ///< paper_slab divisor
   std::array<int, 3> replicate = {0, 0, 0};  ///< 0 = use paper slab / scale

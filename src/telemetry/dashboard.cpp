@@ -326,7 +326,8 @@ void write_dashboard_html(const std::string& path,
   std::ofstream os(path);
   WSMD_REQUIRE(os.good(), "cannot open dashboard file '" << path << "'");
   os << render_dashboard_html(input);
-  WSMD_REQUIRE(os.good(), "failed writing dashboard file '" << path << "'");
+  os.flush();
+  if (!os.good()) throw WriteError(path, "dashboard");
 }
 
 }  // namespace wsmd::telemetry

@@ -38,7 +38,8 @@ struct DashboardInput {
 /// only — no external references of any kind).
 std::string render_dashboard_html(const DashboardInput& input);
 
-/// Render and write to `path`.
+/// Render and write to `path`; throws WriteError naming it when the flushed
+/// page did not reach the file.
 void write_dashboard_html(const std::string& path,
                           const DashboardInput& input);
 

@@ -268,7 +268,8 @@ void write_trace_json(const std::string& path) {
     emit(obj);
   }
   os << "\n  ]\n}\n";
-  WSMD_REQUIRE(os.good(), "failed writing trace file '" << path << "'");
+  os.flush();
+  if (!os.good()) throw WriteError(path, "trace");
 }
 
 void write_metrics_jsonl(const std::string& path) {
@@ -292,7 +293,8 @@ void write_metrics_jsonl(const std::string& path) {
         "value", static_cast<long long>(value));
     os << obj.encode() << '\n';
   }
-  WSMD_REQUIRE(os.good(), "failed writing metrics file '" << path << "'");
+  os.flush();
+  if (!os.good()) throw WriteError(path, "metrics");
 }
 
 }  // namespace wsmd::telemetry

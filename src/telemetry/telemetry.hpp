@@ -134,13 +134,15 @@ std::vector<TraceEvent> trace_events();
 
 /// Write the captured events as a chrome://tracing / Perfetto "trace
 /// event" JSON document ({"traceEvents": [...]}; ph "X" complete events,
-/// timestamps in microseconds).
+/// timestamps in microseconds). Throws WriteError naming `path` when the
+/// flushed document did not reach the file.
 void write_trace_json(const std::string& path);
 
 /// Write span aggregates and counters as JSON-lines, one object per line
 /// in the BENCH-envelope encoding (util/bench_json): {"kind": "span",
 /// "name", "calls", "total_s", "mean_s", "max_s"} and {"kind": "counter",
-/// "name", "value"}.
+/// "name", "value"}. Throws WriteError naming `path` when the flushed rows
+/// did not reach the file.
 void write_metrics_jsonl(const std::string& path);
 
 }  // namespace wsmd::telemetry

@@ -32,11 +32,6 @@ void Fabric::set_role(int x, int y, int vc, McastRole role, Port downstream) {
   s.downstream = downstream;
 }
 
-McastRole Fabric::role(int x, int y, int vc) const {
-  WSMD_REQUIRE(in_bounds(x, y), "tile out of bounds");
-  return at(x, y).vc[static_cast<std::size_t>(vc)].router.role;
-}
-
 void Fabric::queue_send(int x, int y, int vc, std::vector<std::uint32_t> data,
                         std::vector<RouterCmd> commands, bool loopback) {
   WSMD_REQUIRE(in_bounds(x, y), "tile out of bounds");

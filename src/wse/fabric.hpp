@@ -42,7 +42,6 @@ class Fabric {
 
   /// Configure the multicast role of one tile on one channel.
   void set_role(int x, int y, int vc, McastRole role, Port downstream);
-  McastRole role(int x, int y, int vc) const;
 
   /// Queue the data vector a core will multicast when it becomes Head on
   /// `vc` (sent exactly once; a trailing command wavelet with the given

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "../md/analytic_eam.hpp"
 #include "eam/zhou.hpp"
 #include "lattice/grain_boundary.hpp"
 #include "lattice/lattice.hpp"
@@ -322,36 +323,13 @@ TEST(WseMd, BOverrideRespected) {
   EXPECT_EQ(engine.b(), 6);
 }
 
-TEST(WseMd, CandidateAndNeighborCountsIdenticalAcrossPotentialModes) {
-  // The r² < rcut² accept test is the *same computation* on the analytic
-  // and profiled paths — the sqrt/FP64-widening hoist moved all heavy work
-  // behind the accept test, so which pairs interact cannot depend on the
-  // evaluation mode. Pin it: identical state in, identical candidate and
-  // neighbor counts out.
+TEST(WseMd, AcceptedPairCountMatchesBruteForce) {
+  // Regression anchor for the accept test: the engine's accepted count
+  // must equal an independent FP32 brute-force pair count at the pre-step
+  // positions (the open slab needs no minimum image, and b is wide enough
+  // that every in-range pair is a candidate).
   Fixture f;
-  WseMdConfig tab_cfg = f.config();
-  tab_cfg.tabulated = true;
-  WseMdConfig ana_cfg = f.config();
-  ana_cfg.tabulated = false;
-  WseMd tab(f.structure, f.potential, tab_cfg);
-  WseMd ana(f.structure, f.potential, ana_cfg);
-  ASSERT_NE(tab.profile(), nullptr);
-  ASSERT_EQ(ana.profile(), nullptr);
-
-  Rng rng(17);
-  tab.thermalize(420.0, rng);
-  ana.set_velocities(tab.velocities());
-
-  const auto st = tab.step();
-  const auto sa = ana.step();
-  EXPECT_EQ(st.mean_candidates, sa.mean_candidates);
-  EXPECT_EQ(st.mean_interactions, sa.mean_interactions);
-
-  // Regression anchor for the accept test itself: the engine's accepted
-  // count must equal an independent FP32 brute-force pair count at the
-  // pre-step positions (the open slab needs no minimum image, and b is
-  // wide enough that every in-range pair is a candidate).
-  WseMd fresh(f.structure, f.potential, tab_cfg);
+  WseMd fresh(f.structure, f.potential, f.config());
   fresh.set_velocities(std::vector<Vec3d>(f.structure.size(), Vec3d{}));
   const auto positions = fresh.positions();
   const auto rc2 =
@@ -372,16 +350,18 @@ TEST(WseMd, CandidateAndNeighborCountsIdenticalAcrossPotentialModes) {
 }
 
 TEST(WseMd, ProfiledEnergyTracksAnalyticEnergy) {
-  // Cross-mode sanity at the engine level: same configuration, both
-  // evaluation paths, energies within table-interpolation + FP32 noise.
+  // The engine's FP32 table energy against the analytic FP64 oracle at the
+  // engine's own FP32-rounded positions: within table-interpolation + FP32
+  // noise.
   Fixture f = periodic_fixture();
-  WseMdConfig tab_cfg = f.config();
-  WseMdConfig ana_cfg = f.config();
-  ana_cfg.tabulated = false;
-  WseMd tab(f.structure, f.potential, tab_cfg);
-  WseMd ana(f.structure, f.potential, ana_cfg);
-  EXPECT_NEAR(tab.potential_energy(), ana.potential_energy(),
-              1e-4 * std::fabs(ana.potential_energy()) + 1e-3);
+  WseMd wse(f.structure, f.potential, f.config());
+  lattice::Structure held = f.structure;
+  held.positions = wse.positions();
+  md::AtomSystem sys(held, f.potential);
+  md::NeighborList nl(f.potential->cutoff(), 0.5);
+  nl.build(sys.box(), sys.positions());
+  const double e_ref = md::oracle::AnalyticEamKernel().compute(sys, nl);
+  EXPECT_NEAR(wse.potential_energy(), e_ref, 1e-4 * std::fabs(e_ref) + 1e-3);
 }
 
 /// One timestep through the public phase-kernel interface (the serial
@@ -451,7 +431,7 @@ int expect_cache_parity(WseMd& warm, StepWorkspace& ws, WseMd& cold,
 
 TEST(WseMdShortlist, GrainBoundaryWithSwapsMatchesFullSieve) {
   // The ta_gb regime: swaps every 10 steps rebuild the shortlist, the
-  // steps between reuse it. Both potential modes read the same shortlist.
+  // steps between reuse it.
   lattice::GrainBoundaryParams gb;
   gb.element = "Ta";
   gb.tilt_angle_deg = 16.0;
@@ -459,21 +439,17 @@ TEST(WseMdShortlist, GrainBoundaryWithSwapsMatchesFullSieve) {
   const auto p = eam::zhou_parameters("Ta");
   const auto potential =
       std::make_shared<eam::ZhouEam>("Ta", p.paper_cutoff());
-  for (const bool tabulated : {true, false}) {
-    WseMdConfig cfg;
-    cfg.mapping.cell_size = p.lattice_constant();
-    cfg.swap_interval = 10;
-    cfg.tabulated = tabulated;
-    WseMd warm(s.structure, potential, cfg);
-    WseMd cold(s.structure, potential, cfg);
-    Rng r1(31), r2(31);
-    warm.thermalize(290.0, r1);
-    cold.thermalize(290.0, r2);
-    StepWorkspace ws;
-    expect_cache_parity(warm, ws, cold, 45,
-                        tabulated ? "gb tabulated" : "gb analytic");
-    EXPECT_GT(warm.cumulative_stats().swap_steps, 0);
-  }
+  WseMdConfig cfg;
+  cfg.mapping.cell_size = p.lattice_constant();
+  cfg.swap_interval = 10;
+  WseMd warm(s.structure, potential, cfg);
+  WseMd cold(s.structure, potential, cfg);
+  Rng r1(31), r2(31);
+  warm.thermalize(290.0, r1);
+  cold.thermalize(290.0, r2);
+  StepWorkspace ws;
+  expect_cache_parity(warm, ws, cold, 45, "gb");
+  EXPECT_GT(warm.cumulative_stats().swap_steps, 0);
 }
 
 TEST(WseMdShortlist, HotRunRebuildsOnDisplacementAlone) {

@@ -31,11 +31,9 @@ lattice::Structure jittered_ta(unsigned seed) {
   return s;
 }
 
-Simulation make_sim(const lattice::Structure& s, int threads,
-                    bool tabulated) {
+Simulation make_sim(const lattice::Structure& s, int threads) {
   SimulationConfig cfg;
   cfg.threads = threads;
-  cfg.tabulated = tabulated;
   Simulation sim(AtomSystem(s, std::make_shared<eam::ZhouEam>("Ta")), cfg);
   Rng rng(99);
   sim.system().thermalize(300.0, rng);  // same seed -> same velocities
@@ -65,34 +63,24 @@ class ThreadedForce : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadedForce, SingleEvaluationMatchesSerialBitwise) {
   const auto s = jittered_ta(31);
-  auto serial = make_sim(s, 1, /*tabulated=*/true);
-  auto threaded = make_sim(s, GetParam(), /*tabulated=*/true);
+  auto serial = make_sim(s, 1);
+  auto threaded = make_sim(s, GetParam());
   const double pe1 = serial.compute_forces();
   const double pen = threaded.compute_forces();
   EXPECT_EQ(pe1, pen);
-  expect_bitwise_equal(serial, threaded, "single tabulated eval");
+  expect_bitwise_equal(serial, threaded, "single eval");
 }
 
 TEST_P(ThreadedForce, TrajectoryMatchesSerialBitwise) {
   const auto s = jittered_ta(32);
-  auto serial = make_sim(s, 1, /*tabulated=*/true);
-  auto threaded = make_sim(s, GetParam(), /*tabulated=*/true);
+  auto serial = make_sim(s, 1);
+  auto threaded = make_sim(s, GetParam());
   const auto t1 = serial.run(12);
   const auto tn = threaded.run(12);
   EXPECT_EQ(t1.potential_energy, tn.potential_energy);
   EXPECT_EQ(t1.total_energy, tn.total_energy);
   EXPECT_EQ(t1.temperature, tn.temperature);
-  expect_bitwise_equal(serial, threaded, "12-step tabulated trajectory");
-}
-
-TEST_P(ThreadedForce, AnalyticPathMatchesSerialBitwise) {
-  const auto s = jittered_ta(33);
-  auto serial = make_sim(s, 1, /*tabulated=*/false);
-  auto threaded = make_sim(s, GetParam(), /*tabulated=*/false);
-  const auto t1 = serial.run(5);
-  const auto tn = threaded.run(5);
-  EXPECT_EQ(t1.potential_energy, tn.potential_energy);
-  expect_bitwise_equal(serial, threaded, "5-step analytic trajectory");
+  expect_bitwise_equal(serial, threaded, "12-step trajectory");
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ThreadedForce,

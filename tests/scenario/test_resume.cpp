@@ -10,13 +10,16 @@
 /// FP32 acceptance band).
 ///
 /// Also covered: the checkpoint deck keys' eager validation, the
-/// embedded-deck round trip (deck_from_scenario), and the rejection of
-/// resumes whose overrides change the schedule or the structure.
+/// embedded-deck round trip (deck_from_scenario), the rejection of
+/// resumes whose overrides change the schedule or the structure, and the
+/// legacy `potential` key older checkpoints embed.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -257,36 +260,42 @@ TEST(Resume, RejectsScheduleAndStructureChanges) {
     EXPECT_THROW(resume_scenario(scenario_from_deck(rdeck), ckpt, {}),
                  wsmd::Error);
   }
-  {
-    // The potential evaluation path (profile tables vs analytic form) is
-    // part of the trajectory: a checkpoint written under
-    // potential=tabulated (the default) must not continue on the analytic
-    // kernels.
-    Deck rdeck = embedded_deck(ckpt);
-    rdeck.set("potential", "analytic");
-    rdeck.set("observe.prefix", base + ".r10");
-    EXPECT_THROW(resume_scenario(scenario_from_deck(rdeck), ckpt, {}),
-                 wsmd::Error);
-  }
   for (const auto& o : result.observables) std::remove(o.path.c_str());
   std::remove((base + ".ckpt").c_str());
 }
 
-TEST(Resume, AnalyticModeResumesBitwiseUnderItsOwnKey) {
-  // The analytic path keeps the same kill-and-resume guarantee as the
-  // tabulated default — and the embedded deck carries `potential =
-  // analytic`, so a plain resume continues on the matching kernels.
-  const std::string base = ::testing::TempDir() + "wsmd_resume_analytic";
+std::string file_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// `ckpt` with a `potential = <value>` entry after `pair_style`, where
+/// checkpoints embedded it before the key became legacy.
+io::CheckpointData with_potential_key(io::CheckpointData ckpt,
+                                      const std::string& value) {
+  auto& deck = ckpt.deck;
+  auto at = deck.begin();
+  while (at != deck.end() && at->first != "pair_style") ++at;
+  if (at != deck.end()) ++at;
+  deck.insert(at, {"potential", value});
+  return ckpt;
+}
+
+TEST(Resume, LegacyPotentialKeyInTheCheckpointDeck) {
+  // Checkpoints written while `potential` still selected a path embed it.
+  // `tabulated` (the only value a production run wrote) must resume with a
+  // byte-identical thermo tail; `analytic` names the removed path and must
+  // fail with a typed error instead of continuing on the tables.
+  const std::string base = ::testing::TempDir() + "wsmd_resume_legacy";
   const char* spec =
       "element = Cu\n"
       "geometry = slab\n"
       "scale = 64\n"
-      "potential = analytic\n"
       "thermalize = 120\n"
       "run = 12\n"
       "thermo_every = 1\n";
-  Deck deck = parse_deck_string(spec, "<analytic-resume>");
-  deck.set("name", "analytic_resume");
+  Deck deck = parse_deck_string(spec, "<legacy-resume>");
+  deck.set("name", "legacy_resume");
   deck.set("thermo", base + ".straight.thermo.csv");
   deck.set("checkpoint.every", "6");
   deck.set("checkpoint.path", base + ".*.ckpt");
@@ -294,19 +303,55 @@ TEST(Resume, AnalyticModeResumesBitwiseUnderItsOwnKey) {
   ASSERT_GE(straight.checkpoints_written, 2u);
 
   const auto ckpt = io::read_checkpoint_file(base + ".6.ckpt");
-  EXPECT_EQ(embedded_deck(ckpt).get("potential"), "analytic");
-  Deck rdeck = embedded_deck(ckpt);
+  EXPECT_EQ(embedded_deck(ckpt).get("potential", "absent"), "absent")
+      << "new checkpoints no longer embed the legacy key";
+
+  io::write_checkpoint_file(base + ".legacy.ckpt",
+                            with_potential_key(ckpt, "tabulated"));
+  const auto legacy = io::read_checkpoint_file(base + ".legacy.ckpt");
+  ASSERT_EQ(embedded_deck(legacy).get("potential"), "tabulated");
+  Deck rdeck = embedded_deck(legacy);
   rdeck.set("thermo", base + ".resumed.thermo.csv");
   rdeck.set("checkpoint.every", "0");
-  resume_scenario(scenario_from_deck(rdeck), ckpt, {});
+  resume_scenario(scenario_from_deck(rdeck), legacy, {});
+  const std::string full = file_text(base + ".straight.thermo.csv");
+  const std::string tail = file_text(base + ".resumed.thermo.csv");
+  const std::size_t header = tail.find('\n') + 1;
+  ASSERT_GT(header, 1u);
+  EXPECT_EQ(full.compare(0, header, tail, 0, header), 0) << "thermo header";
+  ASSERT_GT(full.size(), tail.size());
+  EXPECT_EQ(full.compare(full.size() - (tail.size() - header),
+                         std::string::npos, tail, header),
+            0)
+      << "the resumed thermo rows must be the straight run's last rows, "
+         "byte for byte";
 
-  expect_rows_equal(
-      io::read_series_csv_file(base + ".straight.thermo.csv"),
-      io::read_series_csv_file(base + ".resumed.thermo.csv"),
-      /*from_step=*/6, "analytic thermo");
+  io::write_checkpoint_file(base + ".analytic.ckpt",
+                            with_potential_key(ckpt, "analytic"));
+  const auto analytic = io::read_checkpoint_file(base + ".analytic.ckpt");
+  for (const bool via_runner : {false, true}) {
+    try {
+      // `wsmd resume` parses the embedded deck; the runner re-parses it
+      // to check the resumed scenario against it.
+      if (via_runner) {
+        Deck fresh = deck;
+        fresh.set("thermo", base + ".never.thermo.csv");
+        fresh.set("checkpoint.every", "0");
+        resume_scenario(scenario_from_deck(fresh), analytic, {});
+      } else {
+        scenario_from_deck(embedded_deck(analytic));
+      }
+      ADD_FAILURE() << "an analytic checkpoint must not resume";
+    } catch (const wsmd::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "analytic evaluation path was removed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   for (const auto* suffix :
-       {".straight.thermo.csv", ".resumed.thermo.csv", ".6.ckpt",
-        ".12.ckpt"}) {
+       {".straight.thermo.csv", ".resumed.thermo.csv", ".never.thermo.csv",
+        ".6.ckpt", ".12.ckpt", ".legacy.ckpt", ".analytic.ckpt"}) {
     std::remove((base + suffix).c_str());
   }
 }

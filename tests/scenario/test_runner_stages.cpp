@@ -14,9 +14,9 @@
 ///     under --output-dir with proper path semantics, and nested parents
 ///     are created.
 ///
-///   - A full disk fails the run: thermo rows, the summary and probe
-///     streams that never reach their file raise WriteError, and the
-///     `wsmd` CLI (run and analyze) exits 1.
+///   - A full disk fails the run: thermo rows, the summary, probe streams
+///     and the trace export that never reach their file raise WriteError,
+///     and the `wsmd` CLI (run and analyze) exits 1.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -187,6 +187,45 @@ TEST(FullDisk, WsmdExitsOne) {
     ASSERT_TRUE(WIFEXITED(status)) << key;
     EXPECT_EQ(WEXITSTATUS(status), 1) << key;
   }
+}
+
+TEST(FullDisk, TraceExportFailsTheRun) {
+  // A trace small enough to sit in the stream's buffer until the final
+  // flush must still fail the run when that flush does not reach the file.
+  if (!dev_full_writable()) GTEST_SKIP() << "/dev/full cannot be opened";
+  const fs::path dir = fs::temp_directory_path() / "wsmd_full_trace";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path trace = dir / "run.trace.json";
+  fs::create_symlink("/dev/full", trace);
+  const std::string spec =
+      "name = full_trace\n"
+      "element = Ta\n"
+      "geometry = slab\n"
+      "replicate = 3 3 2\n"
+      "seed = 5\n"
+      "thermalize = 300\n"
+      "run = 5\n"
+      "telemetry.trace = " +
+      trace.string() + "\n";
+  try {
+    run_scenario(scenario_from_deck(parse_deck_string(spec, "trace.deck")));
+    ADD_FAILURE() << "a trace on a full disk must fail the run";
+  } catch (const WriteError& ex) {
+    EXPECT_EQ(ex.path(), trace.string());
+  }
+  const fs::path wsmd =
+      fs::read_symlink("/proc/self/exe").parent_path() / "wsmd";
+  if (fs::exists(wsmd)) {
+    const std::string deck = (dir / "trace.deck").string();
+    std::ofstream(deck) << spec;
+    const int status = std::system(
+        (wsmd.string() + " --quiet " + deck + " 2>/dev/null >/dev/null")
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+  }
+  fs::remove_all(dir);
 }
 
 /// A temp directory whose `<prefix>.rdf.csv` and `<prefix>.analysis.rdf.csv`
