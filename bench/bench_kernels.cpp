@@ -25,12 +25,14 @@
 /// Do not edit them: a changed yardstick changes what every floor means.
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -446,33 +448,73 @@ class FrozenAnalyticWafer {
 
 /// --- BENCH_kernels.json: production paths vs the frozen loops -----------
 
-/// Evaluations per second of `fn`: one warmup call (touch tables, fault
-/// pages, warm the branch predictors), then three independent ~0.25 s
-/// trials; the best trial is reported. A single trial was at the mercy of
-/// whatever else the CI runner scheduled during it — the max of three is a
-/// far better estimate of the kernel's actual speed, and the speedup
-/// *ratios* the gate enforces divide two best-of-3 values measured
-/// back-to-back on the same machine.
-template <typename Fn>
-double evals_per_second(const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warmup
-  double best = 0.0;
-  for (int trial = 0; trial < 3; ++trial) {
-    long iters = 0;
-    const auto start = clock::now();
-    double elapsed = 0.0;
-    while (elapsed < 0.25) {
-      fn();
-      ++iters;
-      elapsed = std::chrono::duration<double>(clock::now() - start).count();
-    }
-    best = std::max(best, static_cast<double>(iters) / elapsed);
+/// Pins the calling thread to the core it runs on, until destroyed, as the
+/// e2e harness's CorePin does: no trial pays for a migration to another
+/// core, and every path of a ratio runs on the same core.
+class CorePin {
+ public:
+  CorePin() {
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
   }
-  return best;
+  ~CorePin() {
+    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  CorePin(const CorePin&) = delete;
+  CorePin& operator=(const CorePin&) = delete;
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
+/// Evaluations per second of each of `fns`, interleaved: one warmup call
+/// each (touch tables, fault pages, warm the branch predictors), then seven
+/// rounds in which every function runs one ~0.15 s trial in turn; each
+/// reports its median trial. The ratio floors divide two of these rates,
+/// and interleaving puts both sides of a ratio into the same stretches of
+/// host time, so a host that speeds up or slows down mid-run moves both
+/// alike. On a 4-vCPU KVM guest whose speed swung by up to 1.5x within one
+/// run, paths timed one after another (best of three 0.25 s trials each)
+/// once halved a numerator and failed its floor, and a best-of-seven rate
+/// still jumped when one trial caught a fast stretch; in 12 runs with the
+/// median of interleaved trials no floor failed.
+std::vector<double> evals_per_second(
+    const std::vector<std::function<void()>>& fns) {
+  using clock = std::chrono::steady_clock;
+  constexpr int kRounds = 7;
+  constexpr double kTrialSeconds = 0.15;
+  for (const auto& fn : fns) fn();  // warmup
+  std::vector<std::vector<double>> rates(fns.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t f = 0; f < fns.size(); ++f) {
+      long iters = 0;
+      const auto start = clock::now();
+      double elapsed = 0.0;
+      while (elapsed < kTrialSeconds) {
+        fns[f]();
+        ++iters;
+        elapsed =
+            std::chrono::duration<double>(clock::now() - start).count();
+      }
+      rates[f].push_back(static_cast<double>(iters) / elapsed);
+    }
+  }
+  std::vector<double> median(fns.size());
+  for (std::size_t f = 0; f < fns.size(); ++f) {
+    std::nth_element(rates[f].begin(), rates[f].begin() + kRounds / 2,
+                     rates[f].end());
+    median[f] = rates[f][kRounds / 2];
+  }
+  return median;
 }
 
 void emit_pairs_bench() {
+  const CorePin pin;
   const auto p = eam::zhou_parameters("Ta");
 
   // FP64 reference force kernel: same system, same neighbor list, the
@@ -491,26 +533,36 @@ void emit_pairs_bench() {
   const eam::ProfileF64 prof64(*pot);
   double sink = 0.0;
   FrozenAnalyticF64 analytic64;
-  const double ref_analytic = ref_pairs * evals_per_second([&] {
-                                sink += analytic64.compute(sys, nl);
-                              });
   // The de-virtualized per-pair profile loop: the soa-vs-profile ratio
   // below is the measured win of batching alone.
   FrozenProfileF64 profile64;
-  const double ref_profile = ref_pairs * evals_per_second([&] {
-                               sink += profile64.compute(sys, nl, prof64);
-                             });
   // The production hot path: SoA pair batches through the dispatched
-  // simd kernels, on the active tier and pinned to the scalar tier.
+  // simd kernels, on the active tier and forced to the scalar tier — and,
+  // when the active tier is wider than AVX2, forced to AVX2 too, so the
+  // gain of the wider tier is a same-run ratio.
   md::EamForceKernel kernel;
-  const double ref_soa = ref_pairs * evals_per_second([&] {
-                           sink += kernel.compute(sys, nl, prof64);
-                         });
-  simd::set_tier_override(simd::Tier::kScalar);
-  const double ref_soa_scalar = ref_pairs * evals_per_second([&] {
-                                  sink += kernel.compute(sys, nl, prof64);
-                                });
+  const auto soa_on = [&](simd::Tier tier) {
+    return [&, tier] {
+      simd::set_tier_override(tier);
+      sink += kernel.compute(sys, nl, prof64);
+    };
+  };
+  const simd::Tier active = simd::active_tier();
+  const bool wider_than_avx2 =
+      static_cast<int>(active) > static_cast<int>(simd::Tier::kAvx2) &&
+      simd::tier_supported(simd::Tier::kAvx2);
+  std::vector<std::function<void()>> ref_paths = {
+      [&] { sink += analytic64.compute(sys, nl); },
+      [&] { sink += profile64.compute(sys, nl, prof64); },
+      soa_on(active), soa_on(simd::Tier::kScalar)};
+  if (wider_than_avx2) ref_paths.push_back(soa_on(simd::Tier::kAvx2));
+  const std::vector<double> ref_rates = evals_per_second(ref_paths);
   simd::clear_tier_override();
+  const double ref_analytic = ref_pairs * ref_rates[0];
+  const double ref_profile = ref_pairs * ref_rates[1];
+  const double ref_soa = ref_pairs * ref_rates[2];
+  const double ref_soa_scalar = ref_pairs * ref_rates[3];
+  const double ref_soa_avx2 = wider_than_avx2 ? ref_pairs * ref_rates[4] : 0.0;
 
   // FP32 wafer step (phases 1-4): serial WseMd on a paper-slab miniature,
   // running the batched SoA phase kernels; pairs = accepted interactions
@@ -525,16 +577,20 @@ void emit_pairs_bench() {
   FrozenAnalyticWafer ana(tab, slab, pot);
   const double wafer_pairs =
       tab.step().mean_interactions * static_cast<double>(tab.atom_count());
-  const double wafer_soa =
-      wafer_pairs * evals_per_second([&] { sink += tab.step().max_cycles; });
-  simd::set_tier_override(simd::Tier::kScalar);
-  const double wafer_soa_scalar =
-      wafer_pairs * evals_per_second([&] { sink += tab.step().max_cycles; });
-  simd::clear_tier_override();
   const auto ana_pairs = static_cast<double>(ana.sweep());
-  const double wafer_analytic = ana_pairs * evals_per_second([&] {
-                                  sink += static_cast<double>(ana.sweep());
-                                });
+  const auto step_on = [&](simd::Tier tier) {
+    return [&, tier] {
+      simd::set_tier_override(tier);
+      sink += tab.step().max_cycles;
+    };
+  };
+  const std::vector<double> wafer_rates = evals_per_second(
+      {step_on(active), step_on(simd::Tier::kScalar),
+       [&] { sink += static_cast<double>(ana.sweep()); }});
+  simd::clear_tier_override();
+  const double wafer_soa = wafer_pairs * wafer_rates[0];
+  const double wafer_soa_scalar = wafer_pairs * wafer_rates[1];
+  const double wafer_analytic = ana_pairs * wafer_rates[2];
 
   BenchJson out("kernels");
   out.meta()
@@ -545,7 +601,7 @@ void emit_pairs_bench() {
       .set("wafer_pairs_per_step", wafer_pairs)
       .set("profile_table_bytes_fp32",
            eam::ProfileF32(*pot).table_bytes())
-      .set("simd_tier", simd::tier_name(simd::active_tier()))
+      .set("simd_tier", simd::tier_name(active))
       .set("sink", sink);  // defeat dead-code elimination
   out.add_row()
       .set("kernel", "reference")
@@ -569,6 +625,13 @@ void emit_pairs_bench() {
       .set("path", "soa_scalar")
       .set("precision", "fp64")
       .set("pairs_per_s", ref_soa_scalar);
+  if (wider_than_avx2) {
+    out.add_row()
+        .set("kernel", "reference")
+        .set("path", "soa_avx2")
+        .set("precision", "fp64")
+        .set("pairs_per_s", ref_soa_avx2);
+  }
   out.add_row()
       .set("kernel", "wafer")
       .set("path", "analytic")
@@ -586,11 +649,15 @@ void emit_pairs_bench() {
       .set("precision", "fp32")
       .set("pairs_per_s", wafer_soa_scalar);
   const auto path = out.write(".");
-  std::printf("\n[simd tier: %s]\n", simd::tier_name(simd::active_tier()));
+  std::printf("\n[simd tier: %s]\n", simd::tier_name(active));
   std::printf("pairs/sec (FP64 reference): analytic %.3g, profile %.3g "
               "(%.2fx), soa %.3g (%.2fx vs profile), soa_scalar %.3g\n",
               ref_analytic, ref_profile, ref_profile / ref_analytic,
               ref_soa, ref_soa / ref_profile, ref_soa_scalar);
+  if (wider_than_avx2) {
+    std::printf("pairs/sec (FP64 reference): soa_avx2 %.3g (%s %.2fx)\n",
+                ref_soa_avx2, simd::tier_name(active), ref_soa / ref_soa_avx2);
+  }
   std::printf("pairs/sec (FP32 wafer):     analytic %.3g, soa %.3g "
               "(%.2fx), soa_scalar %.3g\n",
               wafer_analytic, wafer_soa, wafer_soa / wafer_analytic,

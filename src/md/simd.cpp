@@ -2,12 +2,13 @@
 /// Tier dispatch plus the canonical scalar kernels.
 ///
 /// This TU is compiled with `-ffp-contract=off` (see CMakeLists.txt): the
-/// scalar kernels below are the bitwise specification the AVX2 TU must
-/// match, so the compiler may not fuse the written mul/add sequences into
-/// FMAs the vector code does not issue. Each kernel walks fixed-width lane
-/// blocks, evaluates every lane with the same expression order the vector
-/// path uses, zeroes remainder lanes, and reduces with the exact AVX2
-/// horizontal-add tree (see simd.hpp).
+/// scalar kernels below are the bitwise specification the AVX2 and AVX-512
+/// TUs must match, so the compiler may not fuse the written mul/add
+/// sequences into FMAs the vector code does not issue. Each kernel walks
+/// fixed-width lane blocks, evaluates every lane with the same expression
+/// order the vector paths use, zeroes remainder lanes, and reduces with the
+/// exact AVX2 horizontal-add tree (see simd.hpp); an AVX-512 block is two
+/// of these blocks.
 
 #include "md/simd.hpp"
 
@@ -240,33 +241,33 @@ const KernelTable kScalarTable = {
 
 // --- Dispatch -------------------------------------------------------------
 
-bool cpu_supports(Tier t) {
-  if (t == Tier::kScalar) return true;
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
+// The vector table a tier runs (nullptr when not compiled in).
+const KernelTable* vector_table(Tier t) {
+  switch (t) {
+    case Tier::kAvx2:
+      return detail::avx2_table();
+    case Tier::kAvx512:
+      return detail::avx512_table();
+    case Tier::kScalar:
+      break;
+  }
+  return nullptr;
 }
 
+// WSMD_SIMD_TIER is user input: its errors name the variable, not the code.
 Tier resolve_default_tier() {
-  Tier t = runtime_tier();
-  if (const char* env = std::getenv("WSMD_SIMD_TIER")) {
-    const std::string s(env);
-    if (s == "scalar") {
-      t = Tier::kScalar;
-    } else if (s == "avx2") {
-      WSMD_REQUIRE(tier_supported(Tier::kAvx2),
-                   "WSMD_SIMD_TIER=avx2 but avx2 is "
-                       << (compiled_tier() == Tier::kAvx2 ? "unsupported by this CPU"
-                                                          : "not compiled in"));
-      t = Tier::kAvx2;
-    } else {
-      WSMD_REQUIRE(false, "unknown WSMD_SIMD_TIER '" << s
-                                                     << "' (want scalar|avx2)");
+  const char* env = std::getenv("WSMD_SIMD_TIER");
+  if (env == nullptr) return runtime_tier();
+  const std::string s(env);
+  for (const Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    if (s != tier_name(t)) continue;
+    if (!tier_supported(t)) {
+      throw Error("WSMD_SIMD_TIER=" + s + ", but this host lacks " +
+                  tier_missing(t));
     }
+    return t;
   }
-  return t;
+  throw Error("unknown WSMD_SIMD_TIER '" + s + "' (want scalar|avx2|avx512)");
 }
 
 // Overrides are rare (tests/bench) and single-threaded by contract; the
@@ -277,20 +278,46 @@ Tier g_override = Tier::kScalar;
 }  // namespace
 
 const char* tier_name(Tier t) {
-  return t == Tier::kAvx2 ? "avx2" : "scalar";
+  switch (t) {
+    case Tier::kAvx2:
+      return "avx2";
+    case Tier::kAvx512:
+      return "avx512";
+    case Tier::kScalar:
+      return "scalar";
+  }
+  return "unknown";
 }
 
 Tier compiled_tier() {
-  return detail::avx2_table() != nullptr ? Tier::kAvx2 : Tier::kScalar;
+  if (detail::avx512_table() != nullptr) return Tier::kAvx512;
+  if (detail::avx2_table() != nullptr) return Tier::kAvx2;
+  return Tier::kScalar;
 }
 
-bool tier_supported(Tier t) {
-  if (t == Tier::kScalar) return true;
-  return compiled_tier() == Tier::kAvx2 && cpu_supports(t);
+const char* tier_missing(Tier t) {
+  if (t == Tier::kScalar) return nullptr;
+  if (vector_table(t) == nullptr) {
+    return "the vector kernels (WSMD_SIMD=OFF or a non-x86-64 build)";
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  // The AVX-512 list is every feature simd_avx512.cpp's target attribute
+  // names, after AVX2 for the tier below it.
+  if (!__builtin_cpu_supports("avx2")) return "avx2";
+  if (t == Tier::kAvx2) return nullptr;
+  if (!__builtin_cpu_supports("avx512f")) return "avx512f";
+  if (!__builtin_cpu_supports("avx512vl")) return "avx512vl";
+#endif
+  return nullptr;
 }
+
+bool tier_supported(Tier t) { return tier_missing(t) == nullptr; }
 
 Tier runtime_tier() {
-  return tier_supported(Tier::kAvx2) ? Tier::kAvx2 : Tier::kScalar;
+  for (const Tier t : {Tier::kAvx512, Tier::kAvx2}) {
+    if (tier_supported(t)) return t;
+  }
+  return Tier::kScalar;
 }
 
 Tier active_tier() {
@@ -300,9 +327,9 @@ Tier active_tier() {
 }
 
 void set_tier_override(Tier t) {
-  WSMD_REQUIRE(tier_supported(t),
-               "cannot force simd tier '" << tier_name(t)
-                                          << "': unsupported on this host");
+  WSMD_REQUIRE(tier_supported(t), "cannot force simd tier '"
+                                      << tier_name(t) << "': this host lacks "
+                                      << tier_missing(t));
   g_has_override = true;
   g_override = t;
 }
@@ -310,13 +337,11 @@ void set_tier_override(Tier t) {
 void clear_tier_override() { g_has_override = false; }
 
 const KernelTable& kernels_for(Tier t) {
-  if (t == Tier::kAvx2) {
-    const KernelTable* table = detail::avx2_table();
-    WSMD_REQUIRE(table != nullptr && tier_supported(Tier::kAvx2),
-                 "avx2 kernels requested but unavailable");
-    return *table;
-  }
-  return kScalarTable;
+  if (t == Tier::kScalar) return kScalarTable;
+  WSMD_REQUIRE(tier_supported(t), tier_name(t)
+                                      << " kernels requested, but this host "
+                                      << "lacks " << tier_missing(t));
+  return *vector_table(t);
 }
 
 const KernelTable& kernels() { return kernels_for(active_tier()); }

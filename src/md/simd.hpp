@@ -5,32 +5,39 @@
 /// FP64 reference engine (md/force_eam.cpp) and the FP32 wafer phase
 /// kernels (core/wse_md.cpp).
 ///
-/// One binary runs everywhere: every kernel exists in a canonical scalar
+/// One binary runs everywhere. Every kernel exists in a canonical scalar
 /// form (simd.cpp) and, when the build enables it (WSMD_SIMD=ON on x86-64),
-/// an AVX2 form (simd_avx2.cpp) selected at runtime via
-/// `__builtin_cpu_supports`. The two tiers are **bitwise identical by
-/// construction**, not merely close:
+/// in two vector forms: AVX2 (simd_avx2.cpp, 256-bit registers) and
+/// AVX-512 (simd_avx512.cpp, 512-bit registers). Dispatch picks the widest
+/// tier the CPU supports (`__builtin_cpu_supports`). The three tiers are
+/// **bitwise identical by construction**, not merely close:
 ///
-///  * the scalar kernels process the same fixed-width lane blocks (4 FP64 /
-///    8 FP32) with the same per-lane expression order, compiled with
-///    `-ffp-contract=off` so no FMA contraction diverges from the explicit
-///    mul/add sequence the vector code issues;
+///  * the scalar kernels process fixed-width lane blocks (4 FP64 / 8 FP32)
+///    with the same per-lane expression order the vector code issues, and
+///    all three TUs are compiled with `-ffp-contract=off`, so no FMA
+///    contraction diverges from the explicit mul/add sequence;
 ///  * block sums use the exact tree the AVX2 horizontal reduction performs
 ///    — FP64: (l0+l2)+(l1+l3); FP32: ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)) —
-///    and blocks accumulate in ascending order;
+///    and blocks accumulate in ascending order. A 512-bit AVX-512 block
+///    holds two scalar blocks (8 FP64, 16 FP32); it reduces its low 256-bit
+///    half, then its high half, through the same trees, and skips a half
+///    that lies wholly past the row end, as the scalar loop never visits it;
 ///  * remainder lanes contribute +0.0 (masked loads/gathers never touch
-///    memory past the row, and +0.0 is an exact identity in both tiers);
+///    memory past the row, and +0.0 is an exact identity in every tier);
 ///  * minimum image is `d -= nearbyint(d * inv_len) * len` with inv_len = 0
-///    on open axes (round-half-even in both `std::nearbyint` and
-///    `_mm256_round_*(..., _MM_FROUND_TO_NEAREST_INT)`).
+///    on open axes, rounded half to even in every tier (`std::nearbyint`,
+///    `_mm256_round_*` and `_mm512_roundscale_*` with
+///    `_MM_FROUND_TO_NEAREST_INT`).
 ///
-/// Because of this, the scalar fallback, the AVX2 path, and a
+/// Because of this, the scalar fallback, both vector paths, and a
 /// `-DWSMD_SIMD=OFF` build all reproduce the recorded goldens byte-for-byte
-/// — CI pins that with kernel-parity tests and a scalar matrix leg.
+/// — CI pins that with kernel-parity tests, a scalar matrix leg and a
+/// byte-compare of every deck across the tiers.
 ///
-/// Capacity contract: the sieve kernels compact accepted pairs with
-/// full-width vector stores, so every output array must have room for
+/// Capacity contract: the AVX2 sieves compact accepted pairs with
+/// full-width vector stores, so every sieve output array must have room for
 /// `count + kPad*` entries; entries past the returned count are garbage.
+/// (The AVX-512 sieves store only the accepted lanes.)
 
 #include <cstddef>
 #include <cstdint>
@@ -39,14 +46,23 @@
 
 namespace wsmd::simd {
 
-/// Dispatch tiers, ordered: higher value = wider path.
-enum class Tier : int { kScalar = 0, kAvx2 = 1 };
+/// Dispatch tiers, ordered: higher value = wider path. kScalar is the
+/// bitwise specification and runs anywhere; kAvx2 needs AVX2; kAvx512 needs
+/// AVX2, AVX-512F and AVX-512VL (512-bit blocks, mask registers, vcompress).
+/// Both vector tiers exist only in WSMD_SIMD=ON x86-64 builds.
+enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 const char* tier_name(Tier t);
 
-/// Highest tier compiled into this binary (kAvx2 iff WSMD_SIMD was ON and
-/// the target is x86-64).
+/// Highest tier compiled into this binary (kAvx512 iff WSMD_SIMD was ON and
+/// the target is x86-64, else kScalar).
 Tier compiled_tier();
+
+/// What `t` lacks on this host, or nullptr when it is supported: "the
+/// vector kernels (...)" when they are not compiled in, else the first CPU
+/// feature it needs that the CPU does not report ("avx2", "avx512f",
+/// "avx512vl").
+const char* tier_missing(Tier t);
 
 /// True when `t` is both compiled in and supported by the running CPU.
 bool tier_supported(Tier t);
@@ -55,15 +71,17 @@ bool tier_supported(Tier t);
 Tier runtime_tier();
 
 /// The tier kernels() dispatches to: an explicit override if set, else the
-/// WSMD_SIMD_TIER env var ("scalar" | "avx2", read once), else
-/// runtime_tier().
+/// WSMD_SIMD_TIER env var ("scalar" | "avx2" | "avx512", read once; a tier
+/// the host lacks is an error), else runtime_tier().
 Tier active_tier();
 
-/// Force a tier (tests, benchmarks). Requires tier_supported(t).
+/// Force a tier (tests, benchmarks). Throws wsmd::Error naming what is
+/// missing unless tier_supported(t).
 void set_tier_override(Tier t);
 void clear_tier_override();
 
-/// Lane widths and the sieve-output padding each precision requires.
+/// Lane widths of the scalar spec's blocks (one AVX2 register; half an
+/// AVX-512 one) and the sieve-output padding each precision requires.
 inline constexpr std::size_t kLanesF64 = 4;
 inline constexpr std::size_t kLanesF32 = 8;
 inline constexpr std::size_t kPadF64 = kLanesF64;
@@ -157,8 +175,10 @@ const KernelTable& kernels();
 const KernelTable& kernels_for(Tier t);
 
 namespace detail {
-/// Defined in simd_avx2.cpp; returns nullptr when AVX2 is not compiled in.
+/// Defined in simd_avx2.cpp / simd_avx512.cpp; return nullptr when the
+/// vector tiers are not compiled in.
 const KernelTable* avx2_table();
+const KernelTable* avx512_table();
 }  // namespace detail
 
 }  // namespace wsmd::simd

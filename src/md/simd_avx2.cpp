@@ -22,8 +22,14 @@
 
 #include <immintrin.h>
 
+#include "md/simd_x86.hpp"
+
 namespace wsmd::simd {
 namespace {
+
+using x86::hsum4;
+using x86::hsum8;
+using x86::kRoundEven;
 
 #define WSMD_AVX2 __attribute__((target("avx2")))
 
@@ -61,25 +67,6 @@ const PackTables kPack = [] {
   }
   return t;
 }();
-
-constexpr int kRoundEven = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
-
-// Horizontal sums matching the scalar reduction trees exactly.
-WSMD_AVX2 inline double hsum4(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d s = _mm_add_pd(lo, hi);  // [l0+l2, l1+l3]
-  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
-
-WSMD_AVX2 inline float hsum8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  const __m128 s = _mm_add_ps(lo, hi);  // [l0+l4, l1+l5, l2+l6, l3+l7]
-  const __m128 s2 = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  return _mm_cvtss_f32(
-      _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x55)));
-}
 
 WSMD_AVX2 inline __m128i tail_mask4(std::size_t valid) {
   return _mm_loadu_si128(

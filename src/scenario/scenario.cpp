@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <utility>
 
 #include "dist/distributed_engine.hpp"
@@ -18,14 +19,18 @@ namespace {
 
 [[noreturn]] void bad_entry(const Deck& deck, const DeckEntry& e,
                             const std::string& why) {
-  // line == 0 marks an appended CLI override — pointing at the deck file
-  // would send the user grepping for a key that is not in it.
-  const std::string where =
-      e.line > 0 ? deck.source + ":" + std::to_string(e.line)
-                 : "<cli override>";
-  WSMD_REQUIRE(false, where << ": key '" << e.key << "' = '" << e.value
-                            << "': " << why);
-  std::abort();  // unreachable
+  // The message leads with the deck location: the user's input is wrong,
+  // not a C++ precondition. line == 0 marks an appended CLI override —
+  // pointing at the deck file would send the user grepping for a key that
+  // is not in it.
+  std::ostringstream os;
+  if (e.line > 0) {
+    os << deck.source << ':' << e.line;
+  } else {
+    os << "<cli override>";
+  }
+  os << ": key '" << e.key << "' = '" << e.value << "': " << why;
+  throw Error(os.str());
 }
 
 double parse_double_token(const Deck& deck, const DeckEntry& e,

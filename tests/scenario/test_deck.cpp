@@ -165,15 +165,32 @@ TEST(Scenario, PotentialAndPairStyleKeysValidateEagerly) {
     ADD_FAILURE() << "expected Error for: " << text;
     return std::string();
   };
+  // A deck error is about the user's input: it leads with the deck
+  // location and carries no C++ source location or precondition text.
+  const auto expect_deck_blame = [](const std::string& msg,
+                                    const std::string& where) {
+    EXPECT_EQ(msg.rfind(where, 0), 0u) << msg;
+    EXPECT_EQ(msg.find("requirement failed"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("scenario.cpp"), std::string::npos) << msg;
+  };
   const std::string analytic = error_of("potential = analytic\n");
-  EXPECT_NE(analytic.find("p.deck:1"), std::string::npos) << analytic;
+  expect_deck_blame(analytic, "p.deck:1: ");
   EXPECT_NE(analytic.find("analytic evaluation path was removed"),
             std::string::npos)
       << analytic;
   // Eager validation with file:line blame.
   const std::string typo = error_of("name = x\npotential = spline\n");
-  EXPECT_NE(typo.find("p.deck:2"), std::string::npos) << typo;
+  expect_deck_blame(typo, "p.deck:2: ");
   EXPECT_NE(typo.find("want tabulated"), std::string::npos) << typo;
+  // An appended CLI override (line 0) is blamed as such.
+  Deck cli = parse_deck_string("name = x\n", "p.deck");
+  cli.set("potential", "analytic");
+  try {
+    scenario_from_deck(cli);
+    ADD_FAILURE() << "expected Error for a CLI potential=analytic";
+  } catch (const Error& e) {
+    expect_deck_blame(e.what(), "<cli override>: key 'potential'");
+  }
 
   // Interaction family: eam (default) | lj with its own element table.
   EXPECT_THROW(scenario_from_deck(parse_deck_string("pair_style = morse\n")),
