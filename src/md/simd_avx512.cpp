@@ -7,14 +7,12 @@
 /// intrinsic, so every lane runs the scalar kernels' mul/add sequence.
 ///
 /// One 512-bit block holds two of the scalar spec's lane blocks (8 FP64 =
-/// 2 x 4, 16 FP32 = 2 x 8), and the rows add the low 256-bit half's block
-/// sum, then the high half's — exactly the two block sums, in ascending
-/// order, the scalar loop adds — skipping a half that lies wholly past the
-/// row end, which the scalar loop never visits. The density rows reduce
-/// each half through the AVX2 tier's own trees (simd_x86.hpp); the force
-/// rows form the same trees for their four sums at once (block_sums4).
-/// Tails use zero-masked loads and gathers, so masked-off lanes touch no
-/// memory and contribute +0.0.
+/// 2 x 4, 16 FP32 = 2 x 8). The row kernels reduce the low 256-bit half,
+/// then the high one, through the AVX2 tier's own trees (simd_x86.hpp) —
+/// exactly the two block sums, in ascending order, the scalar loop adds —
+/// and skip a half that lies wholly past the row end, which the scalar loop
+/// never visits. Tails use zero-masked loads and gathers, so masked-off
+/// lanes touch no memory and contribute +0.0.
 ///
 /// The sieves compact accepted lanes in registers (`vcompress`) and store
 /// only the popcount leading lanes with a masked store: they never write
@@ -57,55 +55,6 @@ WSMD_AVX512 inline __m256 lo_half(__m512 v) {
 }
 WSMD_AVX512 inline __m256 hi_half(__m512 v) {
   return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
-}
-
-/// The force rows keep four sums (fx, fy, fz, phi). Reducing each half of
-/// each through hsum4/hsum8 costs a chain of extracts per sum; instead one
-/// shuffle-and-add network forms the same trees for all four vectors at
-/// once, operand for operand (IEEE addition commutes exactly, so a + b and
-/// b + a are the same bits), and the four running sums live in one vector
-/// register whose lanes add like the scalar accumulators.
-
-/// FP64: [S(a,0), S(b,0), S(c,0), S(d,0) | S(a,1), S(b,1), S(c,1), S(d,1)]
-/// with S(v,h) = (v[4h]+v[4h+2]) + (v[4h+1]+v[4h+3]), the hsum4 tree.
-WSMD_AVX512 inline __m512d block_sums4(__m512d a, __m512d b, __m512d c,
-                                       __m512d d) {
-  // Swap the 128-bit pairs of each half: lanes 0/1 gain lanes 2/3.
-  constexpr int kSwap = _MM_SHUFFLE(2, 3, 0, 1);
-  const __m512d pa = _mm512_add_pd(a, _mm512_shuffle_f64x2(a, a, kSwap));
-  const __m512d pb = _mm512_add_pd(b, _mm512_shuffle_f64x2(b, b, kSwap));
-  const __m512d pc = _mm512_add_pd(c, _mm512_shuffle_f64x2(c, c, kSwap));
-  const __m512d pd = _mm512_add_pd(d, _mm512_shuffle_f64x2(d, d, kSwap));
-  // (l0+l2) + (l1+l3) of a and b in lanes 0/1 of each half; c, d likewise.
-  const __m512d ab =
-      _mm512_add_pd(_mm512_unpacklo_pd(pa, pb), _mm512_unpackhi_pd(pa, pb));
-  const __m512d cd =
-      _mm512_add_pd(_mm512_unpacklo_pd(pc, pd), _mm512_unpackhi_pd(pc, pd));
-  return _mm512_permutex2var_pd(
-      ab, _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13), cd);
-}
-
-/// FP32: S(v,h) = ((v0+v4)+(v2+v6)) + ((v1+v5)+(v3+v7)) over the lanes of
-/// half h, the hsum8 tree. Returns [S(a,0), S(b,0), S(c,0), S(d,0)] in
-/// lanes 0-3 and the half-1 sums in lanes 8-11.
-WSMD_AVX512 inline __m512 block_sums4(__m512 a, __m512 b, __m512 c,
-                                      __m512 d) {
-  // Swap the 128-bit quarters of each half: lane j gains lane j+4.
-  constexpr int kSwap = _MM_SHUFFLE(2, 3, 0, 1);
-  const __m512 pa = _mm512_add_ps(a, _mm512_shuffle_f32x4(a, a, kSwap));
-  const __m512 pb = _mm512_add_ps(b, _mm512_shuffle_f32x4(b, b, kSwap));
-  const __m512 pc = _mm512_add_ps(c, _mm512_shuffle_f32x4(c, c, kSwap));
-  const __m512 pd = _mm512_add_ps(d, _mm512_shuffle_f32x4(d, d, kSwap));
-  // [x0+x2, y0+y2, x1+x3, y1+y3] per 128-bit quarter, for (a,b) and (c,d).
-  const __m512 ab =
-      _mm512_add_ps(_mm512_unpacklo_ps(pa, pb), _mm512_unpackhi_ps(pa, pb));
-  const __m512 cd =
-      _mm512_add_ps(_mm512_unpacklo_ps(pc, pd), _mm512_unpackhi_ps(pc, pd));
-  // (x0+x2) + (x1+x3) for a, b, c, d.
-  const __m512d ab64 = _mm512_castps_pd(ab);
-  const __m512d cd64 = _mm512_castps_pd(cd);
-  return _mm512_add_ps(_mm512_castpd_ps(_mm512_unpacklo_pd(ab64, cd64)),
-                       _mm512_castpd_ps(_mm512_unpackhi_pd(ab64, cd64)));
 }
 
 // --- FP64 (8 lanes: two 4-lane blocks) -------------------------------------
@@ -215,7 +164,7 @@ WSMD_AVX512 PairAccumF64 force_row_f64_avx512(
   const __m512d vfp_i = _mm512_set1_pd(fprime_i);
   const __m512d zero = _mm512_setzero_pd();
   const __m256i zero32 = _mm256_setzero_si256();
-  __m256d acc = _mm256_setzero_pd();  // [fx, fy, fz, phi]
+  double afx = 0.0, afy = 0.0, afz = 0.0, aphi = 0.0;
   for (std::size_t m0 = 0; m0 < n; m0 += kBlockF64) {
     const std::size_t valid = n - m0 < kBlockF64 ? n - m0 : kBlockF64;
     const auto k = static_cast<__mmask8>(lead_mask(valid));
@@ -261,13 +210,18 @@ WSMD_AVX512 PairAccumF64 force_row_f64_avx512(
     const __m512d vfx = _mm512_mul_pd(_mm512_maskz_loadu_pd(k, dx + m0), pf);
     const __m512d vfy = _mm512_mul_pd(_mm512_maskz_loadu_pd(k, dy + m0), pf);
     const __m512d vfz = _mm512_mul_pd(_mm512_maskz_loadu_pd(k, dz + m0), pf);
-    const __m512d sums = block_sums4(vfx, vfy, vfz, vphi);
-    acc = _mm256_add_pd(acc, lo_half(sums));
-    if (valid > kLanesF64) acc = _mm256_add_pd(acc, hi_half(sums));
+    afx += hsum4(lo_half(vfx));
+    afy += hsum4(lo_half(vfy));
+    afz += hsum4(lo_half(vfz));
+    aphi += hsum4(lo_half(vphi));
+    if (valid > kLanesF64) {
+      afx += hsum4(hi_half(vfx));
+      afy += hsum4(hi_half(vfy));
+      afz += hsum4(hi_half(vfz));
+      aphi += hsum4(hi_half(vphi));
+    }
   }
-  alignas(32) double out[4];
-  _mm256_store_pd(out, acc);
-  return {out[0], out[1], out[2], out[3]};
+  return {afx, afy, afz, aphi};
 }
 
 // --- FP32 (16 lanes: two 8-lane blocks) ------------------------------------
@@ -377,7 +331,7 @@ WSMD_AVX512 PairAccumF32 force_row_f32_avx512(
   const __m512 vfp_i = _mm512_set1_ps(fprime_i);
   const __m512 zero = _mm512_setzero_ps();
   const __m512i zero32 = _mm512_setzero_si512();
-  __m128 acc = _mm_setzero_ps();  // [fx, fy, fz, phi]
+  float afx = 0.0f, afy = 0.0f, afz = 0.0f, aphi = 0.0f;
   for (std::size_t m0 = 0; m0 < n; m0 += kBlockF32) {
     const std::size_t valid = n - m0 < kBlockF32 ? n - m0 : kBlockF32;
     const auto k = static_cast<__mmask16>(lead_mask(valid));
@@ -423,15 +377,18 @@ WSMD_AVX512 PairAccumF32 force_row_f32_avx512(
     const __m512 vfx = _mm512_mul_ps(_mm512_maskz_loadu_ps(k, dx + m0), pf);
     const __m512 vfy = _mm512_mul_ps(_mm512_maskz_loadu_ps(k, dy + m0), pf);
     const __m512 vfz = _mm512_mul_ps(_mm512_maskz_loadu_ps(k, dz + m0), pf);
-    const __m512 sums = block_sums4(vfx, vfy, vfz, vphi);
-    acc = _mm_add_ps(acc, _mm512_castps512_ps128(sums));
+    afx += hsum8(lo_half(vfx));
+    afy += hsum8(lo_half(vfy));
+    afz += hsum8(lo_half(vfz));
+    aphi += hsum8(lo_half(vphi));
     if (valid > kLanesF32) {
-      acc = _mm_add_ps(acc, _mm512_extractf32x4_ps(sums, 2));
+      afx += hsum8(hi_half(vfx));
+      afy += hsum8(hi_half(vfy));
+      afz += hsum8(hi_half(vfz));
+      aphi += hsum8(hi_half(vphi));
     }
   }
-  alignas(16) float out[4];
-  _mm_store_ps(out, acc);
-  return {out[0], out[1], out[2], out[3]};
+  return {afx, afy, afz, aphi};
 }
 
 #undef WSMD_AVX512

@@ -7,10 +7,9 @@
 /// lane. Include only where WSMD_SIMD_ENABLED and __x86_64__ hold.
 ///
 /// The AVX2 tier reduces every 256-bit block through these trees, and the
-/// AVX-512 density rows each 256-bit half of a 512-bit block, low half
-/// first; the `target("avx2")` bodies inline into those AVX-512 callers,
-/// whose feature set includes AVX2. (The AVX-512 force rows form the same
-/// trees with their own shuffle network, simd_avx512.cpp.)
+/// AVX-512 rows each 256-bit half of a 512-bit block, low half first; the
+/// `target("avx2")` bodies inline into those AVX-512 callers, whose feature
+/// set includes AVX2.
 
 #include <immintrin.h>
 

@@ -34,9 +34,9 @@ Baseline format (bench/baseline.json):
        "num": {"kernel": "reference", "path": "profile"},
        "den": {"kernel": "reference", "path": "analytic"},
        "min": 2.0},
-      {"label": "fp64 avx2 over scalar batch", "bench": "kernels",
+      {"label": "fp64 vector over scalar batch", "bench": "kernels",
        "metric": "pairs_per_s",
-       "when_meta": {"simd_tier": "avx2"},
+       "when_meta": {"simd_tier": ["avx2", "avx512"]},
        "num": {"kernel": "reference", "path": "soa"},
        "den": {"kernel": "reference", "path": "soa_scalar"},
        "min": 1.2}
@@ -50,9 +50,11 @@ mode: it means a structural performance property (e.g. the profiled hot
 path beating virtual dispatch) was lost, not that the runner was slow.
 
 A ratio with "when_meta" applies only when every listed key matches the
-emitted BENCH file's top-level metadata; otherwise it is skipped (and says
-so). This gates ISA-dependent floors — e.g. the AVX2-over-scalar speedup is
-only meaningful when the run actually dispatched the avx2 tier.
+emitted BENCH file's top-level metadata (equals the value, or is one of a
+list of values); otherwise it is skipped (and says so). This gates
+ISA-dependent floors — e.g. the vector-over-scalar speedup is only
+meaningful when the run actually dispatched a vector tier
+({"simd_tier": ["avx2", "avx512"]}).
 
 Usage: check_bench_regression.py [--build-dir build]
                                  [--baseline bench/baseline.json] [--strict]
@@ -170,7 +172,8 @@ def main():
         when = ratio.get("when_meta")
         if when:
             missed = {k: v for k, v in when.items()
-                      if (envelope or {}).get(k) != v}
+                      if (envelope or {}).get(k) not in
+                      (v if isinstance(v, list) else [v])}
             if missed:
                 print(f"  [skip] {label}: requires {when}, emitted "
                       f"{ {k: (envelope or {}).get(k) for k in when} }")

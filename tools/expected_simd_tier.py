@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the SIMD tier a WSMD_SIMD=ON build dispatches to on this machine.
 
-  python3 tools/expected_simd_tier.py [--cpuinfo PATH]
+  python3 tools/expected_simd_tier.py
 
 Reads the CPU flags from /proc/cpuinfo and applies the dispatcher's
 feature lists (src/md/simd.cpp, tier_missing): avx512 needs avx2, avx512f
@@ -9,7 +9,6 @@ and avx512vl; avx2 needs avx2; anything else runs scalar. CI exports the
 answer as WSMD_EXPECT_TIER, which test_simd compares with the tier the
 binary picked, and uses it to decide which tiers to byte-compare.
 """
-import argparse
 import sys
 
 # Keep in step with tier_missing() in src/md/simd.cpp.
@@ -19,8 +18,8 @@ TIERS = [
 ]
 
 
-def cpu_flags(path):
-    with open(path, encoding="utf-8") as f:
+def cpu_flags():
+    with open("/proc/cpuinfo", encoding="utf-8") as f:
         for line in f:
             if line.startswith("flags"):
                 return set(line.split(":", 1)[1].split())
@@ -28,9 +27,7 @@ def cpu_flags(path):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--cpuinfo", default="/proc/cpuinfo")
-    flags = cpu_flags(ap.parse_args().cpuinfo)
+    flags = cpu_flags()
     for tier, needs in TIERS:
         if all(f in flags for f in needs):
             print(tier)
