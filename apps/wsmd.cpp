@@ -40,7 +40,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -95,8 +94,9 @@ void print_usage(std::FILE* out) {
                "                    processes with ghost-halo exchange,\n"
                "                    optionally N shard threads each)\n"
                "  --output-dir=DIR  prefix for relative output paths\n"
-               "  --print           parse and show the effective scenario,\n"
-               "                    do not run\n"
+               "  --print           print the canonical deck (the one a\n"
+               "                    checkpoint embeds; save it and it\n"
+               "                    runs), do not run\n"
                "  --quiet           suppress progress output\n"
                "  --trace[=PATH]    write a chrome://tracing trace-event\n"
                "                    JSON (default <name>.trace.json); same\n"
@@ -118,102 +118,10 @@ void print_usage(std::FILE* out) {
                "  --list-elements   show available Zhou parameter sets\n"
                "  --help            this text\n"
                "\n"
-               "deck keys: name element pair_style geometry scale replicate\n"
-               "  vacancy_fraction tilt_angle_deg gb_atoms backend dt\n"
-               "  swap_interval rescale_interval seed thermalize\n"
-               "  equilibrate ramp quench run xyz xyz_every thermo\n"
-               "  thermo_every thermo_format summary checkpoint.every\n"
-               "  checkpoint.path telemetry.trace telemetry.metrics\n"
-               "  telemetry.snapshot\n"
-               "distributed keys (ranks: backends only):\n"
-               "  dist.timeout dist.kill_rank dist.kill_step\n"
-               "  (dist.transport = shm|socket is a legacy key: accepted,\n"
-               "  selects nothing — halos always ride shared memory)\n"
-               "legacy keys: potential = tabulated is accepted and selects\n"
-               "  nothing (engines evaluate the profile tables only);\n"
-               "  potential = analytic is rejected (the path was removed)\n"
-               "health keys (run-health watchdog; warn|abort|off):\n"
-               "  health.nan health.energy_drift health.energy_band\n"
-               "  health.temperature health.temperature_band health.stall\n"
-               "  health.stall_timeout health.thermo_tail health.bundle\n"
-               "  health.inject_nan\n"
-               "observable keys: observe.probes (rdf msd vacf defects)\n"
-               "  observe.every observe.<probe>_every observe.format\n"
-               "  observe.prefix observe.rdf_rcut observe.rdf_bins\n"
-               "  observe.csp_threshold observe.gb_axis\n");
-}
-
-void print_scenario(const wsmd::scenario::Scenario& sc) {
-  using wsmd::format;
-  std::printf("scenario %s:\n", sc.name.c_str());
-  std::printf("  element   = %s (%s)\n", sc.element.c_str(),
-              sc.pair_style.c_str());
-  std::printf("  geometry  = %s\n", sc.geometry.c_str());
-  if (sc.replicate[0] > 0) {
-    std::printf("  replicate = %d %d %d\n", sc.replicate[0], sc.replicate[1],
-                sc.replicate[2]);
-  } else if (sc.geometry != "grain_boundary") {
-    std::printf("  scale     = %d (paper slab / scale)\n", sc.scale);
-  }
-  if (sc.geometry == "grain_boundary") {
-    std::printf("  tilt      = %.4g deg, ~%zu atoms\n", sc.tilt_angle_deg,
-                sc.gb_target_atoms);
-  }
-  if (sc.vacancy_fraction > 0.0) {
-    std::printf("  vacancies = %.4g\n", sc.vacancy_fraction);
-  }
-  std::printf("  backend   = %s\n", sc.backend.c_str());
-  std::printf("  dt        = %.4g ps, seed = %llu\n", sc.dt,
-              static_cast<unsigned long long>(sc.seed));
-  if (sc.swap_interval > 0) {
-    std::printf("  atom swap every %d steps (wafer backends)\n",
-                sc.swap_interval);
-  }
-  std::printf("  schedule  (%ld steps total):\n", sc.total_steps());
-  for (const auto& st : sc.schedule) {
-    using Kind = wsmd::scenario::Stage::Kind;
-    switch (st.kind) {
-      case Kind::kThermalize:
-        std::printf("    thermalize  %.5g K\n", st.t0);
-        break;
-      case Kind::kRamp:
-        std::printf("    ramp        %.5g -> %.5g K, %ld steps\n", st.t0,
-                    st.t1, st.steps);
-        break;
-      case Kind::kRun:
-        std::printf("    run         %ld steps (NVE)\n", st.steps);
-        break;
-      default:
-        std::printf("    %-11s %.5g K, %ld steps\n", st.name(), st.t0,
-                    st.steps);
-        break;
-    }
-  }
-  if (!sc.xyz_path.empty()) {
-    std::printf("  xyz       = %s (every %ld steps)\n", sc.xyz_path.c_str(),
-                sc.xyz_every);
-  }
-  if (!sc.thermo_path.empty()) {
-    std::printf("  thermo    = %s (%s, every %ld steps)\n",
-                sc.thermo_path.c_str(), sc.thermo_format.c_str(),
-                sc.thermo_every);
-  }
-  if (!sc.summary_path.empty()) {
-    std::printf("  summary   = %s\n", sc.summary_path.c_str());
-  }
-  if (sc.checkpoint_every > 0) {
-    std::printf("  checkpoint= %s (every %ld steps)\n",
-                sc.checkpoint_path.c_str(), sc.checkpoint_every);
-  }
-  if (sc.observe.enabled()) {
-    std::printf("  observe   =");
-    for (const auto& kind : sc.observe.probes) {
-      std::printf(" %s(every %ld)", kind.c_str(),
-                  sc.observe.cadence_for(kind));
-    }
-    std::printf(" -> %s.<probe>.%s\n",
-                sc.observe.effective_prefix(sc.name).c_str(),
-                sc.observe.format.c_str());
+               "deck keys, in canonical-deck order (`key = value` lines,\n"
+               "or key=value overrides):\n");
+  for (const auto& key : wsmd::scenario::deck_keys()) {
+    std::fprintf(out, "  %-23s %s\n", key.name.c_str(), key.doc.c_str());
   }
 }
 
@@ -249,9 +157,10 @@ bool parse_progress_flag(const std::string& arg,
   if (wsmd::starts_with(arg, "--progress-interval=")) {
     const std::string value = arg.substr(20);
     double seconds = 0.0;
-    WSMD_REQUIRE(wsmd::parse_double_strict(value, seconds) && seconds >= 0.0,
-                 "bad --progress-interval '" << value
-                                             << "' (want seconds >= 0)");
+    if (!wsmd::parse_double_strict(value, seconds) || seconds < 0.0) {
+      throw wsmd::Error(wsmd::format(
+          "bad --progress-interval '%s' (want seconds >= 0)", value.c_str()));
+    }
     opt.progress_interval_s = seconds;
     return true;
   }
@@ -293,85 +202,139 @@ bool parse_telemetry_flag(const std::string& arg,
   return true;
 }
 
-int run_report(int argc, char** argv) {
-  using namespace wsmd;
-  std::vector<std::string> decks;
-  std::vector<scenario::DeckEntry> overrides;
-  scenario::RunOptions opt;
-  opt.collect_telemetry = true;  // the report needs measured span totals
+/// The options a subcommand takes beyond the shared ones (--help, --quiet,
+/// --set, --output-dir=, key=value and positional arguments).
+enum Accepts : unsigned {
+  kBackendFlag = 1u << 0,    ///< --backend=
+  kTelemetryFlags = 1u << 1, ///< --trace[=PATH], --metrics[=PATH]
+  kProgressFlags = 1u << 2,  ///< --progress[=force], --progress-interval=
+  kPrintFlags = 1u << 3,     ///< --print, --list-elements
+  kHtmlFlag = 1u << 4,       ///< --html[=PATH]
+};
+
+/// One parsed command line.
+struct Cli {
+  /// --backend=, --output-dir=, --progress*; `log` prints unless --quiet.
+  wsmd::scenario::RunOptions run;
+  /// key=value, --set, --trace, --metrics, in command-line order.
+  std::vector<wsmd::scenario::DeckEntry> overrides;
+  std::vector<std::string> paths;  ///< positional arguments
   bool quiet = false;
+  bool help = false;           ///< --help: print the usage, nothing else
+  bool list_elements = false;  ///< --list-elements: likewise
+  bool print = false;
   bool html = false;
   std::string html_path;
+};
+
+/// The one argument loop of every subcommand. `command` prefixes the
+/// unknown-option error ("report ", "" for a plain run); an option outside
+/// `accepts` is unknown.
+Cli parse_cli(int argc, char** argv, const char* command, unsigned accepts) {
+  using namespace wsmd;
+  Cli cli;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
+      cli.help = true;
+      return cli;
+    } else if ((accepts & kPrintFlags) && arg == "--list-elements") {
+      cli.list_elements = true;
+      return cli;
     } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--html") {
-      html = true;
-    } else if (starts_with(arg, "--html=")) {
-      html = true;
-      html_path = arg.substr(7);
-      WSMD_REQUIRE(!html_path.empty(), "--html= needs a file path");
+      cli.quiet = true;
     } else if (arg == "--set") {
-      WSMD_REQUIRE(i + 1 < argc, "--set needs a key=value argument");
-      overrides.push_back(scenario::parse_override(argv[++i]));
+      if (i + 1 >= argc) throw Error("--set needs a key=value argument");
+      cli.overrides.push_back(scenario::parse_override(argv[++i]));
     } else if (starts_with(arg, "--set=")) {
-      overrides.push_back(scenario::parse_override(arg.substr(6)));
-    } else if (starts_with(arg, "--backend=")) {
-      opt.backend_override = arg.substr(10);
-      scenario::parse_backend(opt.backend_override);  // validate now
-      WSMD_REQUIRE(opt.backend_override != "reference",
-                   "wsmd report joins measured time against the wafer cost "
-                   "model, which the reference backend does not have — use "
-                   "wafer, sharded[:N], or ranks:M[xN]");
+      cli.overrides.push_back(scenario::parse_override(arg.substr(6)));
     } else if (starts_with(arg, "--output-dir=")) {
-      opt.output_dir = arg.substr(13);
-    } else if (parse_telemetry_flag(arg, overrides)) {
+      cli.run.output_dir = arg.substr(13);
+    } else if ((accepts & kBackendFlag) && starts_with(arg, "--backend=")) {
+      // Validated with the deck it is folded into (assemble_deck).
+      cli.run.backend_override = arg.substr(10);
+    } else if ((accepts & kTelemetryFlags) &&
+               parse_telemetry_flag(arg, cli.overrides)) {
       // handled
-    } else if (parse_progress_flag(arg, opt)) {
+    } else if ((accepts & kProgressFlags) && parse_progress_flag(arg, cli.run)) {
       // handled
+    } else if ((accepts & kPrintFlags) && arg == "--print") {
+      cli.print = true;
+    } else if ((accepts & kHtmlFlag) && arg == "--html") {
+      cli.html = true;
+    } else if ((accepts & kHtmlFlag) && starts_with(arg, "--html=")) {
+      cli.html = true;
+      cli.html_path = arg.substr(7);
+      if (cli.html_path.empty()) throw Error("--html= needs a file path");
     } else if (starts_with(arg, "--")) {
-      WSMD_REQUIRE(false, "unknown report option '" << arg << "'");
+      throw Error(format("unknown %soption '%s'", command, arg.c_str()));
     } else if (arg.find('=') != std::string::npos) {
-      overrides.push_back(scenario::parse_override(arg));
+      cli.overrides.push_back(scenario::parse_override(arg));
     } else {
-      decks.push_back(arg);
+      cli.paths.push_back(arg);
     }
   }
-  WSMD_REQUIRE(!decks.empty() || !overrides.empty(),
-               "report wants a deck file or key=value overrides");
-  if (!quiet) {
-    opt.log = [](const std::string& line) {
+  if (!cli.quiet) {
+    cli.run.log = [](const std::string& line) {
       std::printf("%s\n", line.c_str());
     };
   }
-  if (decks.empty()) decks.push_back("");
-  for (const auto& path : decks) {
-    scenario::Deck deck = path.empty()
-                              ? scenario::Deck{"<cli>", {}, }
-                              : scenario::parse_deck_file(path);
-    for (const auto& o : overrides) deck.set(o.key, o.value);
-    // Fold --backend= into the deck before validation: dist.* keys are
-    // eagerly rejected off a ranks: backend, and the check must see the
-    // backend the run will actually use.
-    if (!opt.backend_override.empty()) {
-      deck.set("backend", opt.backend_override);
-    }
-    if (html && !deck.has("telemetry.snapshot")) {
+  return cli;
+}
+
+/// The deck a subcommand validates and runs: `base`, then the overrides,
+/// then --backend= folded in before validation — dist.* keys are eagerly
+/// rejected off a ranks: backend, and the check must see the backend the
+/// run will actually use. A bad --backend= is blamed as a CLI override.
+wsmd::scenario::Deck assemble_deck(wsmd::scenario::Deck base,
+                                   const Cli& cli) {
+  for (const auto& o : cli.overrides) base.set(o.key, o.value);
+  if (!cli.run.backend_override.empty()) {
+    base.set("backend", cli.run.backend_override);
+  }
+  return base;
+}
+
+/// A deck file, or for "" the empty deck the overrides alone fill.
+wsmd::scenario::Deck read_deck(const std::string& path) {
+  return path.empty() ? wsmd::scenario::Deck{"<cli>", {}}
+                      : wsmd::scenario::parse_deck_file(path);
+}
+
+int run_report(int argc, char** argv) {
+  using namespace wsmd;
+  Cli cli = parse_cli(argc, argv, "report ",
+                      kBackendFlag | kTelemetryFlags | kProgressFlags |
+                          kHtmlFlag);
+  if (cli.help) {
+    print_usage(stdout);
+    return 0;
+  }
+  if (cli.run.backend_override == "reference") {
+    throw Error(
+        "wsmd report joins measured time against the wafer cost model, "
+        "which the reference backend does not have — use wafer, "
+        "sharded[:N], or ranks:M[xN]");
+  }
+  if (cli.paths.empty() && cli.overrides.empty()) {
+    throw Error("report wants a deck file or key=value overrides");
+  }
+  cli.run.collect_telemetry = true;  // the report needs measured span totals
+  if (cli.paths.empty()) cli.paths.push_back("");
+  for (const auto& path : cli.paths) {
+    scenario::Deck deck = assemble_deck(read_deck(path), cli);
+    if (cli.html && !deck.has("telemetry.snapshot")) {
       // The dashboard's time series come from interval snapshots; arm a
       // tight cadence so even short report runs chart a few points.
       deck.set("telemetry.snapshot", "0.02");
     }
     const auto sc = scenario::scenario_from_deck(deck);
-    scenario::RunOptions run_opt = opt;
+    scenario::RunOptions run_opt = cli.run;
     if (run_opt.backend_override.empty() && sc.backend == "reference") {
       // The report needs a backend with a cost model; promote the deck's
       // reference default rather than erroring out.
       run_opt.backend_override = "sharded:2";
-      if (!quiet) {
+      if (!cli.quiet) {
         std::printf(
             "report: deck backend is 'reference' (no cost model); running "
             "on sharded:2 — pass --backend= to choose another\n");
@@ -386,7 +349,7 @@ int run_report(int argc, char** argv) {
                     telemetry::build_cost_report(result.modeled))
                     .c_str(),
                 telemetry::format_shortlist_summary().c_str());
-    if (html) {
+    if (cli.html) {
       telemetry::DashboardInput din;
       din.title = result.scenario;
       din.backend = result.backend_name;
@@ -397,7 +360,7 @@ int run_report(int argc, char** argv) {
       din.snapshots = result.snapshots;
       din.cost = telemetry::build_cost_report(result.modeled);
       const std::string out = scenario::resolve_output_path(
-          html_path.empty() ? sc.name + ".dashboard.html" : html_path,
+          cli.html_path.empty() ? sc.name + ".dashboard.html" : cli.html_path,
           run_opt.output_dir);
       telemetry::write_dashboard_html(out, din);
       std::printf("dashboard -> %s (%zu snapshot%s)\n", out.c_str(),
@@ -410,108 +373,109 @@ int run_report(int argc, char** argv) {
 
 int run_analyze(int argc, char** argv) {
   using namespace wsmd;
-  std::vector<std::string> paths;
-  std::vector<scenario::DeckEntry> overrides;
+  const Cli cli = parse_cli(argc, argv, "analyze ", 0);
+  if (cli.help) {
+    print_usage(stdout);
+    return 0;
+  }
+  if (cli.paths.size() != 2) {
+    throw Error(format("analyze wants exactly a deck and a trajectory, got "
+                       "%zu path argument(s)",
+                       cli.paths.size()));
+  }
   scenario::AnalyzeOptions opt;
-  bool quiet = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--set") {
-      WSMD_REQUIRE(i + 1 < argc, "--set needs a key=value argument");
-      overrides.push_back(scenario::parse_override(argv[++i]));
-    } else if (starts_with(arg, "--set=")) {
-      overrides.push_back(scenario::parse_override(arg.substr(6)));
-    } else if (starts_with(arg, "--output-dir=")) {
-      opt.output_dir = arg.substr(13);
-    } else if (starts_with(arg, "--")) {
-      WSMD_REQUIRE(false, "unknown analyze option '" << arg << "'");
-    } else if (arg.find('=') != std::string::npos) {
-      overrides.push_back(scenario::parse_override(arg));
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  WSMD_REQUIRE(paths.size() == 2,
-               "analyze wants exactly a deck and a trajectory, got "
-                   << paths.size() << " path argument(s)");
-  if (!quiet) {
-    opt.log = [](const std::string& line) {
-      std::printf("%s\n", line.c_str());
-    };
-  }
-  scenario::Deck deck = scenario::parse_deck_file(paths[0]);
-  for (const auto& o : overrides) deck.set(o.key, o.value);
-  scenario::analyze_trajectory(scenario::scenario_from_deck(deck), paths[1],
-                               opt);
+  opt.output_dir = cli.run.output_dir;
+  opt.log = cli.run.log;
+  scenario::analyze_trajectory(
+      scenario::scenario_from_deck(
+          assemble_deck(scenario::parse_deck_file(cli.paths[0]), cli)),
+      cli.paths[1], opt);
   return 0;
 }
 
 int run_resume(int argc, char** argv) {
   using namespace wsmd;
-  std::vector<std::string> paths;
-  std::vector<scenario::DeckEntry> overrides;
-  scenario::RunOptions opt;
-  bool quiet = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--set") {
-      WSMD_REQUIRE(i + 1 < argc, "--set needs a key=value argument");
-      overrides.push_back(scenario::parse_override(argv[++i]));
-    } else if (starts_with(arg, "--set=")) {
-      overrides.push_back(scenario::parse_override(arg.substr(6)));
-    } else if (starts_with(arg, "--backend=")) {
-      opt.backend_override = arg.substr(10);
-      scenario::parse_backend(opt.backend_override);  // validate now
-    } else if (starts_with(arg, "--output-dir=")) {
-      opt.output_dir = arg.substr(13);
-    } else if (starts_with(arg, "--")) {
-      WSMD_REQUIRE(false, "unknown resume option '" << arg << "'");
-    } else if (arg.find('=') != std::string::npos) {
-      overrides.push_back(scenario::parse_override(arg));
-    } else {
-      paths.push_back(arg);
-    }
+  const Cli cli = parse_cli(argc, argv, "resume ", kBackendFlag);
+  if (cli.help) {
+    print_usage(stdout);
+    return 0;
   }
-  WSMD_REQUIRE(paths.size() == 1,
-               "resume wants exactly one checkpoint file, got "
-                   << paths.size() << " path argument(s)");
-  if (!quiet) {
-    opt.log = [](const std::string& line) {
-      std::printf("%s\n", line.c_str());
-    };
+  if (cli.paths.size() != 1) {
+    throw Error(format("resume wants exactly one checkpoint file, got %zu "
+                       "path argument(s)",
+                       cli.paths.size()));
   }
-  const auto ckpt = io::read_checkpoint_file(paths[0]);
+  const auto ckpt = io::read_checkpoint_file(cli.paths[0]);
   // The checkpoint's embedded deck (the original run's effective
   // scenario, CLI overrides included) plus this invocation's overrides.
-  scenario::Deck deck =
-      scenario::deck_from_entries(ckpt.deck, paths[0] + " (embedded deck)");
-  for (const auto& o : overrides) deck.set(o.key, o.value);
-  // Fold --backend= into the deck before validation, as run and report
-  // do: dist.* keys are rejected off a ranks: backend, and the check must
-  // see the backend the resumed run will use.
-  if (!opt.backend_override.empty()) {
-    deck.set("backend", opt.backend_override);
-  }
+  scenario::Deck deck = assemble_deck(
+      scenario::deck_from_entries(ckpt.deck,
+                                  cli.paths[0] + " (embedded deck)"),
+      cli);
   // A ranks: checkpoint resumes on any backend: off ranks:, drop the
   // embedded dist.* entries (they configured the ranks that wrote it). A
   // dist.* override (line 0) stays and keeps its typed error.
-  if (scenario::parse_backend(deck.get("backend", "reference")).backend !=
-      engine::Backend::kRanks) {
+  const bool on_ranks = [&deck] {
+    try {
+      return scenario::parse_backend(deck.get("backend", "reference"))
+                 .backend == engine::Backend::kRanks;
+    } catch (const Error&) {
+      return true;  // scenario_from_deck blames the bad backend's line
+    }
+  }();
+  if (!on_ranks) {
     std::erase_if(deck.entries, [](const scenario::DeckEntry& e) {
       return e.line > 0 && starts_with(e.key, "dist.");
     });
   }
-  scenario::resume_scenario(scenario::scenario_from_deck(deck), ckpt, opt);
+  scenario::resume_scenario(scenario::scenario_from_deck(deck), ckpt, cli.run);
+  return 0;
+}
+
+/// A plain run: every deck (or the overrides alone) end-to-end, or with
+/// --print its canonical deck.
+int run_decks(int argc, char** argv) {
+  using namespace wsmd;
+  Cli cli = parse_cli(argc, argv, "",
+                      kBackendFlag | kTelemetryFlags | kProgressFlags |
+                          kPrintFlags);
+  if (cli.help) {
+    print_usage(stdout);
+    return 0;
+  }
+  if (cli.list_elements) {
+    for (const auto& el : eam::zhou_available_elements()) {
+      const auto p = eam::zhou_parameters(el);
+      std::printf("%-3s %s  a = %.4f A  (pair_style=eam)\n", el.c_str(),
+                  p.structure.c_str(), p.lattice_constant());
+    }
+    for (const auto& el : eam::lj_available_elements()) {
+      const auto m = eam::lj_parameters(el);
+      std::printf("%-3s %s  a = %.4f A  (pair_style=lj)\n", el.c_str(),
+                  m.structure.c_str(), m.lattice_constant());
+    }
+    return 0;
+  }
+  if (cli.paths.empty() && cli.overrides.empty()) {
+    print_usage(stderr);
+    return 1;
+  }
+  // No deck file: the overrides alone are the deck.
+  if (cli.paths.empty()) cli.paths.push_back("");
+  for (std::size_t i = 0; i < cli.paths.size(); ++i) {
+    const auto sc =
+        scenario::scenario_from_deck(assemble_deck(read_deck(cli.paths[i]), cli));
+    if (!cli.print) {
+      scenario::run_scenario(sc, cli.run);
+      continue;
+    }
+    // The canonical deck, the same text a checkpoint embeds: it parses
+    // back to the same scenario, so the output can be saved and run.
+    if (i > 0) std::printf("\n");
+    for (const auto& e : scenario::deck_from_scenario(sc).entries) {
+      std::printf("%s = %s\n", e.key.c_str(), e.value.c_str());
+    }
+  }
   return 0;
 }
 
@@ -538,104 +502,18 @@ int guarded(Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace wsmd;
-
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
-  if (argc > 1 && std::strcmp(argv[1], "analyze") == 0) {
+  const std::string command = argc > 1 ? argv[1] : "";
+  if (command == "analyze") {
     return guarded([&] { return run_analyze(argc - 2, argv + 2); });
   }
-  if (argc > 1 && std::strcmp(argv[1], "resume") == 0) {
+  if (command == "resume") {
     return guarded([&] { return run_resume(argc - 2, argv + 2); });
   }
-  if (argc > 1 && std::strcmp(argv[1], "report") == 0) {
+  if (command == "report") {
     return guarded([&] { return run_report(argc - 2, argv + 2); });
   }
-
-  std::vector<std::string> decks;
-  std::vector<scenario::DeckEntry> overrides;
-  scenario::RunOptions opt;
-  bool print_only = false;
-  bool quiet = false;
-
-  return guarded([&] {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--help" || arg == "-h") {
-        print_usage(stdout);
-        return 0;
-      } else if (arg == "--list-elements") {
-        for (const auto& el : eam::zhou_available_elements()) {
-          const auto p = eam::zhou_parameters(el);
-          std::printf("%-3s %s  a = %.4f A  (pair_style=eam)\n", el.c_str(),
-                      p.structure.c_str(), p.lattice_constant());
-        }
-        for (const auto& el : eam::lj_available_elements()) {
-          const auto m = eam::lj_parameters(el);
-          std::printf("%-3s %s  a = %.4f A  (pair_style=lj)\n", el.c_str(),
-                      m.structure.c_str(), m.lattice_constant());
-        }
-        return 0;
-      } else if (arg == "--print") {
-        print_only = true;
-      } else if (arg == "--quiet") {
-        quiet = true;
-      } else if (arg == "--set") {
-        WSMD_REQUIRE(i + 1 < argc, "--set needs a key=value argument");
-        overrides.push_back(scenario::parse_override(argv[++i]));
-      } else if (starts_with(arg, "--set=")) {
-        overrides.push_back(scenario::parse_override(arg.substr(6)));
-      } else if (starts_with(arg, "--backend=")) {
-        opt.backend_override = arg.substr(10);
-        scenario::parse_backend(opt.backend_override);  // validate now
-      } else if (starts_with(arg, "--output-dir=")) {
-        opt.output_dir = arg.substr(13);
-      } else if (parse_telemetry_flag(arg, overrides)) {
-        // handled
-      } else if (parse_progress_flag(arg, opt)) {
-        // handled
-      } else if (starts_with(arg, "--")) {
-        WSMD_REQUIRE(false, "unknown option '" << arg << "'");
-      } else if (arg.find('=') != std::string::npos) {
-        overrides.push_back(scenario::parse_override(arg));
-      } else {
-        decks.push_back(arg);
-      }
-    }
-
-    if (decks.empty() && overrides.empty()) {
-      print_usage(stderr);
-      return 1;
-    }
-    if (!quiet) {
-      opt.log = [](const std::string& line) {
-        std::printf("%s\n", line.c_str());
-      };
-    }
-
-    // No deck file: the overrides alone are the deck.
-    if (decks.empty()) decks.push_back("");
-
-    for (const auto& path : decks) {
-      scenario::Deck deck =
-          path.empty() ? scenario::Deck{"<cli>", {}, }
-                       : scenario::parse_deck_file(path);
-      for (const auto& o : overrides) deck.set(o.key, o.value);
-      // Fold --backend= into the deck before validation: dist.* keys are
-      // eagerly rejected off a ranks: backend, and the check must see the
-      // backend the run will actually use. This also makes --print show
-      // the effective scenario directly.
-      if (!opt.backend_override.empty()) {
-        deck.set("backend", opt.backend_override);
-      }
-      auto sc = scenario::scenario_from_deck(deck);
-      if (print_only) {
-        print_scenario(sc);
-        continue;
-      }
-      scenario::run_scenario(sc, opt);
-    }
-    return 0;
-  });
+  return guarded([&] { return run_decks(argc - 1, argv + 1); });
 }

@@ -70,10 +70,10 @@ LjMaterial lj_parameters(const std::string& element) {
   for (const auto& m : kLjTable) {
     if (m.name == element) return m;
   }
-  WSMD_REQUIRE(false, "no built-in LJ parameters for element '"
-                          << element << "' (pair_style=lj knows "
-                          << "Ne, Ar, Kr, Xe)");
-  return {};
+  // A bad element is user input: a plain message the deck parser prefixes
+  // with the deck line.
+  throw Error("no built-in LJ parameters for element '" + element +
+              "' (pair_style=lj knows Ne, Ar, Kr, Xe)");
 }
 
 LennardJones LennardJones::for_element(const std::string& element) {

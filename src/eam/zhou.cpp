@@ -104,8 +104,9 @@ ZhouParams zhou_parameters(const std::string& element) {
   for (const auto& p : kZhouTable) {
     if (p.name == element) return p;
   }
-  WSMD_REQUIRE(false, "no Zhou EAM parameters for element '" << element << "'");
-  return {};
+  // A bad element is user input: a plain message the deck parser prefixes
+  // with the deck line.
+  throw Error("no Zhou EAM parameters for element '" + element + "'");
 }
 
 ZhouEam::ZhouEam(const std::string& element)

@@ -356,31 +356,72 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
           say("  health: WARNING: " + ev.detector + " — " + ev.message);
         });
   }
+  // The diagnostic bundle of every abort path: the thermo tail and
+  // health.json always, plus what the caller can add safely — a checkpoint
+  // (runner thread only: a healthy earlier state can be resumed from it
+  // even when the final velocities are NaN), the trace (never from the
+  // watchdog thread) and, for a rank failure, each rank's last-known step
+  // and stderr capture (`ranks` holds the capture's source path). A rank
+  // failure is the one event the monitor never saw. Throws on I/O failure.
+  const auto write_bundle =
+      [&](const telemetry::HealthEvent& ev, const io::CheckpointData* ckpt,
+          bool with_trace,
+          std::optional<std::vector<telemetry::RankStatus>> ranks) {
+        namespace fs = std::filesystem;
+        fs::create_directories(bundle_dir);
+        const auto in_bundle = [&bundle_dir](const fs::path& name) {
+          return (fs::path(bundle_dir) / name).string();
+        };
+        telemetry::HealthArtifacts art;
+        art.dir = bundle_dir;
+        art.metrics = result.metrics_path;
+        if (ckpt != nullptr) {
+          art.checkpoint = in_bundle("checkpoint.ckpt");
+          io::write_checkpoint_file(art.checkpoint, *ckpt);
+        }
+        if (health) {
+          art.thermo_tail = in_bundle("thermo_tail.csv");
+          telemetry::write_thermo_tail_csv(art.thermo_tail, health->tail());
+        }
+        if (with_trace) {
+          art.trace = in_bundle("trace.json");
+          telemetry::write_trace_json(art.trace);
+        }
+        auto events =
+            health ? health->events() : std::vector<telemetry::HealthEvent>{};
+        std::string cause = ev.detector;
+        if (ranks) {
+          events.push_back(ev);
+          cause += format(": rank %d failed", static_cast<int>(ev.value));
+          // The engine's scratch dir is about to go with it: copy each
+          // capture out under its rank-suffixed name.
+          for (auto& rs : *ranks) {
+            const fs::path src(rs.log);
+            rs.log.clear();
+            if (fs::exists(src)) {
+              rs.log = in_bundle(src.filename());
+              fs::copy_file(src, rs.log, fs::copy_options::overwrite_existing);
+            }
+          }
+        }
+        telemetry::write_health_json(
+            in_bundle("health.json"), sc.name, result.backend_name, events,
+            &ev, art, ranks ? *ranks : std::vector<telemetry::RankStatus>{});
+        say("  health: ABORT (" + cause + ") — bundle -> " + bundle_dir);
+      };
   if (health && sc.health.stall == telemetry::HealthAction::kAbort) {
     health->set_stall_handler(
         opt.stall_handler
             ? opt.stall_handler
             : telemetry::HealthMonitor::EventSink(
-                  [&](const telemetry::HealthEvent& ev) {
+                  // By copy: the monitor, declared first, outlives the
+                  // write_bundle local.
+                  [write_bundle](const telemetry::HealthEvent& ev) {
                     // The runner thread is wedged mid-step, so the engine
                     // state is unreachable: the bundle carries what the
                     // watchdog can safely write, then the process exits.
-                    namespace fs = std::filesystem;
                     try {
-                      fs::create_directories(bundle_dir);
-                      telemetry::HealthArtifacts art;
-                      art.dir = bundle_dir;
-                      art.metrics = result.metrics_path;
-                      art.thermo_tail =
-                          (fs::path(bundle_dir) / "thermo_tail.csv").string();
-                      telemetry::write_thermo_tail_csv(art.thermo_tail,
-                                                       health->tail());
-                      telemetry::write_health_json(
-                          (fs::path(bundle_dir) / "health.json").string(),
-                          sc.name, result.backend_name, health->events(),
-                          &ev, art);
-                      say("  health: ABORT (stall) — bundle -> " +
-                          bundle_dir);
+                      write_bundle(ev, nullptr, false, std::nullopt);
                     } catch (...) {
                     }
                     std::_Exit(3);
@@ -545,37 +586,6 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
     say(format("  checkpoint -> %s (step %ld)", file.c_str(), t.step));
   };
 
-  // Diagnostic bundle for an abort-action detector that trips on the
-  // runner thread: checkpoint (PR 4 format — a healthy earlier state can
-  // be resumed from it even when the final velocities are NaN), the
-  // last-K thermo rows around the trip, the trace so far, and the
-  // health.json verdict.
-  const auto write_bundle = [&](const telemetry::HealthEvent& ev,
-                                std::size_t stage_index, long steps_done) {
-    namespace fs = std::filesystem;
-    fs::create_directories(bundle_dir);
-    telemetry::HealthArtifacts art;
-    art.dir = bundle_dir;
-    art.metrics = result.metrics_path;
-    art.checkpoint = (fs::path(bundle_dir) / "checkpoint.ckpt").string();
-    io::write_checkpoint_file(art.checkpoint,
-                              make_checkpoint_data(stage_index, steps_done));
-    if (health) {
-      art.thermo_tail = (fs::path(bundle_dir) / "thermo_tail.csv").string();
-      telemetry::write_thermo_tail_csv(art.thermo_tail, health->tail());
-    }
-    if (telemetry_on) {
-      art.trace = (fs::path(bundle_dir) / "trace.json").string();
-      telemetry::write_trace_json(art.trace);
-    }
-    telemetry::write_health_json(
-        (fs::path(bundle_dir) / "health.json").string(), sc.name,
-        result.backend_name, health ? health->events()
-                                    : std::vector<telemetry::HealthEvent>{},
-        &ev, art);
-    say("  health: ABORT (" + ev.detector + ") — bundle -> " + bundle_dir);
-  };
-
   // Feed one thermo row through the watchdog; throws HealthAbortError
   // (bundle written first) when an abort-action detector trips.
   const auto check_health = [&](const engine::Thermo& t,
@@ -592,7 +602,8 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
     hs.has_target = has_target;
     health->record(hs);
     if (auto fatal = health->check(hs)) {
-      write_bundle(*fatal, stage_index, steps_done);
+      const auto ckpt = make_checkpoint_data(stage_index, steps_done);
+      write_bundle(*fatal, &ckpt, telemetry_on, std::nullopt);
       throw telemetry::HealthAbortError(*fatal, bundle_dir);
     }
   };
@@ -777,49 +788,19 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
     ev.step = eng->step_count();
     ev.value = static_cast<double>(ex.failed_rank());
     ev.message = ex.what();
-    namespace fs = std::filesystem;
+    // Per-rank post-mortem: last-known step counters from the failure
+    // itself and each rank's stderr capture.
+    std::vector<telemetry::RankStatus> ranks;
+    if (auto* de = dynamic_cast<dist::DistributedEngine*>(eng.get())) {
+      const auto logs = de->rank_log_paths();
+      const auto& steps = ex.last_known_steps();
+      for (std::size_t r = 0; r < logs.size(); ++r) {
+        ranks.push_back({static_cast<int>(r),
+                         r < steps.size() ? steps[r] : -1, logs[r]});
+      }
+    }
     try {
-      fs::create_directories(bundle_dir);
-      telemetry::HealthArtifacts art;
-      art.dir = bundle_dir;
-      art.metrics = result.metrics_path;
-      if (health) {
-        art.thermo_tail = (fs::path(bundle_dir) / "thermo_tail.csv").string();
-        telemetry::write_thermo_tail_csv(art.thermo_tail, health->tail());
-      }
-      if (telemetry_on) {
-        art.trace = (fs::path(bundle_dir) / "trace.json").string();
-        telemetry::write_trace_json(art.trace);
-      }
-      // Per-rank post-mortem: last-known step counters from the failure
-      // itself, stderr captures copied out of the engine's scratch dir
-      // (which its destructor is about to remove) under their
-      // rank-suffixed names.
-      std::vector<telemetry::RankStatus> ranks;
-      if (auto* de = dynamic_cast<dist::DistributedEngine*>(eng.get())) {
-        const auto logs = de->rank_log_paths();
-        const auto& steps = ex.last_known_steps();
-        for (std::size_t r = 0; r < logs.size(); ++r) {
-          telemetry::RankStatus rs;
-          rs.rank = static_cast<int>(r);
-          rs.last_step = r < steps.size() ? steps[r] : -1;
-          const fs::path src(logs[r]);
-          if (fs::exists(src)) {
-            const fs::path dst = fs::path(bundle_dir) / src.filename();
-            fs::copy_file(src, dst, fs::copy_options::overwrite_existing);
-            rs.log = dst.string();
-          }
-          ranks.push_back(std::move(rs));
-        }
-      }
-      auto events =
-          health ? health->events() : std::vector<telemetry::HealthEvent>{};
-      events.push_back(ev);
-      telemetry::write_health_json(
-          (fs::path(bundle_dir) / "health.json").string(), sc.name,
-          result.backend_name, events, &ev, art, ranks);
-      say(format("  health: ABORT (stall: rank %d failed) — bundle -> %s",
-                 ex.failed_rank(), bundle_dir.c_str()));
+      write_bundle(ev, nullptr, telemetry_on, std::move(ranks));
     } catch (...) {
       // Bundle writing is best-effort; the rank failure is the error.
     }

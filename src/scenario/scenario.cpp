@@ -1,7 +1,9 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -17,64 +19,592 @@ namespace wsmd::scenario {
 
 namespace {
 
-[[noreturn]] void bad_entry(const Deck& deck, const DeckEntry& e,
-                            const std::string& why) {
-  // The message leads with the deck location: the user's input is wrong,
-  // not a C++ precondition. line == 0 marks an appended CLI override —
-  // pointing at the deck file would send the user grepping for a key that
-  // is not in it.
-  std::ostringstream os;
-  if (e.line > 0) {
-    os << deck.source << ':' << e.line;
-  } else {
-    os << "<cli override>";
+/// One scenario_from_deck call: the scenario being filled, plus the last
+/// entry of every key the deck sets, so the cross-key rules after the key
+/// loop can blame the deck line at fault.
+struct Parser {
+  explicit Parser(const Deck& d) : deck(d) {}
+
+  const Deck& deck;
+  Scenario sc;
+  std::map<std::string, const DeckEntry*> seen;
+  std::vector<const DeckEntry*> stage_entries;  ///< one per sc.schedule stage
+
+  [[noreturn]] void bad(const DeckEntry& e, const std::string& why) const {
+    // The message leads with the deck location: the user's input is wrong,
+    // not a C++ precondition. line == 0 marks an appended CLI override —
+    // pointing at the deck file would send the user grepping for a key
+    // that is not in it.
+    std::ostringstream os;
+    if (e.line > 0) {
+      os << deck.source << ':' << e.line;
+    } else {
+      os << "<cli override>";
+    }
+    os << ": key '" << e.key << "' = '" << e.value << "': " << why;
+    throw Error(os.str());
   }
-  os << ": key '" << e.key << "' = '" << e.value << "': " << why;
-  throw Error(os.str());
-}
 
-double parse_double_token(const Deck& deck, const DeckEntry& e,
-                          const std::string& token) {
-  double v = 0.0;
-  if (!parse_double_strict(token, v)) bad_entry(deck, e, "not a number");
-  return v;
-}
-
-long parse_long_token(const Deck& deck, const DeckEntry& e,
-                      const std::string& token) {
-  long v = 0;
-  if (!parse_long_strict(token, v)) bad_entry(deck, e, "not an integer");
-  return v;
-}
-
-/// Split the value and require exactly `n` whitespace-separated tokens.
-std::vector<std::string> tokens_n(const Deck& deck, const DeckEntry& e,
-                                  std::size_t n) {
-  auto t = split_whitespace(e.value);
-  if (t.size() != n) {
-    bad_entry(deck, e,
-              "expected " + std::to_string(n) + " value(s), got " +
-                  std::to_string(t.size()));
+  /// The last entry of `key`, or nullptr when the deck does not set it.
+  const DeckEntry* at(const std::string& key) const {
+    const auto it = seen.find(key);
+    return it != seen.end() ? it->second : nullptr;
   }
-  return t;
+
+  /// The alphabetically first key under `prefix` the deck sets, or nullptr.
+  const DeckEntry* first_under(const std::string& prefix) const {
+    const auto it = seen.lower_bound(prefix);
+    return it != seen.end() && starts_with(it->first, prefix) ? it->second
+                                                              : nullptr;
+  }
+
+  /// Blame the first of `keys` the deck sets, else the deck as a whole.
+  [[noreturn]] void blame(std::initializer_list<const char*> keys,
+                          const std::string& why) const {
+    for (const char* key : keys) {
+      if (const DeckEntry* e = at(key)) bad(*e, why);
+    }
+    throw Error(format("%s: %s", deck.source.c_str(), why.c_str()));
+  }
+
+  /// Split the value and require exactly `n` whitespace-separated tokens.
+  std::vector<std::string> tokens(const DeckEntry& e, std::size_t n) const {
+    auto t = split_whitespace(e.value);
+    if (t.size() != n) {
+      bad(e, format("expected %zu value(s), got %zu", n, t.size()));
+    }
+    return t;
+  }
+  double real(const DeckEntry& e, const std::string& token) const {
+    double v = 0.0;
+    if (!parse_double_strict(token, v)) bad(e, "not a number");
+    return v;
+  }
+  long integer(const DeckEntry& e, const std::string& token) const {
+    long v = 0;
+    if (!parse_long_strict(token, v)) bad(e, "not an integer");
+    return v;
+  }
+  double real(const DeckEntry& e) const { return real(e, tokens(e, 1)[0]); }
+  /// One integer in [lo, hi]; `why` names the range.
+  long integer(const DeckEntry& e, long lo, const char* why,
+               long hi = LONG_MAX) const {
+    const long v = integer(e, tokens(e, 1)[0]);
+    if (v < lo || v > hi) bad(e, why);
+    return v;
+  }
+  /// One integer >= lo (`why` otherwise) for an int field, which it must
+  /// fit: a wrapped value would pass the bound and then divide by zero.
+  int int_at_least(const DeckEntry& e, long lo, const char* why) const {
+    const long v = integer(e, lo, why);
+    if (v > INT_MAX) bad(e, format("must be <= %d", INT_MAX));
+    return static_cast<int>(v);
+  }
+  /// One number > 0; `why` names the bound.
+  double positive(const DeckEntry& e, const char* why) const {
+    const double v = real(e);
+    if (v <= 0.0) bad(e, why);
+    return v;
+  }
+  /// The value, which must be one of `choices`.
+  const std::string& one_of(const DeckEntry& e,
+                            std::initializer_list<const char*> choices) const {
+    std::string want;
+    for (const char* c : choices) {
+      if (e.value == c) return e.value;
+      want += want.empty() ? "want " : "|";
+      want += c;
+    }
+    bad(e, want);
+  }
+  const std::string& nonempty(const DeckEntry& e, const char* why) const {
+    if (e.value.empty()) bad(e, why);
+    return e.value;
+  }
+  /// PATH|auto|off: `off` (the resume-time disable) is the empty path;
+  /// `auto` resolves after the key loop, since `name` may come later.
+  std::string export_path(const DeckEntry& e) const {
+    return nonempty(e, "want PATH|auto|off") == "off" ? "" : e.value;
+  }
+  telemetry::HealthAction action(const DeckEntry& e) const {
+    telemetry::HealthAction a = telemetry::HealthAction::kOff;
+    if (!telemetry::parse_health_action(e.value, &a)) {
+      bad(e, "want off|warn|abort");
+    }
+    return a;
+  }
+
+  double kelvin(const DeckEntry& e, const std::string& token) const {
+    const double t = real(e, token);
+    if (t < 0.0) bad(e, "temperature must be >= 0 K");
+    return t;
+  }
+  long steps(const DeckEntry& e, const std::string& token) const {
+    const long n = integer(e, token);
+    if (n < 0) bad(e, "step count must be >= 0");
+    return n;
+  }
+  void stage(const DeckEntry& e, const Stage& st) {
+    sc.schedule.push_back(st);
+    stage_entries.push_back(&e);
+  }
+  /// `T STEPS`: a stage that holds its target T.
+  void hold(const DeckEntry& e, Stage::Kind kind) {
+    const auto t = tokens(e, 2);
+    const double k = kelvin(e, t[0]);
+    stage(e, {kind, k, k, steps(e, t[1])});
+  }
+};
+
+/// %.17g round-trips FP64 exactly through the strict parser.
+std::string num(double v) { return format("%.17g", v); }
+
+/// When deck_from_scenario writes a row's key (and its `only_if` holds).
+enum class Emit {
+  kAlways,
+  kNonDefault,  ///< the value differs from a default Scenario's
+  kNonEmpty,    ///< the value is not empty
+  kStages,      ///< schedule keys: every stage, in order, at the first row
+  kNever,       ///< legacy keys, parsed so older decks still load
+};
+
+// Short names for the table rows below.
+using P = Parser;
+using E = DeckEntry;
+using Sc = Scenario;
+
+/// One accepted deck key. The rows are in canonical-deck order.
+struct KeyRow {
+  const char* name;
+  const char* doc;  ///< one line, shown by `wsmd --help`
+  void (*parse)(P&, const E&);  ///< typed, validated; errors blame the line
+  Emit emit = Emit::kNever;
+  std::string (*value)(const Sc&) = nullptr;  ///< the canonical value text
+  bool (*only_if)(const Sc&) = nullptr;       ///< nullptr = no condition
+};
+
+bool is_gb(const Sc& sc) { return sc.geometry == "grain_boundary"; }
+bool on_ranks(const Sc& sc) {
+  return parse_backend(sc.backend).backend == engine::Backend::kRanks;
+}
+bool drill(const Sc& sc) { return on_ranks(sc) && sc.dist_kill_rank >= 0; }
+bool writes_xyz(const Sc& sc) { return !sc.xyz_path.empty(); }
+bool writes_thermo(const Sc& sc) { return !sc.thermo_path.empty(); }
+bool observing(const Sc& sc) { return sc.observe.enabled(); }
+bool has_rdf(const Sc& sc) { return sc.observe.has("rdf"); }
+bool has_defects(const Sc& sc) { return sc.observe.has("defects"); }
+bool checkpointing(const Sc& sc) { return sc.checkpoint_every > 0; }
+std::string act(telemetry::HealthAction a) {
+  return telemetry::health_action_name(a);
+}
+constexpr auto kOff = telemetry::HealthAction::kOff;
+void run_stage(P& p, const E& e) {
+  p.stage(e, {Stage::Kind::kRun, 0.0, 0.0, p.steps(e, p.tokens(e, 1)[0])});
 }
 
-double one_double(const Deck& deck, const DeckEntry& e) {
-  return parse_double_token(deck, e, tokens_n(deck, e, 1)[0]);
+const KeyRow kKeys[] = {
+    {"name", "scenario name, the stem of every default output path",
+     [](P& p, const E& e) { p.sc.name = e.value; }, Emit::kAlways,
+     [](const Sc& sc) { return sc.name; }},
+    {"element", "element in the pair style's table (--list-elements)",
+     [](P& p, const E& e) { p.sc.element = e.value; }, Emit::kAlways,
+     [](const Sc& sc) { return sc.element; }},
+    // Written with its default too: a checkpoint pins the interaction family.
+    {"pair_style", "eam|lj: Zhou EAM metal (default) or noble-gas LJ",
+     [](P& p, const E& e) { p.sc.pair_style = p.one_of(e, {"eam", "lj"}); },
+     Emit::kAlways, [](const Sc& sc) { return sc.pair_style; }},
+    // Legacy: every checkpoint written before the analytic path's removal
+    // embeds it; both engines evaluate the profile tables only.
+    {"potential", "legacy: tabulated parses and selects nothing",
+     [](P& p, const E& e) {
+       if (e.value == "analytic") {
+         p.bad(e, "the analytic evaluation path was removed; engines "
+                  "evaluate the profile tables only (drop the key or set "
+                  "tabulated)");
+       }
+       p.one_of(e, {"tabulated"});
+     }},
+    {"geometry", "slab|bulk|grain_boundary; bulk needs replicate",
+     [](P& p, const E& e) {
+       p.sc.geometry = p.one_of(e, {"slab", "bulk", "grain_boundary"});
+     },
+     Emit::kAlways, [](const Sc& sc) { return sc.geometry; }},
+    {"tilt_angle_deg", "D: bicrystal tilt angle in degrees (grain_boundary)",
+     [](P& p, const E& e) { p.sc.tilt_angle_deg = p.real(e); }, Emit::kAlways,
+     [](const Sc& sc) { return num(sc.tilt_angle_deg); }, is_gb},
+    {"gb_atoms", "N >= 16: bicrystal target atom count (grain_boundary)",
+     [](P& p, const E& e) {
+       p.sc.gb_target_atoms = static_cast<std::size_t>(
+           p.integer(e, 16, "gb_atoms must be >= 16"));
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.gb_target_atoms); }, is_gb},
+    {"replicate", "NX NY NZ: explicit unit-cell replication (slab, bulk)",
+     [](P& p, const E& e) {
+       const auto t = p.tokens(e, 3);
+       for (std::size_t a = 0; a < 3; ++a) {
+         const long v = p.integer(e, t[a]);
+         if (v < 1) p.bad(e, "replication counts must be >= 1");
+         if (v > INT_MAX) p.bad(e, format("must be <= %d", INT_MAX));
+         p.sc.replicate[a] = static_cast<int>(v);
+       }
+     },
+     Emit::kAlways,
+     [](const Sc& sc) {
+       return format("%d %d %d", sc.replicate[0], sc.replicate[1],
+                     sc.replicate[2]);
+     },
+     [](const Sc& sc) { return !is_gb(sc) && sc.replicate[0] > 0; }},
+    {"scale", "N >= 1: paper-slab divisor, when replicate is absent",
+     [](P& p, const E& e) {
+       p.sc.scale = p.int_at_least(e, 1, "scale must be >= 1");
+     },
+     Emit::kAlways, [](const Sc& sc) { return std::to_string(sc.scale); },
+     [](const Sc& sc) { return !is_gb(sc) && sc.replicate[0] <= 0; }},
+    {"vacancy_fraction", "F in [0, 1): random vacancies (slab, bulk)",
+     [](P& p, const E& e) {
+       const double v = p.real(e);
+       if (v < 0.0 || v >= 1.0) p.bad(e, "want [0, 1)");
+       p.sc.vacancy_fraction = v;
+     },
+     Emit::kAlways, [](const Sc& sc) { return num(sc.vacancy_fraction); },
+     [](const Sc& sc) { return sc.vacancy_fraction > 0.0; }},
+    {"backend", "reference[:N]|wafer|sharded[:N]|ranks:M[xN]",
+     [](P& p, const E& e) {
+       try {
+         parse_backend(e.value);
+       } catch (const Error& ex) {
+         p.bad(e, ex.what());
+       }
+       p.sc.backend = e.value;
+     },
+     Emit::kAlways, [](const Sc& sc) { return sc.backend; }},
+    {"dt", "timestep in ps, > 0",
+     [](P& p, const E& e) { p.sc.dt = p.positive(e, "dt must be > 0"); },
+     Emit::kAlways, [](const Sc& sc) { return num(sc.dt); }},
+    {"swap_interval", "N >= 0: wafer atom-swap cadence in steps (0 = off)",
+     [](P& p, const E& e) {
+       p.sc.swap_interval =
+           p.int_at_least(e, 0, "swap_interval must be >= 0");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.swap_interval); }},
+    {"rescale_interval", "N >= 1: steps between thermostat rescales",
+     [](P& p, const E& e) {
+       p.sc.rescale_interval =
+           p.int_at_least(e, 1, "rescale_interval must be >= 1");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.rescale_interval); }},
+    {"seed", "N >= 0: seed of the velocity and vacancy streams",
+     [](P& p, const E& e) {
+       p.sc.seed =
+           static_cast<std::uint64_t>(p.integer(e, 0, "seed must be >= 0"));
+     },
+     Emit::kAlways, [](const Sc& sc) { return std::to_string(sc.seed); }},
+    // dist.* keys are written only under a ranks: backend (the parser
+    // rejects them elsewhere) and only off their defaults. A checkpoint
+    // resumed with --backend=ranks:4 re-ranks: the slab partition is
+    // derived from the rank count at restore, never stored.
+    {"dist.timeout", "S > 0: ranks: per-message deadline in s (default 300)",
+     [](P& p, const E& e) {
+       const double s = p.positive(e, "timeout must be > 0 seconds");
+       // The engine takes the deadline in int milliseconds.
+       if (s > INT_MAX / 1000) {
+         p.bad(e, format("timeout must be <= %d seconds", INT_MAX / 1000));
+       }
+       p.sc.dist_timeout_s = s;
+     },
+     Emit::kNonDefault, [](const Sc& sc) { return num(sc.dist_timeout_s); },
+     on_ranks},
+    {"dist.kill_rank", "R: ranks: fault drill, rank R exits hard (+ kill_step)",
+     [](P& p, const E& e) {
+       p.sc.dist_kill_rank = p.int_at_least(e, 0, "kill rank must be >= 0");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.dist_kill_rank); }, drill},
+    {"dist.kill_step", "K >= 1: ranks: fault drill, dies before step K",
+     [](P& p, const E& e) {
+       p.sc.dist_kill_step =
+           p.integer(e, 1, "kill step must be >= 1 (1-based)");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.dist_kill_step); }, drill},
+    // Legacy: older decks and checkpoints embed it; halos always ride the
+    // shm rings.
+    {"dist.transport", "legacy (ranks: only): shm|socket, selects nothing",
+     [](P& p, const E& e) { p.one_of(e, {"shm", "socket"}); }},
+    // Schedule keys append stages in deck order.
+    {"thermalize", "T: stage, one-shot Maxwell-Boltzmann velocities at T K",
+     [](P& p, const E& e) {
+       p.stage(e, {Stage::Kind::kThermalize, p.kelvin(e, p.tokens(e, 1)[0])});
+     },
+     Emit::kStages},
+    {"equilibrate", "T STEPS: stage, velocity rescaling toward T",
+     [](P& p, const E& e) { p.hold(e, Stage::Kind::kEquilibrate); },
+     Emit::kStages},
+    {"ramp", "T0 T1 STEPS: stage, rescaling toward T0 sliding to T1",
+     [](P& p, const E& e) {
+       const auto t = p.tokens(e, 3);
+       p.stage(e, {Stage::Kind::kRamp, p.kelvin(e, t[0]), p.kelvin(e, t[1]),
+                   p.steps(e, t[2])});
+     },
+     Emit::kStages},
+    {"quench", "T STEPS: stage, rescaling toward a cold T",
+     [](P& p, const E& e) { p.hold(e, Stage::Kind::kQuench); },
+     Emit::kStages},
+    {"run", "STEPS: stage, free NVE", run_stage, Emit::kStages},
+    // Parse-only in effect: its stages are written as `run`.
+    {"nve", "STEPS: alias of run", run_stage, Emit::kStages},
+    {"xyz", "PATH: XYZ trajectory",
+     [](P& p, const E& e) { p.sc.xyz_path = e.value; }, Emit::kNonEmpty,
+     [](const Sc& sc) { return sc.xyz_path; }},
+    {"xyz_every", "N >= 1: steps between trajectory frames",
+     [](P& p, const E& e) {
+       p.sc.xyz_every = p.integer(e, 1, "xyz_every must be >= 1");
+     },
+     Emit::kAlways, [](const Sc& sc) { return std::to_string(sc.xyz_every); },
+     writes_xyz},
+    {"thermo", "PATH: thermo log",
+     [](P& p, const E& e) { p.sc.thermo_path = e.value; }, Emit::kNonEmpty,
+     [](const Sc& sc) { return sc.thermo_path; }},
+    {"thermo_every", "N >= 1: steps between thermo rows",
+     [](P& p, const E& e) {
+       p.sc.thermo_every = p.integer(e, 1, "thermo_every must be >= 1");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.thermo_every); },
+     writes_thermo},
+    {"thermo_format", "csv|jsonl: thermo log format",
+     [](P& p, const E& e) { p.sc.thermo_format = p.one_of(e, {"csv", "jsonl"}); },
+     Emit::kAlways, [](const Sc& sc) { return sc.thermo_format; },
+     writes_thermo},
+    {"summary", "PATH: machine-readable run summary (JSON)",
+     [](P& p, const E& e) { p.sc.summary_path = e.value; }, Emit::kNonEmpty,
+     [](const Sc& sc) { return sc.summary_path; }},
+    {"observe.probes", "P...: streaming probes, any of rdf msd vacf defects",
+     [](P& p, const E& e) {
+       const auto t = split_whitespace(e.value);
+       if (t.empty()) {
+         p.bad(e, "expected at least one of rdf|msd|vacf|defects");
+       }
+       std::vector<std::string> probes;
+       for (const auto& kind : t) {
+         if (!obs::is_probe_kind(kind)) {
+           p.bad(e, format("unknown probe '%s' (want rdf|msd|vacf|defects)",
+                           kind.c_str()));
+         }
+         if (std::find(probes.begin(), probes.end(), kind) != probes.end()) {
+           p.bad(e, format("duplicate probe '%s'", kind.c_str()));
+         }
+         probes.push_back(kind);
+       }
+       p.sc.observe.probes = std::move(probes);
+     },
+     Emit::kAlways,
+     [](const Sc& sc) {
+       std::string probes;
+       for (const auto& kind : sc.observe.probes) {
+         if (!probes.empty()) probes += ' ';
+         probes += kind;
+       }
+       return probes;
+     },
+     observing},
+    {"observe.every", "N >= 1: probe sampling cadence in steps",
+     [](P& p, const E& e) {
+       p.sc.observe.every = p.integer(e, 1, "sampling cadence must be >= 1");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.observe.every); }, observing},
+    {"observe.rdf_every", "N >= 1: rdf cadence (default observe.every)",
+     [](P& p, const E& e) {
+       p.sc.observe.rdf_every =
+           p.integer(e, 1, "sampling cadence must be >= 1");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.observe.rdf_every); },
+     [](const Sc& sc) { return observing(sc) && sc.observe.rdf_every > 0; }},
+    {"observe.msd_every", "N >= 1: msd cadence (default observe.every)",
+     [](P& p, const E& e) {
+       p.sc.observe.msd_every =
+           p.integer(e, 1, "sampling cadence must be >= 1");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.observe.msd_every); },
+     [](const Sc& sc) { return observing(sc) && sc.observe.msd_every > 0; }},
+    {"observe.vacf_every", "N >= 1: vacf cadence (default observe.every)",
+     [](P& p, const E& e) {
+       p.sc.observe.vacf_every =
+           p.integer(e, 1, "sampling cadence must be >= 1");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.observe.vacf_every); },
+     [](const Sc& sc) { return observing(sc) && sc.observe.vacf_every > 0; }},
+    {"observe.defects_every", "N >= 1: defects cadence (default observe.every)",
+     [](P& p, const E& e) {
+       p.sc.observe.defects_every =
+           p.integer(e, 1, "sampling cadence must be >= 1");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.observe.defects_every); },
+     [](const Sc& sc) {
+       return observing(sc) && sc.observe.defects_every > 0;
+     }},
+    {"observe.format", "csv|jsonl: probe output format",
+     [](P& p, const E& e) {
+       p.sc.observe.format = p.one_of(e, {"csv", "jsonl"});
+     },
+     Emit::kAlways, [](const Sc& sc) { return sc.observe.format; },
+     observing},
+    {"observe.prefix", "PREFIX: probes write PREFIX.<probe>.csv (default name)",
+     [](P& p, const E& e) {
+       p.sc.observe.prefix = p.nonempty(e, "prefix must not be empty");
+     },
+     Emit::kNonEmpty, [](const Sc& sc) { return sc.observe.prefix; },
+     observing},
+    {"observe.rdf_rcut", "R > 0: g(r) range in A (default 1.8 a0)",
+     [](P& p, const E& e) {
+       p.sc.observe.rdf_rcut = p.positive(e, "rdf rcut must be > 0 A");
+     },
+     Emit::kAlways, [](const Sc& sc) { return num(sc.observe.rdf_rcut); },
+     [](const Sc& sc) { return has_rdf(sc) && sc.observe.rdf_rcut > 0.0; }},
+    {"observe.rdf_bins", "N in 2..100000: g(r) histogram bins (default 200)",
+     [](P& p, const E& e) {
+       p.sc.observe.rdf_bins =
+           static_cast<int>(p.integer(e, 2, "want 2..100000 bins", 100000));
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.observe.rdf_bins); },
+     has_rdf},
+    {"observe.csp_threshold", "X > 0: defect CSP threshold in A^2 (default 1)",
+     [](P& p, const E& e) {
+       p.sc.observe.csp_threshold =
+           p.positive(e, "csp threshold must be > 0 A^2");
+     },
+     Emit::kAlways, [](const Sc& sc) { return num(sc.observe.csp_threshold); },
+     has_defects},
+    {"observe.gb_axis", "x|y|z: grain-boundary tracking axis (default y)",
+     [](P& p, const E& e) {
+       p.sc.observe.gb_axis = p.one_of(e, {"x", "y", "z"})[0] - 'x';
+     },
+     Emit::kAlways,
+     [](const Sc& sc) {
+       return std::string(1, "xyz"[static_cast<std::size_t>(sc.observe.gb_axis)]);
+     },
+     [](const Sc& sc) { return has_defects(sc) && sc.observe.gb_axis >= 0; }},
+    {"checkpoint.every", "N >= 0: restart checkpoint cadence in steps (0 = off)",
+     [](P& p, const E& e) {
+       p.sc.checkpoint_every =
+           p.integer(e, 0, "checkpoint cadence must be >= 0 (0 = off)");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.checkpoint_every); },
+     checkpointing},
+    {"checkpoint.path", "PATH: checkpoint file (default <name>.ckpt; * = step)",
+     [](P& p, const E& e) {
+       p.sc.checkpoint_path =
+           p.nonempty(e, "checkpoint path must not be empty");
+     },
+     Emit::kAlways, [](const Sc& sc) { return sc.checkpoint_path; },
+     checkpointing},
+    {"telemetry.trace", "PATH|auto|off: chrome://tracing timeline",
+     [](P& p, const E& e) { p.sc.telemetry_trace_path = p.export_path(e); },
+     Emit::kNonEmpty, [](const Sc& sc) { return sc.telemetry_trace_path; }},
+    {"telemetry.metrics", "PATH|auto|off: span/counter aggregates (JSONL)",
+     [](P& p, const E& e) { p.sc.telemetry_metrics_path = p.export_path(e); },
+     Emit::kNonEmpty, [](const Sc& sc) { return sc.telemetry_metrics_path; }},
+    {"telemetry.snapshot", "S|off: every S s, a throughput row in the metrics file",
+     [](P& p, const E& e) {
+       p.sc.telemetry_snapshot_s =
+           e.value == "off"
+               ? 0.0
+               : p.positive(e, "snapshot cadence must be > 0 seconds (or off)");
+     },
+     Emit::kAlways, [](const Sc& sc) { return num(sc.telemetry_snapshot_s); },
+     [](const Sc& sc) { return sc.telemetry_snapshot_s > 0.0; }},
+    // health.* keys are written off their defaults only, and a band or
+    // timeout only while its detector is on (the parser rejects it
+    // otherwise).
+    {"health.nan", "off|warn|abort: non-finite thermo (default warn)",
+     [](P& p, const E& e) { p.sc.health.nan = p.action(e); },
+     Emit::kNonDefault, [](const Sc& sc) { return act(sc.health.nan); }},
+    {"health.energy_drift", "off|warn|abort: |E - E0| detector in run stages",
+     [](P& p, const E& e) { p.sc.health.energy_drift = p.action(e); },
+     Emit::kNonDefault, [](const Sc& sc) { return act(sc.health.energy_drift); }},
+    {"health.energy_band", "F > 0: relative energy band (default 0.02)",
+     [](P& p, const E& e) {
+       p.sc.health.energy_band =
+           p.positive(e, "energy band must be > 0 (relative)");
+     },
+     Emit::kNonDefault, [](const Sc& sc) { return num(sc.health.energy_band); },
+     [](const Sc& sc) { return sc.health.energy_drift != kOff; }},
+    {"health.temperature", "off|warn|abort: |T - target| in thermostatted stages",
+     [](P& p, const E& e) { p.sc.health.temperature = p.action(e); },
+     Emit::kNonDefault, [](const Sc& sc) { return act(sc.health.temperature); }},
+    {"health.temperature_band", "K > 0: temperature band in K (default 250)",
+     [](P& p, const E& e) {
+       p.sc.health.temperature_band_K =
+           p.positive(e, "temperature band must be > 0 K");
+     },
+     Emit::kNonDefault,
+     [](const Sc& sc) { return num(sc.health.temperature_band_K); },
+     [](const Sc& sc) { return sc.health.temperature != kOff; }},
+    {"health.stall", "off|warn|abort: no completed step within stall_timeout",
+     [](P& p, const E& e) { p.sc.health.stall = p.action(e); },
+     Emit::kNonDefault, [](const Sc& sc) { return act(sc.health.stall); }},
+    {"health.stall_timeout", "S > 0: stall timeout in seconds (default 120)",
+     [](P& p, const E& e) {
+       p.sc.health.stall_timeout_s =
+           p.positive(e, "stall timeout must be > 0 seconds");
+     },
+     Emit::kNonDefault,
+     [](const Sc& sc) { return num(sc.health.stall_timeout_s); },
+     [](const Sc& sc) { return sc.health.stall != kOff; }},
+    {"health.thermo_tail", "K in 1..100000: thermo rows in a bundle (default 64)",
+     [](P& p, const E& e) {
+       p.sc.health.thermo_tail = p.integer(e, 1, "want 1..100000 rows", 100000);
+     },
+     Emit::kNonDefault,
+     [](const Sc& sc) { return std::to_string(sc.health.thermo_tail); }},
+    {"health.bundle", "DIR: abort bundle directory (default <name>.health)",
+     [](P& p, const E& e) {
+       p.sc.health.bundle_dir = p.nonempty(e, "bundle path must not be empty");
+     },
+     Emit::kNonEmpty, [](const Sc& sc) { return sc.health.bundle_dir; }},
+    {"health.inject_nan", "STEP: fault drill, a NaN velocity before this step",
+     [](P& p, const E& e) {
+       p.sc.health.inject_nan_step =
+           p.integer(e, 0, "inject step must be >= 0 (0 = off)");
+     },
+     Emit::kAlways,
+     [](const Sc& sc) { return std::to_string(sc.health.inject_nan_step); },
+     [](const Sc& sc) {
+       return sc.health.inject_nan_step > 0 && sc.health.nan != kOff;
+     }},
+};
+
+const KeyRow* find_key(const std::string& name) {
+  for (const KeyRow& k : kKeys) {
+    if (name == k.name) return &k;
+  }
+  return nullptr;
 }
 
-long one_long(const Deck& deck, const DeckEntry& e) {
-  return parse_long_token(deck, e, tokens_n(deck, e, 1)[0]);
-}
-
-long nonneg_steps(const Deck& deck, const DeckEntry& e, long v) {
-  if (v < 0) bad_entry(deck, e, "step count must be >= 0");
-  return v;
-}
-
-double nonneg_temp(const Deck& deck, const DeckEntry& e, double t) {
-  if (t < 0.0) bad_entry(deck, e, "temperature must be >= 0 K");
-  return t;
+std::string stage_value(const Stage& st) {
+  switch (st.kind) {
+    case Stage::Kind::kThermalize:
+      return num(st.t0);
+    case Stage::Kind::kEquilibrate:
+    case Stage::Kind::kQuench:
+      return format("%s %ld", num(st.t0).c_str(), st.steps);
+    case Stage::Kind::kRamp:
+      return format("%s %s %ld", num(st.t0).c_str(), num(st.t1).c_str(),
+                    st.steps);
+    case Stage::Kind::kRun:
+      return std::to_string(st.steps);
+  }
+  return "";
 }
 
 }  // namespace
@@ -91,6 +621,8 @@ const char* Stage::name() const {
 }
 
 BackendSpec parse_backend(const std::string& spec) {
+  // A bad spec is user input: plain messages, which scenario_from_deck
+  // prefixes with the deck line that holds the spec.
   BackendSpec bs;
   if (spec == "reference" || starts_with(spec, "reference:")) {
     bs.backend = engine::Backend::kReference;
@@ -98,8 +630,9 @@ BackendSpec parse_backend(const std::string& spec) {
       const std::string n = spec.substr(10);
       char* end = nullptr;
       const long threads = std::strtol(n.c_str(), &end, 10);
-      WSMD_REQUIRE(end && *end == '\0' && threads > 0,
-                   "bad reference thread count '" << n << "'");
+      if (!(end && *end == '\0' && threads > 0 && threads <= INT_MAX)) {
+        throw Error(format("bad reference thread count '%s'", n.c_str()));
+      }
       bs.threads = static_cast<int>(threads);
     }
     return bs;
@@ -114,8 +647,9 @@ BackendSpec parse_backend(const std::string& spec) {
       const std::string n = spec.substr(8);
       char* end = nullptr;
       const long threads = std::strtol(n.c_str(), &end, 10);
-      WSMD_REQUIRE(end && *end == '\0' && threads > 0,
-                   "bad sharded thread count '" << n << "'");
+      if (!(end && *end == '\0' && threads > 0 && threads <= INT_MAX)) {
+        throw Error(format("bad sharded thread count '%s'", n.c_str()));
+      }
       bs.threads = static_cast<int>(threads);
     }
     return bs;
@@ -129,34 +663,32 @@ BackendSpec parse_backend(const std::string& spec) {
       const std::string n = spec.substr(6);
       char* end = nullptr;
       const long ranks = std::strtol(n.c_str(), &end, 10);
-      WSMD_REQUIRE(end != nullptr && end != n.c_str() && ranks >= 1 &&
-                       ranks <= dist::kMaxRanks,
-                   "bad rank count '" << n << "' (want 1.."
-                                      << dist::kMaxRanks
-                                      << ", e.g. ranks:4 or ranks:4x2)");
+      if (!(end != nullptr && end != n.c_str() && ranks >= 1 &&
+            ranks <= dist::kMaxRanks)) {
+        throw Error(format("bad rank count '%s' (want 1..%d, e.g. ranks:4 "
+                           "or ranks:4x2)",
+                           n.c_str(), dist::kMaxRanks));
+      }
       bs.ranks = static_cast<int>(ranks);
       if (*end == 'x') {
         const char* t = end + 1;
         const long threads = std::strtol(t, &end, 10);
-        WSMD_REQUIRE(end != nullptr && end != t && *end == '\0' &&
-                         threads > 0,
-                     "bad per-rank thread count '" << n
-                                                   << "' (want ranks:MxN)");
+        if (!(end != nullptr && end != t && *end == '\0' && threads > 0 &&
+              threads <= INT_MAX)) {
+          throw Error(format("bad per-rank thread count '%s' (want ranks:MxN)",
+                             n.c_str()));
+        }
         bs.threads = static_cast<int>(threads);
-      } else {
-        WSMD_REQUIRE(*end == '\0', "bad rank spec '"
-                                       << n
-                                       << "' (want ranks:M or ranks:MxN)");
+      } else if (*end != '\0') {
+        throw Error(format("bad rank spec '%s' (want ranks:M or ranks:MxN)",
+                           n.c_str()));
       }
     }
     return bs;
   }
-  WSMD_REQUIRE(false,
-               "unknown backend '"
-                   << spec
-                   << "' (want reference|reference:N|wafer|sharded|"
-                      "sharded:N|ranks:M|ranks:MxN)");
-  return bs;  // unreachable
+  throw Error(format("unknown backend '%s' (want reference|reference:N|wafer|"
+                     "sharded|sharded:N|ranks:M|ranks:MxN)",
+                     spec.c_str()));
 }
 
 long Scenario::total_steps() const {
@@ -165,342 +697,80 @@ long Scenario::total_steps() const {
   return total;
 }
 
-bool is_schedule_key(const std::string& key) {
-  return key == "thermalize" || key == "equilibrate" || key == "ramp" ||
-         key == "quench" || key == "run" || key == "nve";
+std::vector<DeckKey> deck_keys() {
+  std::vector<DeckKey> keys;
+  for (const KeyRow& k : kKeys) keys.push_back({k.name, k.doc});
+  return keys;
 }
 
 Scenario scenario_from_deck(const Deck& deck) {
-  Scenario sc;
-  // observe.* entries are remembered so cross-key validation below can
-  // point at the offending deck line, not just the file.
-  std::map<std::string, const DeckEntry*> observe_seen;
-  // health.* entries likewise, so band-without-detector errors blame the
-  // right line; snapshot/metrics interplay needs the same treatment.
-  std::map<std::string, const DeckEntry*> health_seen;
-  // dist.* entries: they only mean anything on a ranks: backend, and the
-  // kill drill keys come in pairs — blame the offending line.
-  std::map<std::string, const DeckEntry*> dist_seen;
-  const DeckEntry* snapshot_entry = nullptr;
-  bool metrics_off = false;  ///< telemetry.metrics explicitly disabled
-  const DeckEntry* checkpoint_path_entry = nullptr;
+  Parser p(deck);
+  Scenario& sc = p.sc;
   // Schedule keys accumulate stages in deck order, so plain last-wins
   // cannot apply to them. Instead, whole-schedule replacement: if any
   // schedule key arrives as an override (line == 0, appended by the CLI),
   // the overrides define the entire schedule and the file's stages are
   // dropped — `wsmd deck run=50` means "run 50 NVE steps", not "append
   // another 50 to whatever the deck did".
-  const bool overrides_define_schedule = [&deck] {
-    for (const auto& e : deck.entries) {
-      if (e.line == 0 && is_schedule_key(e.key)) return true;
-    }
-    return false;
-  }();
+  const bool cli_schedule = std::any_of(
+      deck.entries.begin(), deck.entries.end(), [](const DeckEntry& e) {
+        const KeyRow* k = find_key(e.key);
+        return e.line == 0 && k != nullptr && k->emit == Emit::kStages;
+      });
   for (const auto& e : deck.entries) {
-    if (overrides_define_schedule && e.line > 0 && is_schedule_key(e.key)) {
-      continue;
-    }
-    if (e.key == "name") {
-      sc.name = e.value;
-    } else if (e.key == "element") {
-      sc.element = e.value;
-    } else if (e.key == "pair_style") {
-      if (e.value != "eam" && e.value != "lj") {
-        bad_entry(deck, e, "want eam|lj");
-      }
-      sc.pair_style = e.value;
-    } else if (e.key == "potential") {
-      // Legacy key, still accepted because every checkpoint written before
-      // its removal embeds it; both engines evaluate the profile tables
-      // only, so the one value left selects nothing.
-      if (e.value == "analytic") {
-        bad_entry(deck, e,
-                  "the analytic evaluation path was removed; engines "
-                  "evaluate the profile tables only (drop the key or set "
-                  "tabulated)");
-      }
-      if (e.value != "tabulated") bad_entry(deck, e, "want tabulated");
-    } else if (e.key == "geometry") {
-      if (e.value != "slab" && e.value != "bulk" &&
-          e.value != "grain_boundary") {
-        bad_entry(deck, e, "want slab|bulk|grain_boundary");
-      }
-      sc.geometry = e.value;
-    } else if (e.key == "scale") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "scale must be >= 1");
-      sc.scale = static_cast<int>(v);
-    } else if (e.key == "replicate") {
-      const auto t = tokens_n(deck, e, 3);
-      for (std::size_t a = 0; a < 3; ++a) {
-        const long v = parse_long_token(deck, e, t[a]);
-        if (v < 1) bad_entry(deck, e, "replication counts must be >= 1");
-        sc.replicate[a] = static_cast<int>(v);
-      }
-    } else if (e.key == "vacancy_fraction") {
-      const double v = one_double(deck, e);
-      if (v < 0.0 || v >= 1.0) bad_entry(deck, e, "want [0, 1)");
-      sc.vacancy_fraction = v;
-    } else if (e.key == "tilt_angle_deg") {
-      sc.tilt_angle_deg = one_double(deck, e);
-    } else if (e.key == "gb_atoms") {
-      const long v = one_long(deck, e);
-      if (v < 16) bad_entry(deck, e, "gb_atoms must be >= 16");
-      sc.gb_target_atoms = static_cast<std::size_t>(v);
-    } else if (e.key == "backend") {
-      parse_backend(e.value);  // validate eagerly
-      sc.backend = e.value;
-    } else if (e.key == "dt") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "dt must be > 0");
-      sc.dt = v;
-    } else if (e.key == "swap_interval") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "swap_interval must be >= 0");
-      sc.swap_interval = static_cast<int>(v);
-    } else if (e.key == "rescale_interval") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "rescale_interval must be >= 1");
-      sc.rescale_interval = static_cast<int>(v);
-    } else if (e.key == "seed") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "seed must be >= 0");
-      sc.seed = static_cast<std::uint64_t>(v);
-    } else if (e.key == "thermalize") {
-      Stage st;
-      st.kind = Stage::Kind::kThermalize;
-      st.t0 = nonneg_temp(deck, e, one_double(deck, e));
-      sc.schedule.push_back(st);
-    } else if (e.key == "equilibrate" || e.key == "quench") {
-      const auto t = tokens_n(deck, e, 2);
-      Stage st;
-      st.kind = e.key == "equilibrate" ? Stage::Kind::kEquilibrate
-                                       : Stage::Kind::kQuench;
-      st.t0 = st.t1 = nonneg_temp(deck, e, parse_double_token(deck, e, t[0]));
-      st.steps = nonneg_steps(deck, e, parse_long_token(deck, e, t[1]));
-      sc.schedule.push_back(st);
-    } else if (e.key == "ramp") {
-      const auto t = tokens_n(deck, e, 3);
-      Stage st;
-      st.kind = Stage::Kind::kRamp;
-      st.t0 = nonneg_temp(deck, e, parse_double_token(deck, e, t[0]));
-      st.t1 = nonneg_temp(deck, e, parse_double_token(deck, e, t[1]));
-      st.steps = nonneg_steps(deck, e, parse_long_token(deck, e, t[2]));
-      sc.schedule.push_back(st);
-    } else if (e.key == "run" || e.key == "nve") {
-      Stage st;
-      st.kind = Stage::Kind::kRun;
-      st.steps = nonneg_steps(deck, e, one_long(deck, e));
-      sc.schedule.push_back(st);
-    } else if (e.key == "xyz") {
-      sc.xyz_path = e.value;
-    } else if (e.key == "xyz_every") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "xyz_every must be >= 1");
-      sc.xyz_every = v;
-    } else if (e.key == "thermo") {
-      sc.thermo_path = e.value;
-    } else if (e.key == "thermo_every") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "thermo_every must be >= 1");
-      sc.thermo_every = v;
-    } else if (e.key == "thermo_format") {
-      if (e.value != "csv" && e.value != "jsonl") {
-        bad_entry(deck, e, "want csv|jsonl");
-      }
-      sc.thermo_format = e.value;
-    } else if (e.key == "summary") {
-      sc.summary_path = e.value;
-    } else if (e.key == "observe.probes") {
-      const auto t = split_whitespace(e.value);
-      if (t.empty()) {
-        bad_entry(deck, e, "expected at least one of rdf|msd|vacf|defects");
-      }
-      std::vector<std::string> probes;
-      for (const auto& kind : t) {
-        if (!obs::is_probe_kind(kind)) {
-          bad_entry(deck, e,
-                    "unknown probe '" + kind + "' (want rdf|msd|vacf|defects)");
-        }
-        if (std::find(probes.begin(), probes.end(), kind) != probes.end()) {
-          bad_entry(deck, e, "duplicate probe '" + kind + "'");
-        }
-        probes.push_back(kind);
-      }
-      sc.observe.probes = std::move(probes);
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.every" || e.key == "observe.rdf_every" ||
-               e.key == "observe.msd_every" ||
-               e.key == "observe.vacf_every" ||
-               e.key == "observe.defects_every") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "sampling cadence must be >= 1");
-      if (e.key == "observe.every") sc.observe.every = v;
-      else if (e.key == "observe.rdf_every") sc.observe.rdf_every = v;
-      else if (e.key == "observe.msd_every") sc.observe.msd_every = v;
-      else if (e.key == "observe.vacf_every") sc.observe.vacf_every = v;
-      else sc.observe.defects_every = v;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.format") {
-      if (e.value != "csv" && e.value != "jsonl") {
-        bad_entry(deck, e, "want csv|jsonl");
-      }
-      sc.observe.format = e.value;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.prefix") {
-      if (e.value.empty()) bad_entry(deck, e, "prefix must not be empty");
-      sc.observe.prefix = e.value;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.rdf_rcut") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "rdf rcut must be > 0 A");
-      sc.observe.rdf_rcut = v;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.rdf_bins") {
-      const long v = one_long(deck, e);
-      if (v < 2 || v > 100000) bad_entry(deck, e, "want 2..100000 bins");
-      sc.observe.rdf_bins = static_cast<int>(v);
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.csp_threshold") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "csp threshold must be > 0 A^2");
-      sc.observe.csp_threshold = v;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.gb_axis") {
-      if (e.value != "x" && e.value != "y" && e.value != "z") {
-        bad_entry(deck, e, "want x|y|z");
-      }
-      sc.observe.gb_axis = e.value == "x" ? 0 : (e.value == "y" ? 1 : 2);
-      observe_seen[e.key] = &e;
-    } else if (e.key == "checkpoint.every") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "checkpoint cadence must be >= 0 (0 = off)");
-      sc.checkpoint_every = v;
-    } else if (e.key == "checkpoint.path") {
-      if (e.value.empty()) {
-        bad_entry(deck, e, "checkpoint path must not be empty");
-      }
-      checkpoint_path_entry = &e;
-      sc.checkpoint_path = e.value;
-    } else if (e.key == "telemetry.trace" || e.key == "telemetry.metrics") {
-      // `auto` resolves to a name-derived default after the loop (the name
-      // key may appear later in the deck); `off` is the explicit disable
-      // for resume-time overrides.
-      if (e.value.empty()) bad_entry(deck, e, "want PATH|auto|off");
-      std::string& path = e.key == "telemetry.trace"
-                              ? sc.telemetry_trace_path
-                              : sc.telemetry_metrics_path;
-      path = e.value == "off" ? "" : e.value;
-      if (e.key == "telemetry.metrics") metrics_off = e.value == "off";
-    } else if (e.key == "telemetry.snapshot") {
-      if (e.value == "off") {
-        sc.telemetry_snapshot_s = 0.0;
-        snapshot_entry = nullptr;
-      } else {
-        const double v = one_double(deck, e);
-        if (v <= 0.0) {
-          bad_entry(deck, e, "snapshot cadence must be > 0 seconds (or off)");
-        }
-        sc.telemetry_snapshot_s = v;
-        snapshot_entry = &e;
-      }
-    } else if (e.key == "dist.timeout") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "timeout must be > 0 seconds");
-      sc.dist_timeout_s = v;
-      dist_seen[e.key] = &e;
-    } else if (e.key == "dist.kill_rank") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "kill rank must be >= 0");
-      sc.dist_kill_rank = static_cast<int>(v);
-      dist_seen[e.key] = &e;
-    } else if (e.key == "dist.kill_step") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "kill step must be >= 1 (1-based)");
-      sc.dist_kill_step = v;
-      dist_seen[e.key] = &e;
-    } else if (e.key == "dist.transport") {
-      // Legacy key, still accepted because older decks and checkpoints
-      // embed it; it selects nothing (halos always ride the shm rings).
-      if (e.value != "shm" && e.value != "socket") {
-        bad_entry(deck, e, "want shm|socket");
-      }
-      dist_seen[e.key] = &e;
-    } else if (e.key == "health.nan" || e.key == "health.energy_drift" ||
-               e.key == "health.temperature" || e.key == "health.stall") {
-      telemetry::HealthAction action = telemetry::HealthAction::kOff;
-      if (!telemetry::parse_health_action(e.value, &action)) {
-        bad_entry(deck, e, "want off|warn|abort");
-      }
-      if (e.key == "health.nan") sc.health.nan = action;
-      else if (e.key == "health.energy_drift") sc.health.energy_drift = action;
-      else if (e.key == "health.temperature") sc.health.temperature = action;
-      else sc.health.stall = action;
-    } else if (e.key == "health.energy_band") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "energy band must be > 0 (relative)");
-      sc.health.energy_band = v;
-      health_seen[e.key] = &e;
-    } else if (e.key == "health.temperature_band") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "temperature band must be > 0 K");
-      sc.health.temperature_band_K = v;
-      health_seen[e.key] = &e;
-    } else if (e.key == "health.stall_timeout") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "stall timeout must be > 0 seconds");
-      sc.health.stall_timeout_s = v;
-      health_seen[e.key] = &e;
-    } else if (e.key == "health.thermo_tail") {
-      const long v = one_long(deck, e);
-      if (v < 1 || v > 100000) bad_entry(deck, e, "want 1..100000 rows");
-      sc.health.thermo_tail = v;
-    } else if (e.key == "health.bundle") {
-      if (e.value.empty()) bad_entry(deck, e, "bundle path must not be empty");
-      sc.health.bundle_dir = e.value;
-    } else if (e.key == "health.inject_nan") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "inject step must be >= 0 (0 = off)");
-      sc.health.inject_nan_step = v;
-      health_seen[e.key] = &e;
-    } else {
-      bad_entry(deck, e, "unknown key");
-    }
+    const KeyRow* k = find_key(e.key);
+    if (k == nullptr) p.bad(e, "unknown key");
+    if (cli_schedule && e.line > 0 && k->emit == Emit::kStages) continue;
+    k->parse(p, e);
+    p.seen[e.key] = &e;
   }
+
   // Fail on an unknown element now, not steps into a run; the lookup table
   // depends on the pair style.
+  try {
+    material_facts(sc);
+  } catch (const Error& ex) {
+    p.blame({"element", "pair_style"}, ex.what());
+  }
   if (sc.pair_style == "lj") {
-    eam::lj_parameters(sc.element);
     // The bicrystal generator and the paper slabs are Zhou-EAM metal
     // geometries; LJ scenarios size their crystal explicitly.
-    WSMD_REQUIRE(sc.geometry != "grain_boundary",
-                 deck.source << ": pair_style=lj does not support "
-                                "geometry=grain_boundary (the bicrystal "
-                                "builder is EAM-metal only)");
-    WSMD_REQUIRE(sc.replicate[0] > 0,
-                 deck.source << ": pair_style=lj needs an explicit "
-                                "'replicate' (the paper slabs are EAM "
-                                "workloads)");
-  } else {
-    eam::zhou_parameters(sc.element);
+    if (is_gb(sc)) {
+      p.blame({"geometry"}, "pair_style=lj does not support "
+                            "geometry=grain_boundary (the bicrystal builder "
+                            "is EAM-metal only)");
+    }
+    if (sc.replicate[0] <= 0) {
+      p.blame({"pair_style"}, "pair_style=lj needs an explicit 'replicate' "
+                              "(the paper slabs are EAM workloads)");
+    }
   }
 
   // Geometry/key cross-validation: a key the chosen geometry ignores must
   // reject, not silently simulate something else. Vacancies on a fused
   // bicrystal would corrupt the seam; replicate/scale do not apply to the
   // bicrystal solver, and the bicrystal controls do not apply elsewhere.
-  if (sc.geometry == "grain_boundary") {
-    WSMD_REQUIRE(sc.vacancy_fraction == 0.0,
-                 deck.source << ": vacancy_fraction is not supported with "
-                                "geometry=grain_boundary");
-    WSMD_REQUIRE(!deck.has("replicate") && !deck.has("scale"),
-                 deck.source << ": replicate/scale do not apply to "
-                                "geometry=grain_boundary (size it with "
-                                "gb_atoms)");
+  if (is_gb(sc)) {
+    if (sc.vacancy_fraction != 0.0) {
+      p.blame({"vacancy_fraction"},
+              "vacancy_fraction is not supported with "
+              "geometry=grain_boundary");
+    }
+    if (p.at("replicate") != nullptr || p.at("scale") != nullptr) {
+      p.blame({"replicate", "scale"},
+              "replicate/scale do not apply to geometry=grain_boundary "
+              "(size it with gb_atoms)");
+    }
   } else {
-    WSMD_REQUIRE(!deck.has("tilt_angle_deg") && !deck.has("gb_atoms"),
-                 deck.source << ": tilt_angle_deg/gb_atoms require "
-                                "geometry=grain_boundary");
+    if (p.at("tilt_angle_deg") != nullptr || p.at("gb_atoms") != nullptr) {
+      p.blame({"tilt_angle_deg", "gb_atoms"},
+              "tilt_angle_deg/gb_atoms require geometry=grain_boundary");
+    }
+    // build_structure keeps its own check for a Scenario built in C++.
+    if (sc.geometry == "bulk" && sc.replicate[0] <= 0) {
+      p.blame({"geometry"}, "geometry=bulk needs an explicit 'replicate' "
+                            "(the paper slabs are open-boundary)");
+    }
   }
 
   // Velocity rescaling cannot heat a motionless system (scaling zero stays
@@ -509,15 +779,17 @@ Scenario scenario_from_deck(const Deck& deck) {
   // stage may convert potential energy (e.g. an unrelaxed grain boundary)
   // and is given the benefit of the doubt.
   bool may_have_ke = false;
-  for (const auto& st : sc.schedule) {
+  for (std::size_t i = 0; i < sc.schedule.size(); ++i) {
+    const Stage& st = sc.schedule[i];
     const bool thermostats = st.kind == Stage::Kind::kEquilibrate ||
                              st.kind == Stage::Kind::kRamp ||
                              st.kind == Stage::Kind::kQuench;
-    WSMD_REQUIRE(!(thermostats && std::max(st.t0, st.t1) > 0.0 &&
-                   !may_have_ke),
-                 deck.source << ": stage '" << st.name()
-                             << "' thermostats a 0 K system — add a "
-                                "'thermalize' stage before it");
+    if (thermostats && std::max(st.t0, st.t1) > 0.0 && !may_have_ke) {
+      p.bad(*p.stage_entries[i],
+            format("stage '%s' thermostats a 0 K system — add a "
+                   "'thermalize' stage before it",
+                   st.name()));
+    }
     if ((st.kind == Stage::Kind::kThermalize && st.t0 > 0.0) ||
         st.steps > 0) {
       may_have_ke = true;
@@ -528,10 +800,9 @@ Scenario scenario_from_deck(const Deck& deck) {
   // silently never checkpoint. An explicit `checkpoint.every = 0` is the
   // documented off-switch (e.g. a resume override), so only the entirely
   // absent key is an error.
-  if (checkpoint_path_entry != nullptr && sc.checkpoint_every == 0 &&
-      !deck.has("checkpoint.every")) {
-    bad_entry(deck, *checkpoint_path_entry,
-              "checkpoint.path needs checkpoint.every");
+  if (const DeckEntry* path = p.at("checkpoint.path");
+      path != nullptr && p.at("checkpoint.every") == nullptr) {
+    p.bad(*path, "checkpoint.path needs checkpoint.every");
   }
   if (sc.checkpoint_every > 0 && sc.checkpoint_path.empty()) {
     sc.checkpoint_path = sc.name + ".ckpt";
@@ -546,10 +817,11 @@ Scenario scenario_from_deck(const Deck& deck) {
   // explicitly off is a contradiction, and with metrics merely absent the
   // metrics file is implied (same auto default as telemetry.metrics=auto).
   if (sc.telemetry_snapshot_s > 0.0) {
-    if (metrics_off) {
-      bad_entry(deck, *snapshot_entry,
-                "telemetry.snapshot streams into the metrics file, but "
-                "telemetry.metrics is off");
+    if (const DeckEntry* metrics = p.at("telemetry.metrics");
+        metrics != nullptr && metrics->value == "off") {
+      p.bad(*p.at("telemetry.snapshot"),
+            "telemetry.snapshot streams into the metrics file, but "
+            "telemetry.metrics is off");
     }
     if (sc.telemetry_metrics_path.empty()) {
       sc.telemetry_metrics_path = sc.name + ".metrics.jsonl";
@@ -560,10 +832,8 @@ Scenario scenario_from_deck(const Deck& deck) {
   const auto requires_detector = [&](const char* key,
                                      telemetry::HealthAction action,
                                      const char* detector_key) {
-    const auto it = health_seen.find(key);
-    if (it != health_seen.end() && action == telemetry::HealthAction::kOff) {
-      bad_entry(deck, *it->second,
-                std::string("requires ") + detector_key + " = warn|abort");
+    if (const DeckEntry* e = p.at(key); e != nullptr && action == kOff) {
+      p.bad(*e, format("requires %s = warn|abort", detector_key));
     }
   };
   requires_detector("health.energy_band", sc.health.energy_drift,
@@ -571,48 +841,43 @@ Scenario scenario_from_deck(const Deck& deck) {
   requires_detector("health.temperature_band", sc.health.temperature,
                     "health.temperature");
   requires_detector("health.stall_timeout", sc.health.stall, "health.stall");
-  if (sc.health.inject_nan_step > 0 &&
-      sc.health.nan == telemetry::HealthAction::kOff) {
-    bad_entry(deck, *health_seen.at("health.inject_nan"),
-              "the NaN fault drill needs health.nan = warn|abort");
+  if (sc.health.inject_nan_step > 0 && sc.health.nan == kOff) {
+    p.bad(*p.at("health.inject_nan"),
+          "the NaN fault drill needs health.nan = warn|abort");
   }
 
   // dist.* cross-key validation, eager like everything above: the keys
   // are dead configuration off a ranks: backend, and the kill drill is a
   // (rank, step) pair — half of it would silently never fire.
-  if (!dist_seen.empty()) {
+  if (const DeckEntry* dist = p.first_under("dist.")) {
     const BackendSpec bs = parse_backend(sc.backend);
     if (bs.backend != engine::Backend::kRanks) {
-      bad_entry(deck, *dist_seen.begin()->second,
-                "dist.* keys need backend = ranks:M (got '" + sc.backend +
-                    "')");
+      p.bad(*dist, format("dist.* keys need backend = ranks:M (got '%s')",
+                          sc.backend.c_str()));
     }
     if (sc.dist_kill_rank >= 0 && sc.dist_kill_step == 0) {
-      bad_entry(deck, *dist_seen.at("dist.kill_rank"),
-                "dist.kill_rank needs dist.kill_step");
+      p.bad(*p.at("dist.kill_rank"), "dist.kill_rank needs dist.kill_step");
     }
     if (sc.dist_kill_step > 0 && sc.dist_kill_rank < 0) {
-      bad_entry(deck, *dist_seen.at("dist.kill_step"),
-                "dist.kill_step needs dist.kill_rank");
+      p.bad(*p.at("dist.kill_step"), "dist.kill_step needs dist.kill_rank");
     }
     if (sc.dist_kill_rank >= bs.ranks) {
-      bad_entry(deck, *dist_seen.at("dist.kill_rank"),
-                format("kill rank %d is outside backend %s (ranks 0..%d)",
-                       sc.dist_kill_rank, sc.backend.c_str(), bs.ranks - 1));
+      p.bad(*p.at("dist.kill_rank"),
+            format("kill rank %d is outside backend %s (ranks 0..%d)",
+                   sc.dist_kill_rank, sc.backend.c_str(), bs.ranks - 1));
     }
   }
 
   // observe.* cross-key validation. Each rule blames the deck line that
   // introduced the inconsistent key, so the fix is one hop away.
-  if (!observe_seen.empty() && sc.observe.probes.empty()) {
-    bad_entry(deck, *observe_seen.begin()->second,
-              "observe.* keys need observe.probes");
+  if (const DeckEntry* observe = p.first_under("observe.");
+      observe != nullptr && sc.observe.probes.empty()) {
+    p.bad(*observe, "observe.* keys need observe.probes");
   }
   const auto requires_probe = [&](const char* key, const char* probe) {
-    const auto it = observe_seen.find(key);
-    if (it != observe_seen.end() && !sc.observe.has(probe)) {
-      bad_entry(deck, *it->second,
-                std::string("requires the ") + probe + " probe");
+    if (const DeckEntry* e = p.at(key);
+        e != nullptr && !sc.observe.has(probe)) {
+      p.bad(*e, format("requires the %s probe", probe));
     }
   };
   requires_probe("observe.rdf_every", "rdf");
@@ -623,218 +888,75 @@ Scenario scenario_from_deck(const Deck& deck) {
   requires_probe("observe.defects_every", "defects");
   requires_probe("observe.csp_threshold", "defects");
   requires_probe("observe.gb_axis", "defects");
-  if (const auto it = observe_seen.find("observe.gb_axis");
-      it != observe_seen.end() && sc.geometry != "grain_boundary") {
-    bad_entry(deck, *it->second,
-              "grain-boundary tracking requires geometry=grain_boundary");
+  if (const DeckEntry* axis = p.at("observe.gb_axis");
+      axis != nullptr && !is_gb(sc)) {
+    p.bad(*axis, "grain-boundary tracking requires geometry=grain_boundary");
   }
   // Default: a defect probe on a bicrystal tracks the boundary plane along
   // the generator's GB normal (y) unless the deck says otherwise.
-  if (sc.observe.has("defects") && sc.geometry == "grain_boundary" &&
-      sc.observe.gb_axis < 0) {
+  if (has_defects(sc) && is_gb(sc) && sc.observe.gb_axis < 0) {
     sc.observe.gb_axis = 1;
   }
   // Probe-geometry mismatch, caught eagerly where the box is knowable at
   // parse time: minimum-image probes need every periodic box length >=
-  // 2 * their search radius, and only geometry=bulk is periodic.
-  if (sc.observe.enabled() && sc.geometry == "bulk" && sc.replicate[0] > 0) {
+  // 2 * their search radius, and only geometry=bulk (always replicated,
+  // see above) is periodic.
+  if (observing(sc) && sc.geometry == "bulk") {
     const double a0 = material_facts(sc).lattice_constant;
-    // `blame_key` is the deck line at fault (nullptr / absent falls back
-    // to the observe.probes line); `fix_hint` must only name knobs that
-    // actually control the radius.
-    const auto require_box_fits = [&](const char* probe,
-                                      const char* blame_key, double rcut,
-                                      const char* fix_hint) {
-      const DeckEntry* entry = observe_seen.at("observe.probes");
-      if (blame_key != nullptr) {
-        if (const auto it = observe_seen.find(blame_key);
-            it != observe_seen.end()) {
-          entry = it->second;
-        }
-      }
-      for (std::size_t a = 0; a < 3; ++a) {
-        const double len = sc.replicate[a] * a0;
-        if (len < 2.0 * rcut) {
-          bad_entry(deck, *entry,
-                    format("%s search radius %.4g A needs periodic box "
-                           ">= %.4g A, but axis %zu is %.4g A — %s",
-                           probe, rcut, 2.0 * rcut, a, len, fix_hint));
-        }
-      }
-    };
+    // `at_fault` lists the deck lines to blame, most specific first;
+    // `fix_hint` must only name knobs that actually control the radius.
+    const auto require_box_fits =
+        [&](const char* probe, double rcut, const char* fix_hint,
+            std::initializer_list<const char*> at_fault) {
+          for (std::size_t a = 0; a < 3; ++a) {
+            const double len = sc.replicate[a] * a0;
+            if (len < 2.0 * rcut) {
+              p.blame(at_fault,
+                      format("%s search radius %.4g A needs periodic box "
+                             ">= %.4g A, but axis %zu is %.4g A — %s",
+                             probe, rcut, 2.0 * rcut, a, len, fix_hint));
+            }
+          }
+        };
     const obs::Material mat{a0, 0};
-    if (sc.observe.has("rdf")) {
-      require_box_fits("rdf", "observe.rdf_rcut",
-                       obs::effective_rdf_rcut(sc.observe, mat),
-                       "enlarge 'replicate' or shrink observe.rdf_rcut");
+    if (has_rdf(sc)) {
+      require_box_fits("rdf", obs::effective_rdf_rcut(sc.observe, mat),
+                       "enlarge 'replicate' or shrink observe.rdf_rcut",
+                       {"observe.rdf_rcut", "observe.probes"});
     }
-    if (sc.observe.has("defects")) {
+    if (has_defects(sc)) {
       // The CSP radius is fixed at 1.2 a0 (no deck knob): only the box
       // can give.
-      require_box_fits("defects (csp)", nullptr,
-                       obs::effective_csp_rcut(mat), "enlarge 'replicate'");
+      require_box_fits("defects (csp)", obs::effective_csp_rcut(mat),
+                       "enlarge 'replicate'", {"observe.probes"});
     }
   }
-  return sc;
+  return std::move(sc);
 }
 
 Deck deck_from_scenario(const Scenario& sc) {
+  static const Scenario defaults;
   // Collected as raw pairs and numbered by deck_from_entries — the single
   // authority for file-style line numbering, so overrides appended later
   // (line 0) get the usual whole-schedule-replacement semantics.
   std::vector<std::pair<std::string, std::string>> entries;
-  const auto add = [&entries](const std::string& key,
-                              const std::string& value) {
-    entries.emplace_back(key, value);
-  };
-  // %.17g round-trips FP64 exactly through the strict parser.
-  const auto num = [](double v) { return format("%.17g", v); };
-
-  add("name", sc.name);
-  add("element", sc.element);
-  // Emitted unconditionally (default included): the checkpoint's embedded
-  // deck must pin the interaction family.
-  add("pair_style", sc.pair_style);
-  add("geometry", sc.geometry);
-  if (sc.geometry == "grain_boundary") {
-    add("tilt_angle_deg", num(sc.tilt_angle_deg));
-    add("gb_atoms", std::to_string(sc.gb_target_atoms));
-  } else if (sc.replicate[0] > 0) {
-    add("replicate", format("%d %d %d", sc.replicate[0], sc.replicate[1],
-                            sc.replicate[2]));
-  } else {
-    add("scale", std::to_string(sc.scale));
-  }
-  if (sc.vacancy_fraction > 0.0) {
-    add("vacancy_fraction", num(sc.vacancy_fraction));
-  }
-  add("backend", sc.backend);
-  add("dt", num(sc.dt));
-  add("swap_interval", std::to_string(sc.swap_interval));
-  add("rescale_interval", std::to_string(sc.rescale_interval));
-  add("seed", std::to_string(sc.seed));
-  // dist.* keys only under a ranks: backend (the parser rejects them
-  // elsewhere) and only off their defaults, so round-trips of non-ranks
-  // scenarios are byte-identical to before the keys existed. A checkpoint
-  // resumed with --backend=ranks:4 re-ranks: the slab partition is derived
-  // from the rank count at restore, never stored.
-  if (parse_backend(sc.backend).backend == engine::Backend::kRanks) {
-    if (sc.dist_timeout_s != 300.0) add("dist.timeout", num(sc.dist_timeout_s));
-    if (sc.dist_kill_rank >= 0) {
-      add("dist.kill_rank", std::to_string(sc.dist_kill_rank));
-      add("dist.kill_step", std::to_string(sc.dist_kill_step));
-    }
-  }
-  for (const auto& st : sc.schedule) {
-    switch (st.kind) {
-      case Stage::Kind::kThermalize:
-        add("thermalize", num(st.t0));
-        break;
-      case Stage::Kind::kEquilibrate:
-      case Stage::Kind::kQuench:
-        add(st.name(), num(st.t0) + " " + std::to_string(st.steps));
-        break;
-      case Stage::Kind::kRamp:
-        add("ramp", num(st.t0) + " " + num(st.t1) + " " +
-                        std::to_string(st.steps));
-        break;
-      case Stage::Kind::kRun:
-        add("run", std::to_string(st.steps));
-        break;
-    }
-  }
-  if (!sc.xyz_path.empty()) {
-    add("xyz", sc.xyz_path);
-    add("xyz_every", std::to_string(sc.xyz_every));
-  }
-  if (!sc.thermo_path.empty()) {
-    add("thermo", sc.thermo_path);
-    add("thermo_every", std::to_string(sc.thermo_every));
-    add("thermo_format", sc.thermo_format);
-  }
-  if (!sc.summary_path.empty()) add("summary", sc.summary_path);
-  if (sc.observe.enabled()) {
-    std::string probes;
-    for (const auto& kind : sc.observe.probes) {
-      probes += (probes.empty() ? "" : " ") + kind;
-    }
-    add("observe.probes", probes);
-    add("observe.every", std::to_string(sc.observe.every));
-    const auto add_cadence = [&](const char* key, long every) {
-      if (every > 0) add(key, std::to_string(every));
-    };
-    add_cadence("observe.rdf_every", sc.observe.rdf_every);
-    add_cadence("observe.msd_every", sc.observe.msd_every);
-    add_cadence("observe.vacf_every", sc.observe.vacf_every);
-    add_cadence("observe.defects_every", sc.observe.defects_every);
-    add("observe.format", sc.observe.format);
-    if (!sc.observe.prefix.empty()) add("observe.prefix", sc.observe.prefix);
-    if (sc.observe.has("rdf")) {
-      if (sc.observe.rdf_rcut > 0.0) {
-        add("observe.rdf_rcut", num(sc.observe.rdf_rcut));
+  bool stages_written = false;
+  for (const KeyRow& k : kKeys) {
+    if (k.emit == Emit::kNever || (k.only_if && !k.only_if(sc))) continue;
+    if (k.emit == Emit::kStages) {
+      if (!std::exchange(stages_written, true)) {
+        for (const Stage& st : sc.schedule) {
+          entries.emplace_back(st.name(), stage_value(st));
+        }
       }
-      add("observe.rdf_bins", std::to_string(sc.observe.rdf_bins));
+      continue;
     }
-    if (sc.observe.has("defects")) {
-      add("observe.csp_threshold", num(sc.observe.csp_threshold));
-      if (sc.observe.gb_axis >= 0) {
-        add("observe.gb_axis",
-            std::string(1, "xyz"[static_cast<std::size_t>(
-                                sc.observe.gb_axis)]));
-      }
+    std::string value = k.value(sc);
+    if ((k.emit == Emit::kNonEmpty && value.empty()) ||
+        (k.emit == Emit::kNonDefault && value == k.value(defaults))) {
+      continue;
     }
-  }
-  if (sc.checkpoint_every > 0) {
-    add("checkpoint.every", std::to_string(sc.checkpoint_every));
-    add("checkpoint.path", sc.checkpoint_path);
-  }
-  if (!sc.telemetry_trace_path.empty()) {
-    add("telemetry.trace", sc.telemetry_trace_path);
-  }
-  if (!sc.telemetry_metrics_path.empty()) {
-    add("telemetry.metrics", sc.telemetry_metrics_path);
-  }
-  if (sc.telemetry_snapshot_s > 0.0) {
-    add("telemetry.snapshot", num(sc.telemetry_snapshot_s));
-  }
-  // health.* keys: only non-default settings are emitted, and dependent
-  // band/timeout keys only when their detector is enabled (the parser
-  // rejects them otherwise, and round-tripping must stay clean).
-  {
-    const telemetry::HealthConfig def;
-    const auto act = [](telemetry::HealthAction a) {
-      return std::string(telemetry::health_action_name(a));
-    };
-    if (sc.health.nan != def.nan) add("health.nan", act(sc.health.nan));
-    if (sc.health.energy_drift != def.energy_drift) {
-      add("health.energy_drift", act(sc.health.energy_drift));
-    }
-    if (sc.health.energy_drift != telemetry::HealthAction::kOff &&
-        sc.health.energy_band != def.energy_band) {
-      add("health.energy_band", num(sc.health.energy_band));
-    }
-    if (sc.health.temperature != def.temperature) {
-      add("health.temperature", act(sc.health.temperature));
-    }
-    if (sc.health.temperature != telemetry::HealthAction::kOff &&
-        sc.health.temperature_band_K != def.temperature_band_K) {
-      add("health.temperature_band", num(sc.health.temperature_band_K));
-    }
-    if (sc.health.stall != def.stall) add("health.stall", act(sc.health.stall));
-    if (sc.health.stall != telemetry::HealthAction::kOff &&
-        sc.health.stall_timeout_s != def.stall_timeout_s) {
-      add("health.stall_timeout", num(sc.health.stall_timeout_s));
-    }
-    if (sc.health.thermo_tail != def.thermo_tail) {
-      add("health.thermo_tail", std::to_string(sc.health.thermo_tail));
-    }
-    if (!sc.health.bundle_dir.empty()) {
-      add("health.bundle", sc.health.bundle_dir);
-    }
-    if (sc.health.inject_nan_step > 0 &&
-        sc.health.nan != telemetry::HealthAction::kOff) {
-      add("health.inject_nan", std::to_string(sc.health.inject_nan_step));
-    }
+    entries.emplace_back(k.name, std::move(value));
   }
   return deck_from_entries(entries, "<scenario>");
 }

@@ -10,93 +10,10 @@
 /// loudly instead of silently simulating the default — and the same
 /// `key=value` tokens work as CLI overrides.
 ///
-/// Recognized keys:
-///   name, element                  — identification / parameter-set lookup
-///   pair_style = eam|lj            — interaction family: Zhou EAM metals
-///                                    (default) or built-in noble-gas LJ
-///                                    (pure pair potential; the engines
-///                                    skip the density pass)
-///   potential = tabulated          — legacy: parsed so older decks and
-///                                    checkpoints still load, but selects
-///                                    nothing (both engines evaluate the
-///                                    r²-indexed profile tables only);
-///                                    `analytic` is rejected, the path
-///                                    was removed
-///   geometry  = slab|bulk|grain_boundary
-///   scale     = N                  — paper_slab divisor (geometry=slab,
-///                                    when no explicit `replicate`)
-///   replicate = NX NY NZ           — explicit unit-cell replication
-///   vacancy_fraction = F           — random vacancies (slab/bulk)
-///   tilt_angle_deg = D, gb_atoms = N — bicrystal controls (grain_boundary)
-///   backend  = reference|reference:N|wafer|sharded|sharded:N|
-///              ranks:M|ranks:MxN   — wafer is sharded:1; ranks: forks M
-///                                    rank processes, each owning a row
-///                                    slab of the core grid (N shard
-///                                    threads per rank; see src/dist/)
-///   dt, swap_interval, rescale_interval, seed
-///   dist.transport = shm|socket    — legacy (ranks: backends only):
-///                                    parsed and validated so older decks
-///                                    and checkpoints still load, but
-///                                    selects nothing — halos always ride
-///                                    the per-pair shared-memory rings
-///   dist.timeout = S               — ranks: backends only: per-message
-///                                    send/recv deadline in seconds before
-///                                    a rank is declared dead (default 300)
-///   dist.kill_rank = R             — fault drill (ranks: only): rank R
-///   dist.kill_step = K               exits hard before its K-th step, so
-///                                    the dead-rank path is rehearsable
-///                                    from a plain deck (both or neither)
-///   thermalize = T                 — schedule stages, in deck order:
-///   equilibrate = T STEPS            one-shot MB velocities; velocity-
-///   ramp = T0 T1 STEPS               rescale toward T; linear target;
-///   quench = T STEPS                 rescale toward a cold T; free NVE
-///   run = STEPS                      (all rescaling stages honor
-///                                    rescale_interval + final step)
-///   xyz = PATH, xyz_every = N      — trajectory output
-///   thermo = PATH, thermo_every = N, thermo_format = csv|jsonl
-///   summary = PATH                 — machine-readable run summary (JSON)
-///   observe.probes = P...          — streaming observables (src/obs):
-///   observe.every = N                any of rdf msd vacf defects; sampled
-///   observe.<probe>_every = N        every N steps (per-probe override);
-///   observe.format = csv|jsonl       each probe writes PREFIX.<probe>.csv
-///   observe.prefix = PREFIX          (default PREFIX = scenario name)
-///   observe.rdf_rcut = R           — g(r) range (default 1.8 a0)
-///   observe.rdf_bins = N           — histogram bins
-///   observe.csp_threshold = X      — defect CSP threshold (A^2)
-///   observe.gb_axis = x|y|z        — GB mean-plane tracking axis
-///                                    (geometry=grain_boundary only)
-///   checkpoint.every = N           — write a restart checkpoint every N
-///                                    steps (io/checkpoint; resume with
-///                                    `wsmd resume CKPT`)
-///   checkpoint.path = PATH         — checkpoint file (default
-///                                    <name>.ckpt); a `*` is replaced by
-///                                    the step number (keeps every
-///                                    checkpoint instead of overwriting)
-///   telemetry.trace = PATH|auto|off — chrome://tracing timeline of the
-///                                    run (src/telemetry); `auto` writes
-///                                    <name>.trace.json, `off` disables
-///                                    (for resume overrides)
-///   telemetry.metrics = PATH|auto|off — span/counter aggregates as JSON
-///                                    lines; `auto` = <name>.metrics.jsonl
-///   telemetry.snapshot = S|off     — interval snapshots: every S seconds
-///                                    of wall-clock, stream a throughput +
-///                                    per-shard-load row into the metrics
-///                                    file (implies telemetry.metrics)
-///   health.nan = warn|abort|off    — run-health watchdog (telemetry/
-///   health.energy_drift = ...        health.hpp). Detectors: non-finite
-///   health.energy_band = F           thermo; relative |E-E0| > F during
-///   health.temperature = ...         `run` stages; |T-target| > K during
-///   health.temperature_band = K      thermostatted stages; no completed
-///   health.stall = ...               step within S seconds. `abort`
-///   health.stall_timeout = S         writes a diagnostic bundle
-///   health.thermo_tail = K           (checkpoint, last-K thermo rows,
-///   health.bundle = DIR              trace, health.json) into DIR
-///                                    (default <name>.health) and exits
-///                                    nonzero. Defaults: nan=warn, all
-///                                    other detectors off.
-///   health.inject_nan = STEP       — fault drill: poison one velocity
-///                                    component before this 1-based step
-///                                    of the first stepped stage
+/// The accepted keys are the table in scenario.cpp, one row per key with
+/// its one-line doc, parse step and canonical-deck rule; `wsmd --help`
+/// lists them (deck_keys()), and `wsmd --print` shows a deck's canonical
+/// form.
 
 #include <array>
 #include <cstdint>
@@ -220,7 +137,18 @@ MaterialFacts material_facts(const Scenario& sc);
 /// FCC/BCC CSP coordination), looked up from the scenario's element.
 obs::Material material_for(const Scenario& sc);
 
-/// Build a Scenario from a deck; throws on unknown keys or invalid values.
+/// One accepted deck key: its name and one-line doc.
+struct DeckKey {
+  std::string name;
+  std::string doc;
+};
+
+/// Every key scenario_from_deck accepts, in the order deck_from_scenario
+/// writes them.
+std::vector<DeckKey> deck_keys();
+
+/// Build a Scenario from a deck; throws on unknown keys or invalid values,
+/// naming the deck line (or `<cli override>`) at fault.
 /// Scalar keys are last-wins. Schedule keys are order-accumulating within
 /// one source, so they get whole-schedule replacement instead: when any
 /// schedule key appears as a CLI override (DeckEntry::line == 0), the

@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "io/checkpoint.hpp"
 #include "scenario/deck.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/health.hpp"
@@ -13,6 +21,14 @@
 
 namespace wsmd::scenario {
 namespace {
+
+// A deck error is about the user's input: it leads with the deck location
+// and carries no C++ source location or precondition text.
+void expect_deck_blame(const std::string& msg, const std::string& where) {
+  EXPECT_EQ(msg.rfind(where, 0), 0u) << msg;
+  EXPECT_EQ(msg.find("requirement failed"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("scenario.cpp"), std::string::npos) << msg;
+}
 
 TEST(Deck, ParsesKeyValueLinesWithComments) {
   const auto deck = parse_deck_string(
@@ -165,14 +181,6 @@ TEST(Scenario, PotentialAndPairStyleKeysValidateEagerly) {
     ADD_FAILURE() << "expected Error for: " << text;
     return std::string();
   };
-  // A deck error is about the user's input: it leads with the deck
-  // location and carries no C++ source location or precondition text.
-  const auto expect_deck_blame = [](const std::string& msg,
-                                    const std::string& where) {
-    EXPECT_EQ(msg.rfind(where, 0), 0u) << msg;
-    EXPECT_EQ(msg.find("requirement failed"), std::string::npos) << msg;
-    EXPECT_EQ(msg.find("scenario.cpp"), std::string::npos) << msg;
-  };
   const std::string analytic = error_of("potential = analytic\n");
   expect_deck_blame(analytic, "p.deck:1: ");
   EXPECT_NE(analytic.find("analytic evaluation path was removed"),
@@ -210,6 +218,78 @@ TEST(Scenario, PotentialAndPairStyleKeysValidateEagerly) {
                    "pair_style = lj\nelement = Ar\n"
                    "geometry = grain_boundary\n")),
                Error);
+}
+
+TEST(Scenario, InputErrorsBlameTheLineAtFault) {
+  // Value errors raised outside the key parser (backend specs, element
+  // tables) and the cross-key rules each name the deck line of the key at
+  // fault, with no C++ location.
+  struct Case {
+    const char* deck;
+    const char* where;
+    const char* why;
+  };
+  const Case cases[] = {
+      {"backend = gpu\n", "b.deck:1: ", "unknown backend 'gpu'"},
+      {"backend = reference:x\n", "b.deck:1: ", "bad reference thread count"},
+      {"backend = sharded:0\n", "b.deck:1: ", "bad sharded thread count"},
+      {"backend = sharded:4294967297\n", "b.deck:1: ",
+       "bad sharded thread count"},
+      {"backend = ranks:17\n", "b.deck:1: ", "bad rank count"},
+      {"backend = ranks:2x0\n", "b.deck:1: ", "bad per-rank thread count"},
+      {"backend = ranks:2y3\n", "b.deck:1: ", "bad rank spec"},
+      {"name = x\nelement = Xx\n", "b.deck:2: ",
+       "no Zhou EAM parameters for element 'Xx'"},
+      {"pair_style = lj\nelement = Cu\nreplicate = 4 4 4\n", "b.deck:2: ",
+       "no built-in LJ parameters for element 'Cu'"},
+      // The default element is not an LJ species: the pair style is at
+      // fault.
+      {"name = x\npair_style = lj\nreplicate = 4 4 4\n", "b.deck:2: ",
+       "no built-in LJ parameters"},
+      {"pair_style = lj\nelement = Ar\ngeometry = grain_boundary\n",
+       "b.deck:3: ", "does not support geometry=grain_boundary"},
+      {"pair_style = lj\nelement = Ar\ngeometry = slab\n", "b.deck:1: ",
+       "needs an explicit 'replicate'"},
+      {"element = Ta\ngeometry = grain_boundary\nvacancy_fraction = 0.01\n",
+       "b.deck:3: ", "vacancy_fraction is not supported"},
+      {"geometry = grain_boundary\nreplicate = 8 8 8\n", "b.deck:2: ",
+       "replicate/scale do not apply"},
+      {"geometry = grain_boundary\nscale = 8\n", "b.deck:2: ",
+       "replicate/scale do not apply"},
+      {"geometry = slab\ngb_atoms = 500\n", "b.deck:2: ",
+       "tilt_angle_deg/gb_atoms require"},
+      {"element = W\ngeometry = bulk\n", "b.deck:2: ",
+       "geometry=bulk needs an explicit 'replicate'"},
+      {"thermalize = 0\nequilibrate = 300 50\n", "b.deck:2: ",
+       "thermostats a 0 K system"},
+      // An int field rejects what it cannot hold instead of wrapping (a
+      // wrapped rescale_interval of 0 divided by zero mid-run).
+      {"rescale_interval = 4294967296\n", "b.deck:1: ", "must be <= "},
+      {"scale = 4294967297\n", "b.deck:1: ", "must be <= "},
+      {"replicate = 4 4294967298 4\n", "b.deck:1: ", "must be <= "},
+      // The ranks deadline travels in int milliseconds.
+      {"backend = ranks:2\ndist.timeout = 3e6\n", "b.deck:2: ",
+       "timeout must be <= 2147483 seconds"},
+  };
+  for (const auto& c : cases) {
+    try {
+      scenario_from_deck(parse_deck_string(c.deck, "b.deck"));
+      ADD_FAILURE() << "expected Error for: " << c.deck;
+    } catch (const Error& e) {
+      expect_deck_blame(e.what(), c.where);
+      EXPECT_NE(std::string(e.what()).find(c.why), std::string::npos)
+          << e.what();
+    }
+  }
+  // A bad backend override is blamed as such.
+  Deck cli = parse_deck_string("name = x\n", "b.deck");
+  cli.set("backend", "gpu");
+  try {
+    scenario_from_deck(cli);
+    ADD_FAILURE() << "expected Error for a CLI backend=gpu";
+  } catch (const Error& e) {
+    expect_deck_blame(e.what(), "<cli override>: key 'backend' = 'gpu'");
+  }
 }
 
 TEST(Scenario, LjMaterialFactsDriveStructureAndEngine) {
@@ -291,6 +371,18 @@ TEST(Scenario, BuildStructureGeometries) {
   EXPECT_THROW(build_structure(scenario_from_deck(
                    parse_deck_string("element = W\ngeometry = bulk\n"))),
                Error);
+  // ...at parse time, blaming the geometry line,
+  try {
+    scenario_from_deck(
+        parse_deck_string("element = W\ngeometry = bulk\n", "bulk.deck"));
+    ADD_FAILURE() << "expected Error for geometry=bulk without replicate";
+  } catch (const Error& e) {
+    expect_deck_blame(e.what(), "bulk.deck:2: ");
+  }
+  // ...and by build_structure for a Scenario built in C++.
+  Scenario direct;
+  direct.geometry = "bulk";
+  EXPECT_THROW(build_structure(direct), Error);
 
   // Grain boundary reports seam bookkeeping.
   sc = scenario_from_deck(parse_deck_string(
@@ -704,6 +796,129 @@ TEST(Scenario, DistKeysValidateEagerlyAndRoundTrip) {
   for (const auto& e : plain.entries) {
     EXPECT_EQ(e.key.rfind("dist.", 0), std::string::npos) << e.key;
   }
+}
+
+// Every deck key round-trips through a checkpoint file: a sample deck that
+// sets the key parses, its canonical deck (deck_from_scenario) is written
+// into a checkpoint and read back, the key comes back with the sample's
+// value, and the re-read deck parses to the same canonical deck. A key added
+// to the table without a sample here fails the test.
+TEST(DeckKeys, EveryKeyRoundTripsThroughACheckpointFile) {
+  struct Sample {
+    const char* value;          ///< canonical, and off the key's default
+    const char* context = "";   ///< deck lines the key needs
+    const char* written_as = nullptr;  ///< alias target; "" = legacy
+  };
+  const std::map<std::string, Sample> samples = {
+      {"name", {"sample"}},
+      {"element", {"Ta"}},
+      {"pair_style", {"lj", "element = Ar\nreplicate = 4 4 4\n"}},
+      {"potential", {"tabulated", "", ""}},
+      {"geometry", {"bulk", "replicate = 3 3 3\n"}},
+      {"tilt_angle_deg", {"12.5", "geometry = grain_boundary\n"}},
+      {"gb_atoms", {"640", "geometry = grain_boundary\n"}},
+      {"replicate", {"3 4 5"}},
+      {"scale", {"48"}},
+      {"vacancy_fraction", {"0.25", "geometry = bulk\nreplicate = 3 3 3\n"}},
+      {"backend", {"sharded:3"}},
+      {"dt", {"0.00390625"}},
+      {"swap_interval", {"10"}},
+      {"rescale_interval", {"7"}},
+      {"seed", {"77"}},
+      {"dist.timeout", {"12.5", "backend = ranks:2\n"}},
+      {"dist.kill_rank", {"1", "backend = ranks:2\ndist.kill_step = 3\n"}},
+      {"dist.kill_step", {"3", "backend = ranks:2\ndist.kill_rank = 1\n"}},
+      {"dist.transport", {"socket", "backend = ranks:2\n", ""}},
+      {"thermalize", {"350"}},
+      {"equilibrate", {"300 20", "thermalize = 300\n"}},
+      {"ramp", {"300 600 50", "thermalize = 300\n"}},
+      {"quench", {"10 5", "thermalize = 300\n"}},
+      {"run", {"25"}},
+      {"nve", {"25", "", "run"}},
+      {"xyz", {"t.xyz"}},
+      {"xyz_every", {"5", "xyz = t.xyz\n"}},
+      {"thermo", {"t.csv"}},
+      {"thermo_every", {"4", "thermo = t.csv\n"}},
+      {"thermo_format", {"jsonl", "thermo = t.jsonl\n"}},
+      {"summary", {"s.json"}},
+      {"observe.probes", {"msd vacf"}},
+      {"observe.every", {"7", "observe.probes = msd\n"}},
+      {"observe.rdf_every", {"3", "observe.probes = rdf\n"}},
+      {"observe.msd_every", {"3", "observe.probes = msd\n"}},
+      {"observe.vacf_every", {"3", "observe.probes = vacf\n"}},
+      {"observe.defects_every", {"3", "observe.probes = defects\n"}},
+      {"observe.format", {"jsonl", "observe.probes = msd\n"}},
+      {"observe.prefix", {"out/p", "observe.probes = msd\n"}},
+      {"observe.rdf_rcut", {"6.5", "observe.probes = rdf\n"}},
+      {"observe.rdf_bins", {"120", "observe.probes = rdf\n"}},
+      {"observe.csp_threshold", {"0.75", "observe.probes = defects\n"}},
+      {"observe.gb_axis",
+       {"z", "geometry = grain_boundary\nobserve.probes = defects\n"}},
+      {"checkpoint.every", {"9"}},
+      {"checkpoint.path", {"c.*.ckpt", "checkpoint.every = 9\n"}},
+      {"telemetry.trace", {"t.trace.json"}},
+      {"telemetry.metrics", {"t.metrics.jsonl"}},
+      {"telemetry.snapshot", {"0.5"}},
+      {"health.nan", {"abort"}},
+      {"health.energy_drift", {"warn"}},
+      {"health.energy_band", {"0.0625", "health.energy_drift = warn\n"}},
+      {"health.temperature", {"abort"}},
+      {"health.temperature_band", {"75", "health.temperature = warn\n"}},
+      {"health.stall", {"warn"}},
+      {"health.stall_timeout", {"30", "health.stall = warn\n"}},
+      {"health.thermo_tail", {"16"}},
+      {"health.bundle", {"triage"}},
+      {"health.inject_nan", {"2"}},
+  };
+  const std::string path = ::testing::TempDir() + "wsmd_deck_keys.ckpt";
+  const auto keys = deck_keys();
+  for (const auto& [name, sample] : samples) {
+    EXPECT_TRUE(std::any_of(keys.begin(), keys.end(),
+                            [&](const DeckKey& k) { return k.name == name; }))
+        << "sample for '" << name << "', which is not a deck key";
+  }
+  for (const auto& key : keys) {
+    SCOPED_TRACE(key.name);
+    EXPECT_FALSE(key.doc.empty());
+    const auto it = samples.find(key.name);
+    if (it == samples.end()) {
+      ADD_FAILURE() << "deck key '" << key.name
+                    << "' has no round-trip sample";
+      continue;
+    }
+    const Sample& s = it->second;
+    const Scenario sc = scenario_from_deck(parse_deck_string(
+        std::string(s.context) + key.name + " = " + s.value + "\n",
+        "sample.deck"));
+    io::CheckpointData ckpt;
+    ckpt.box = Box({0, 0, 0}, {1, 1, 1});  // the reader checks its extent
+    for (const auto& e : deck_from_scenario(sc).entries) {
+      ckpt.deck.emplace_back(e.key, e.value);
+    }
+    io::write_checkpoint_file(path, ckpt);
+    const auto back = io::read_checkpoint_file(path).deck;
+    ASSERT_EQ(back, ckpt.deck);
+
+    const std::string written = s.written_as ? s.written_as : key.name;
+    std::vector<std::string> values;
+    for (const auto& [k, v] : back) {
+      if (k == key.name || k == written) values.push_back(k + " = " + v);
+    }
+    if (written.empty()) {
+      EXPECT_TRUE(values.empty()) << "legacy key written: " << values[0];
+    } else {
+      ASSERT_EQ(values.size(), 1u);
+      EXPECT_EQ(values[0], written + " = " + s.value);
+    }
+    const Scenario again =
+        scenario_from_deck(deck_from_entries(back, "sample.ckpt"));
+    std::vector<std::pair<std::string, std::string>> twice;
+    for (const auto& e : deck_from_scenario(again).entries) {
+      twice.emplace_back(e.key, e.value);
+    }
+    EXPECT_EQ(twice, back);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Scenario, BuildEngineHonorsBackendAndOverride) {
