@@ -7,13 +7,24 @@
 ///   bench_halo_transport [--ranks=M] [--steps=K] [--scale=S]
 ///                        [--pingpongs=N] [--stream-mb=M]
 ///
+/// N is the ping-pong count per payload size and carrier (default 2000).
+///
 /// Results land in BENCH_halo_transport.json. The shm-over-socket message
 /// ratios divide two measurements of the same run, so the bench gate pins
 /// them as hard floors — losing the shared-memory fast path is a
 /// structural regression, not runner noise.
+///
+/// Each latency is the median of kLatencyTrials trials of N / kLatencyTrials
+/// ping-pongs, socket and shm trials alternating, with the timing thread
+/// and the echo thread pinned to two distinct allowed CPUs (unpinned when
+/// fewer than two are allowed). With both threads unpinned and one timed
+/// run, about one run in eight read ~15 us per shm hop instead of ~1 us
+/// and failed the 4 KiB floor.
 
+#include <sched.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +42,7 @@
 #include "lattice/lattice.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/bench_json.hpp"
+#include "util/cpu_pin.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -40,24 +52,57 @@ using namespace wsmd;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kTimeoutMs = 60'000;
+constexpr int kLatencyTrials = 5;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The first two CPUs this process may run on: one for the timing thread,
+/// one for the echo thread. Both -1 when fewer than two are allowed.
+struct CpuPair {
+  int timing = -1;
+  int echo = -1;
+};
+
+CpuPair two_allowed_cpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return {};
+  CpuPair cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &set)) continue;
+    if (cpus.timing < 0) {
+      cpus.timing = c;
+    } else {
+      cpus.echo = c;
+      return cpus;
+    }
+  }
+  return {};
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 /// Round-trip ping-pong over a control-plane socketpair: A sends a frame,
-/// B echoes it. Returns one-way seconds per message (round-trip / 2).
-double socket_latency(std::size_t bytes, int iters) {
+/// B (on `echo_cpu`) echoes it. Returns one-way seconds per message
+/// (round-trip / 2) over `iters` round trips, timed from the end of one
+/// untimed round trip that waits for the echo thread to start.
+double socket_latency(std::size_t bytes, int iters, int echo_cpu) {
   dist::ChannelPair pair = dist::make_channel_pair();
   const std::vector<std::uint8_t> payload(bytes, 0x5a);
   std::thread echo([&] {
-    for (int i = 0; i < iters; ++i) {
+    const CpuPin pin(echo_cpu);
+    for (int i = 0; i <= iters; ++i) {
       const auto in = pair.b.recv(dist::Tag::kHaloFprime, kTimeoutMs);
       pair.b.send(dist::Tag::kHaloFprime, in.data(), in.size(), kTimeoutMs);
     }
   });
-  const auto t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
+  Clock::time_point t0;
+  for (int i = 0; i <= iters; ++i) {
+    if (i == 1) t0 = Clock::now();
     pair.a.send(dist::Tag::kHaloFprime, payload.data(), bytes, kTimeoutMs);
     (void)pair.a.recv(dist::Tag::kHaloFprime, kTimeoutMs);
   }
@@ -67,14 +112,15 @@ double socket_latency(std::size_t bytes, int iters) {
 }
 
 /// The same ping-pong through one shm pair segment's two rings.
-double shm_latency(std::size_t bytes, int iters) {
+double shm_latency(std::size_t bytes, int iters, int echo_cpu) {
   dist::ShmPairSegment seg(static_cast<long>(::getpid()), 0, 1, bytes);
   dist::ShmHalo a = seg.halo_for(0);
   dist::ShmHalo b = seg.halo_for(1);
   const dist::ShmWait wait{-1, kTimeoutMs};
   const std::vector<std::uint8_t> payload(bytes, 0x5a);
   std::thread echo([&] {
-    for (int i = 0; i < iters; ++i) {
+    const CpuPin pin(echo_cpu);
+    for (int i = 0; i <= iters; ++i) {
       std::size_t size = 0;
       const std::uint8_t* p =
           b.recv.acquire(dist::Tag::kHaloFprime, size, wait);
@@ -84,8 +130,9 @@ double shm_latency(std::size_t bytes, int iters) {
       b.send.commit_publish(dist::Tag::kHaloFprime, size);
     }
   });
-  const auto t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
+  Clock::time_point t0;
+  for (int i = 0; i <= iters; ++i) {
+    if (i == 1) t0 = Clock::now();
     a.send.publish(dist::Tag::kHaloFprime, payload.data(), bytes, wait);
     std::size_t size = 0;
     a.recv.acquire(dist::Tag::kHaloFprime, size, wait);
@@ -223,6 +270,11 @@ int main(int argc, char** argv) try {
   // skew (the wait for the peer's compute quantum).
   const bool multicore = std::thread::hardware_concurrency() > 1;
   json.meta().set("multicore", multicore);
+  const CpuPair cpus = two_allowed_cpus();
+  const int trial_pingpongs = std::max(1, pingpongs / kLatencyTrials);
+  json.meta()
+      .set("latency_pinned", cpus.echo >= 0)
+      .set("latency_trials", kLatencyTrials);
 
   // Message sizes spanning the halo range: a thin F' band (rows*w*4B) up
   // to a fat committed-state band on a large slab.
@@ -230,8 +282,17 @@ int main(int argc, char** argv) try {
 
   TablePrinter lat({"payload", "socket us/msg", "shm us/msg", "speedup"});
   for (const std::size_t bytes : sizes) {
-    const double sock = socket_latency(bytes, pingpongs);
-    const double shm = shm_latency(bytes, pingpongs);
+    std::vector<double> sock_trials, shm_trials;
+    {
+      const CpuPin pin(cpus.timing);
+      for (int t = 0; t < kLatencyTrials; ++t) {
+        sock_trials.push_back(
+            socket_latency(bytes, trial_pingpongs, cpus.echo));
+        shm_trials.push_back(shm_latency(bytes, trial_pingpongs, cpus.echo));
+      }
+    }
+    const double sock = median(sock_trials);
+    const double shm = median(shm_trials);
     json.add_row()
         .set("leg", "latency")
         .set("transport", "socket")
@@ -246,6 +307,14 @@ int main(int argc, char** argv) try {
                  format("%.2f", shm * 1e6), format("%.1fx", sock / shm)});
   }
   lat.print();
+  if (cpus.echo >= 0) {
+    std::printf("(median of %d trials; threads pinned to CPUs %d and %d)\n",
+                kLatencyTrials, cpus.timing, cpus.echo);
+  } else {
+    std::printf("(median of %d trials; unpinned: fewer than two CPUs "
+                "allowed)\n",
+                kLatencyTrials);
+  }
   std::printf("\n");
 
   TablePrinter bw({"payload", "socket GiB/s", "shm GiB/s", "speedup"});

@@ -10,7 +10,8 @@
 /// `BENCH_kernels.json` (pairs/sec per {kernel, path}) for the CI bench
 /// gate: `tools/check_bench_regression.py` checks the rows against
 /// bench/baseline.json and enforces the speedup ratios, so the table-driven
-/// batched kernels can never silently regress.
+/// batched kernels can never silently regress. Two `soa_alloy` rows, not
+/// gated, time the production FP64 and FP32 paths on a two-type table.
 ///
 /// The engines evaluate only their profile tables, so the denominators of
 /// the ratio floors live here, as bench-owned copies of the loops the
@@ -44,6 +45,7 @@
 #include "md/simd.hpp"
 #include "md/simulation.hpp"
 #include "util/bench_json.hpp"
+#include "util/cpu_pin.hpp"
 #include "util/soa.hpp"
 #include "util/spline.hpp"
 #include "util/units.hpp"
@@ -448,30 +450,6 @@ class FrozenAnalyticWafer {
 
 /// --- BENCH_kernels.json: production paths vs the frozen loops -----------
 
-/// Pins the calling thread to the core it runs on, until destroyed, as the
-/// e2e harness's CorePin does: no trial pays for a migration to another
-/// core, and every path of a ratio runs on the same core.
-class CorePin {
- public:
-  CorePin() {
-    const int cpu = sched_getcpu();
-    if (cpu < 0 || sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
-  }
-  ~CorePin() {
-    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
-  }
-  CorePin(const CorePin&) = delete;
-  CorePin& operator=(const CorePin&) = delete;
-
- private:
-  cpu_set_t saved_{};
-  bool pinned_ = false;
-};
-
 /// Evaluations per second of each of `fns`, interleaved: one warmup call
 /// each (touch tables, fault pages, warm the branch predictors), then seven
 /// rounds in which every function runs one ~0.15 s trial in turn; each
@@ -514,7 +492,9 @@ std::vector<double> evals_per_second(
 }
 
 void emit_pairs_bench() {
-  const CorePin pin;
+  // Stay on the core this starts on, as the e2e harness does: no trial
+  // pays for a migration, and every path of a ratio runs on the same core.
+  const CpuPin pin(sched_getcpu());
   const auto p = eam::zhou_parameters("Ta");
 
   // FP64 reference force kernel: same system, same neighbor list, the
@@ -592,6 +572,31 @@ void emit_pairs_bench() {
   const double wafer_soa_scalar = wafer_pairs * wafer_rates[1];
   const double wafer_analytic = ana_pairs * wafer_rates[2];
 
+  // Two-type rows, reported and not gated: the crystal and the slab above
+  // with each atom's type drawn from a two-type table. The table lists Ta
+  // twice, so the dynamics match the one-type rows while every lookup
+  // takes the multi-type index path (the type gather and both rho'
+  // bundles) that a real alloy takes.
+  const auto ta2 = std::make_shared<eam::ZhouEam>(
+      std::vector<eam::ZhouParams>{p, p}, p.paper_cutoff());
+  Rng trng(17);
+  const auto two_types = [&](lattice::Structure s) {
+    for (int& t : s.types) t = trng.uniform() < 0.5 ? 0 : 1;
+    return s;
+  };
+  md::AtomSystem sys2(two_types(crystal), ta2);
+  const eam::ProfileF64 prof64_2(*ta2);
+  core::WseMd tab2(two_types(slab), ta2, cfg);
+  Rng wrng2(13);
+  tab2.thermalize(290.0, wrng2);
+  const double wafer_pairs2 =
+      tab2.step().mean_interactions * static_cast<double>(tab2.atom_count());
+  const std::vector<double> alloy_rates = evals_per_second(
+      {[&] { sink += kernel.compute(sys2, nl, prof64_2); },
+       [&] { sink += tab2.step().max_cycles; }});
+  const double ref_alloy = ref_pairs * alloy_rates[0];
+  const double wafer_alloy = wafer_pairs2 * alloy_rates[1];
+
   BenchJson out("kernels");
   out.meta()
       .set("element", "Ta")
@@ -633,6 +638,12 @@ void emit_pairs_bench() {
         .set("pairs_per_s", ref_soa_avx2);
   }
   out.add_row()
+      .set("kernel", "reference")
+      .set("path", "soa_alloy")
+      .set("precision", "fp64")
+      .set("types", 2)
+      .set("pairs_per_s", ref_alloy);
+  out.add_row()
       .set("kernel", "wafer")
       .set("path", "analytic")
       .set("precision", "fp32")
@@ -648,6 +659,12 @@ void emit_pairs_bench() {
       .set("path", "soa_scalar")
       .set("precision", "fp32")
       .set("pairs_per_s", wafer_soa_scalar);
+  out.add_row()
+      .set("kernel", "wafer")
+      .set("path", "soa_alloy")
+      .set("precision", "fp32")
+      .set("types", 2)
+      .set("pairs_per_s", wafer_alloy);
   const auto path = out.write(".");
   std::printf("\n[simd tier: %s]\n", simd::tier_name(active));
   std::printf("pairs/sec (FP64 reference): analytic %.3g, profile %.3g "
@@ -662,6 +679,9 @@ void emit_pairs_bench() {
               "(%.2fx), soa_scalar %.3g\n",
               wafer_analytic, wafer_soa, wafer_soa / wafer_analytic,
               wafer_soa_scalar);
+  std::printf("pairs/sec (two types):      FP64 soa %.3g, FP32 wafer soa "
+              "%.3g\n",
+              ref_alloy, wafer_alloy);
   std::printf("wrote %s\n", path.c_str());
 }
 

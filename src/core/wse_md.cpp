@@ -334,8 +334,7 @@ WseMd::RegionReport WseMd::run_schedule(const ShardRect& region,
     // so they hide behind the halo's flight; they run before any swap
     // perturbs the region's atom set (the workspace slots of an atom
     // migrating in belong to its previous owner). The kinetic partial
-    // moves ahead of the swap too — a swap re-partitions atoms but never
-    // changes a velocity.
+    // hides there too; a swap step re-sums it below.
     if (s.publish) s.publish(Halo::kState);
     r.acc = reduce_region_raw(region, ws_);
     r.kinetic = kinetic_energy_region(region);
@@ -346,6 +345,10 @@ WseMd::RegionReport WseMd::run_schedule(const ShardRect& region,
           [&](const ShardRect& rows) { swap_select(rows, ws_.partner); });
     if (s.merge_partners) s.merge_partners(ws_.partner);
     r.swaps_applied = swap_commit(ws_.partner);
+    // A swap re-partitions the region's atoms (never a velocity; the state
+    // halo carried the ghosts' in). Sum the partial over the new
+    // assignment, the one a checkpoint stores and a restore sums.
+    if (!whole_grid) r.kinetic = kinetic_energy_region(region);
   }
   return r;
 }

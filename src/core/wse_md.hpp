@@ -279,8 +279,9 @@ class WseMd {
     std::uint64_t occupied = 0;
   };
   /// A region executor's share of one step: reductions over its region,
-  /// row-major within it and taken before any atom swap, for a coordinator
-  /// to combine across regions in fixed order.
+  /// row-major within it, for a coordinator to combine across regions in
+  /// fixed order. All but `kinetic` are taken before any atom swap;
+  /// `kinetic` sums the region's atoms after it.
   struct RegionReport {
     RegionEnergy pe;
     RegionAccounting acc;

@@ -34,6 +34,20 @@
 /// — CI pins that with kernel-parity tests, a scalar matrix leg and a
 /// byte-compare of every deck across the tiers.
 ///
+/// Type precondition: every `types[j]` a row reads, and `ti`, lie in
+/// [0, tab.nt) (AtomSystem and WseMd reject any other type). The vector
+/// tiers fetch only what can differ between lanes, which changes no bit:
+///
+///  * a single-type table (nt == 1; every deck names one element) has
+///    every type 0, so its rows skip the neighbour-type gather, and the
+///    force rows reuse the j-side rho' bundle for the i-side term (same
+///    address). Each row kernel picks this case once per call; multi-type
+///    tables gather both, as the scalar kernels index them;
+///  * the AVX-512 FP64 force row loads each lane's 32-byte pair bundle
+///    {phi, dphi, phi'/r, dphi'/r} whole and transposes eight of them into
+///    one register per coefficient, where the other rows gather each
+///    coefficient. Lanes past the row end read +0.0 either way.
+///
 /// Capacity contract: the AVX2 sieves compact accepted pairs with
 /// full-width vector stores, so every sieve output array must have room for
 /// `count + kPad*` entries; entries past the returned count are garbage.

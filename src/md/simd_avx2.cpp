@@ -15,6 +15,10 @@
 /// compact accepted lanes with a movemask-indexed permutation table and a
 /// full-width store — hence the `count + kPad*` capacity contract on the
 /// output arrays.
+///
+/// The row kernels are templates on kOneType, picked once per call
+/// (by_type_count): on a single-type table they skip the neighbour-type
+/// gather and reuse the j-side rho' bundle for the i-side term.
 
 #include "md/simd.hpp"
 
@@ -32,6 +36,15 @@ using x86::hsum8;
 using x86::kRoundEven;
 
 #define WSMD_AVX2 __attribute__((target("avx2")))
+
+/// A KernelTable row-kernel slot: `kOne` on a single-type table
+/// (Raw::nt == 1, so every type index is 0), else `kAny`, the same kernel
+/// template instantiated on kOneType. Built for this tier's target, so
+/// both forms inline here and the pick is one compare per row.
+template <auto kOne, auto kAny, typename Raw, typename... Args>
+WSMD_AVX2 auto by_type_count(const Raw& tab, Args... args) {
+  return tab.nt == 1 ? kOne(tab, args...) : kAny(tab, args...);
+}
 
 // Sliding tail mask: load at (8 - valid) to get `valid` leading -1 lanes.
 alignas(32) constexpr std::int32_t kTailMask[16] = {
@@ -151,6 +164,7 @@ WSMD_AVX2 std::size_t sieve_f64_avx2(const double* px, const double* py,
   return out_n;
 }
 
+template <bool kOneType>
 WSMD_AVX2 double rho_row_f64_avx2(const eam::ProfileF64::Raw& tab,
                                   const int* types, const std::uint32_t* idx,
                                   const double* r2, std::size_t n) {
@@ -171,7 +185,9 @@ WSMD_AVX2 double rho_row_f64_avx2(const eam::ProfileF64::Raw& tab,
     const __m256d vt = _mm256_mul_pd(vr2, vinv);
     const __m128i vk = _mm_min_epi32(_mm256_cvttpd_epi32(vt), vnr1);
     const __m256d vfrac = _mm256_sub_pd(vt, _mm256_cvtepi32_pd(vk));
-    const __m128i vtj = _mm_mask_i32gather_epi32(zero32, types, vj, m32, 4);
+    const __m128i vtj =
+        kOneType ? zero32
+                 : _mm_mask_i32gather_epi32(zero32, types, vj, m32, 4);
     const __m128i vb2 = _mm_slli_epi32(
         _mm_add_epi32(_mm_mullo_epi32(vtj, vnr), vk), 1);
     const __m256d c0 = _mm256_mask_i32gather_pd(zero, tab.rho, vb2, mpd, 8);
@@ -182,6 +198,7 @@ WSMD_AVX2 double rho_row_f64_avx2(const eam::ProfileF64::Raw& tab,
   return acc;
 }
 
+template <bool kOneType>
 WSMD_AVX2 PairAccumF64 force_row_f64_avx2(
     const eam::ProfileF64::Raw& tab, const int* types, const double* fprime,
     double fprime_i, int ti, const std::uint32_t* idx, const double* dx,
@@ -207,7 +224,9 @@ WSMD_AVX2 PairAccumF64 force_row_f64_avx2(
     const __m256d vt = _mm256_mul_pd(vr2, vinv);
     const __m128i vk = _mm_min_epi32(_mm256_cvttpd_epi32(vt), vnr1);
     const __m256d vfrac = _mm256_sub_pd(vt, _mm256_cvtepi32_pd(vk));
-    const __m128i vtj = _mm_mask_i32gather_epi32(zero32, types, vj, m32, 4);
+    const __m128i vtj =
+        kOneType ? zero32
+                 : _mm_mask_i32gather_epi32(zero32, types, vj, m32, 4);
     const __m128i vb4 = _mm_slli_epi32(
         _mm_add_epi32(
             _mm_mullo_epi32(_mm_add_epi32(vrow_i, vtj), vnr), vk),
@@ -231,10 +250,15 @@ WSMD_AVX2 PairAccumF64 force_row_f64_avx2(
           _mm256_mask_i32gather_pd(zero, tab.rho_force, vbj2, mpd, 8);
       const __m256d dj1 =
           _mm256_mask_i32gather_pd(zero, tab.rho_force + 1, vbj2, mpd, 8);
+      // One type: ti = tj = 0, so the i-side bundle is the j-side one.
       const __m256d di0 =
-          _mm256_mask_i32gather_pd(zero, tab.rho_force, vbi2, mpd, 8);
+          kOneType ? dj0
+                   : _mm256_mask_i32gather_pd(zero, tab.rho_force, vbi2, mpd,
+                                              8);
       const __m256d di1 =
-          _mm256_mask_i32gather_pd(zero, tab.rho_force + 1, vbi2, mpd, 8);
+          kOneType ? dj1
+                   : _mm256_mask_i32gather_pd(zero, tab.rho_force + 1, vbi2,
+                                              mpd, 8);
       const __m256d vfpj =
           _mm256_mask_i32gather_pd(zero, fprime, vj, mpd, 8);
       pf = _mm256_add_pd(
@@ -318,6 +342,7 @@ WSMD_AVX2 std::size_t sieve_f32_avx2(const float* px, const float* py,
   return out_n;
 }
 
+template <bool kOneType>
 WSMD_AVX2 float rho_row_f32_avx2(const eam::ProfileF32::Raw& tab,
                                  const int* types, const std::uint32_t* idx,
                                  const float* r2, std::size_t n) {
@@ -338,7 +363,8 @@ WSMD_AVX2 float rho_row_f32_avx2(const eam::ProfileF32::Raw& tab,
     const __m256i vk = _mm256_min_epi32(_mm256_cvttps_epi32(vt), vnr1);
     const __m256 vfrac = _mm256_sub_ps(vt, _mm256_cvtepi32_ps(vk));
     const __m256i vtj =
-        _mm256_mask_i32gather_epi32(zero32, types, vj, m32, 4);
+        kOneType ? zero32
+                 : _mm256_mask_i32gather_epi32(zero32, types, vj, m32, 4);
     const __m256i vb2 = _mm256_slli_epi32(
         _mm256_add_epi32(_mm256_mullo_epi32(vtj, vnr), vk), 1);
     const __m256 c0 = _mm256_mask_i32gather_ps(zero, tab.rho, vb2, mps, 4);
@@ -349,6 +375,7 @@ WSMD_AVX2 float rho_row_f32_avx2(const eam::ProfileF32::Raw& tab,
   return acc;
 }
 
+template <bool kOneType>
 WSMD_AVX2 PairAccumF32 force_row_f32_avx2(
     const eam::ProfileF32::Raw& tab, const int* types, const float* fprime,
     float fprime_i, int ti, const std::uint32_t* idx, const float* dx,
@@ -374,7 +401,8 @@ WSMD_AVX2 PairAccumF32 force_row_f32_avx2(
     const __m256i vk = _mm256_min_epi32(_mm256_cvttps_epi32(vt), vnr1);
     const __m256 vfrac = _mm256_sub_ps(vt, _mm256_cvtepi32_ps(vk));
     const __m256i vtj =
-        _mm256_mask_i32gather_epi32(zero32, types, vj, m32, 4);
+        kOneType ? zero32
+                 : _mm256_mask_i32gather_epi32(zero32, types, vj, m32, 4);
     const __m256i vb4 = _mm256_slli_epi32(
         _mm256_add_epi32(
             _mm256_mullo_epi32(_mm256_add_epi32(vrow_i, vtj), vnr), vk),
@@ -397,10 +425,15 @@ WSMD_AVX2 PairAccumF32 force_row_f32_avx2(
           _mm256_mask_i32gather_ps(zero, tab.rho_force, vbj2, mps, 4);
       const __m256 dj1 =
           _mm256_mask_i32gather_ps(zero, tab.rho_force + 1, vbj2, mps, 4);
+      // One type: ti = tj = 0, so the i-side bundle is the j-side one.
       const __m256 di0 =
-          _mm256_mask_i32gather_ps(zero, tab.rho_force, vbi2, mps, 4);
+          kOneType ? dj0
+                   : _mm256_mask_i32gather_ps(zero, tab.rho_force, vbi2, mps,
+                                              4);
       const __m256 di1 =
-          _mm256_mask_i32gather_ps(zero, tab.rho_force + 1, vbi2, mps, 4);
+          kOneType ? dj1
+                   : _mm256_mask_i32gather_ps(zero, tab.rho_force + 1, vbi2,
+                                              mps, 4);
       const __m256 vfpj =
           _mm256_mask_i32gather_ps(zero, fprime, vj, mps, 4);
       pf = _mm256_add_ps(
@@ -424,8 +457,12 @@ WSMD_AVX2 PairAccumF32 force_row_f32_avx2(
 #undef WSMD_AVX2
 
 const KernelTable kAvx2Table = {
-    sieve_f64_avx2, rho_row_f64_avx2, force_row_f64_avx2,
-    sieve_f32_avx2, rho_row_f32_avx2, force_row_f32_avx2,
+    sieve_f64_avx2,
+    by_type_count<rho_row_f64_avx2<true>, rho_row_f64_avx2<false>>,
+    by_type_count<force_row_f64_avx2<true>, force_row_f64_avx2<false>>,
+    sieve_f32_avx2,
+    by_type_count<rho_row_f32_avx2<true>, rho_row_f32_avx2<false>>,
+    by_type_count<force_row_f32_avx2<true>, force_row_f32_avx2<false>>,
 };
 
 }  // namespace

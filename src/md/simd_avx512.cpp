@@ -18,6 +18,13 @@
 /// only the popcount leading lanes with a masked store: they never write
 /// past the returned count, so the kPad* capacity the AVX2 tier needs
 /// covers this tier too.
+///
+/// As in the AVX2 tier, the row kernels are templates on kOneType, picked
+/// once per call (by_type_count): on a single-type table they skip the
+/// neighbour-type gather and reuse the j-side rho' bundle for the i-side
+/// term. The FP64 force row fetches each lane's 32-byte pair bundle
+/// with one load and transposes eight of them (pair_bundles) instead of
+/// gathering the four coefficients one by one.
 
 #include "md/simd.hpp"
 
@@ -37,6 +44,15 @@ using x86::kRoundEven;
 // The features named here are the ones simd.cpp's dispatch checks.
 #define WSMD_AVX512 __attribute__((target("avx512f,avx512vl")))
 
+/// A KernelTable row-kernel slot: `kOne` on a single-type table
+/// (Raw::nt == 1, so every type index is 0), else `kAny`, the same kernel
+/// template instantiated on kOneType. Built for this tier's target, so
+/// both forms inline here and the pick is one compare per row.
+template <auto kOne, auto kAny, typename Raw, typename... Args>
+WSMD_AVX512 auto by_type_count(const Raw& tab, Args... args) {
+  return tab.nt == 1 ? kOne(tab, args...) : kAny(tab, args...);
+}
+
 constexpr std::size_t kBlockF64 = 2 * kLanesF64;
 constexpr std::size_t kBlockF32 = 2 * kLanesF32;
 
@@ -55,6 +71,40 @@ WSMD_AVX512 inline __m256 lo_half(__m512 v) {
 }
 WSMD_AVX512 inline __m256 hi_half(__m512 v) {
   return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
+}
+
+/// Two 32-byte bundles in one register: `lo` in the low half, `hi` above.
+WSMD_AVX512 inline __m512d two_bundles(const double* lo, const double* hi) {
+  return _mm512_insertf64x4(_mm512_castpd256_pd512(_mm256_loadu_pd(lo)),
+                            _mm256_loadu_pd(hi), 1);
+}
+
+/// The pair bundles {phi, dphi, phi'/r, dphi'/r} of eight lanes, lane l's
+/// at `pair + vb4[l]`, as one register per coefficient (c[q] holds every
+/// lane's q-th): eight 32-byte loads and an 8x4 transpose. Lanes outside
+/// `k` read +0.0, as a zero-masked gather gives; their offsets must still
+/// point into the table (the kernels' zeroed tail lanes index segment 0).
+WSMD_AVX512 inline void pair_bundles(const double* pair, __m256i vb4,
+                                     __mmask8 k, __m512d c[4]) {
+  alignas(32) std::int32_t off[kBlockF64];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(off), vb4);
+  // Register l holds bundles l and l + 4.
+  const __m512d r04 = two_bundles(pair + off[0], pair + off[4]);
+  const __m512d r15 = two_bundles(pair + off[1], pair + off[5]);
+  const __m512d r26 = two_bundles(pair + off[2], pair + off[6]);
+  const __m512d r37 = two_bundles(pair + off[3], pair + off[7]);
+  // Per 128-bit lane, coefficients 0|2 (lo) and 1|3 (hi) of two bundles:
+  // lo01 = [0.0 1.0 0.2 1.2 | 4.0 5.0 4.2 5.2], lane.coefficient.
+  const __m512d lo01 = _mm512_unpacklo_pd(r04, r15);
+  const __m512d hi01 = _mm512_unpackhi_pd(r04, r15);
+  const __m512d lo23 = _mm512_unpacklo_pd(r26, r37);
+  const __m512d hi23 = _mm512_unpackhi_pd(r26, r37);
+  const __m512i first = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i second = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  c[0] = _mm512_maskz_permutex2var_pd(k, lo01, first, lo23);
+  c[1] = _mm512_maskz_permutex2var_pd(k, hi01, first, hi23);
+  c[2] = _mm512_maskz_permutex2var_pd(k, lo01, second, lo23);
+  c[3] = _mm512_maskz_permutex2var_pd(k, hi01, second, hi23);
 }
 
 // --- FP64 (8 lanes: two 4-lane blocks) -------------------------------------
@@ -120,6 +170,7 @@ WSMD_AVX512 std::size_t sieve_f64_avx512(
   return out_n;
 }
 
+template <bool kOneType>
 WSMD_AVX512 double rho_row_f64_avx512(const eam::ProfileF64::Raw& tab,
                                       const int* types,
                                       const std::uint32_t* idx,
@@ -138,7 +189,9 @@ WSMD_AVX512 double rho_row_f64_avx512(const eam::ProfileF64::Raw& tab,
     const __m512d vt = _mm512_mul_pd(vr2, vinv);
     const __m256i vk = _mm256_min_epi32(_mm512_cvttpd_epi32(vt), vnr1);
     const __m512d vfrac = _mm512_sub_pd(vt, _mm512_cvtepi32_pd(vk));
-    const __m256i vtj = _mm256_mmask_i32gather_epi32(zero32, k, vj, types, 4);
+    const __m256i vtj =
+        kOneType ? zero32
+                 : _mm256_mmask_i32gather_epi32(zero32, k, vj, types, 4);
     const __m256i vb2 = _mm256_slli_epi32(
         _mm256_add_epi32(_mm256_mullo_epi32(vtj, vnr), vk), 1);
     const __m512d c0 = _mm512_mask_i32gather_pd(zero, k, vb2, tab.rho, 8);
@@ -151,6 +204,7 @@ WSMD_AVX512 double rho_row_f64_avx512(const eam::ProfileF64::Raw& tab,
   return acc;
 }
 
+template <bool kOneType>
 WSMD_AVX512 PairAccumF64 force_row_f64_avx512(
     const eam::ProfileF64::Raw& tab, const int* types, const double* fprime,
     double fprime_i, int ti, const std::uint32_t* idx, const double* dx,
@@ -173,20 +227,17 @@ WSMD_AVX512 PairAccumF64 force_row_f64_avx512(
     const __m512d vt = _mm512_mul_pd(vr2, vinv);
     const __m256i vk = _mm256_min_epi32(_mm512_cvttpd_epi32(vt), vnr1);
     const __m512d vfrac = _mm512_sub_pd(vt, _mm512_cvtepi32_pd(vk));
-    const __m256i vtj = _mm256_mmask_i32gather_epi32(zero32, k, vj, types, 4);
+    const __m256i vtj =
+        kOneType ? zero32
+                 : _mm256_mmask_i32gather_epi32(zero32, k, vj, types, 4);
     const __m256i vb4 = _mm256_slli_epi32(
         _mm256_add_epi32(
             _mm256_mullo_epi32(_mm256_add_epi32(vrow_i, vtj), vnr), vk),
         2);
-    const __m512d pc0 = _mm512_mask_i32gather_pd(zero, k, vb4, tab.pair, 8);
-    const __m512d pc1 =
-        _mm512_mask_i32gather_pd(zero, k, vb4, tab.pair + 1, 8);
-    const __m512d pc2 =
-        _mm512_mask_i32gather_pd(zero, k, vb4, tab.pair + 2, 8);
-    const __m512d pc3 =
-        _mm512_mask_i32gather_pd(zero, k, vb4, tab.pair + 3, 8);
-    const __m512d vphi = _mm512_add_pd(pc0, _mm512_mul_pd(pc1, vfrac));
-    __m512d pf = _mm512_add_pd(pc2, _mm512_mul_pd(pc3, vfrac));
+    __m512d pc[4];
+    pair_bundles(tab.pair, vb4, k, pc);
+    const __m512d vphi = _mm512_add_pd(pc[0], _mm512_mul_pd(pc[1], vfrac));
+    __m512d pf = _mm512_add_pd(pc[2], _mm512_mul_pd(pc[3], vfrac));
     if (!pairwise_only) {
       const __m256i vbj2 = _mm256_slli_epi32(
           _mm256_add_epi32(_mm256_mullo_epi32(vtj, vnr), vk), 1);
@@ -195,10 +246,14 @@ WSMD_AVX512 PairAccumF64 force_row_f64_avx512(
           _mm512_mask_i32gather_pd(zero, k, vbj2, tab.rho_force, 8);
       const __m512d dj1 =
           _mm512_mask_i32gather_pd(zero, k, vbj2, tab.rho_force + 1, 8);
+      // One type: ti = tj = 0, so the i-side bundle is the j-side one.
       const __m512d di0 =
-          _mm512_mask_i32gather_pd(zero, k, vbi2, tab.rho_force, 8);
+          kOneType ? dj0
+                   : _mm512_mask_i32gather_pd(zero, k, vbi2, tab.rho_force, 8);
       const __m512d di1 =
-          _mm512_mask_i32gather_pd(zero, k, vbi2, tab.rho_force + 1, 8);
+          kOneType
+              ? dj1
+              : _mm512_mask_i32gather_pd(zero, k, vbi2, tab.rho_force + 1, 8);
       const __m512d vfpj = _mm512_mask_i32gather_pd(zero, k, vj, fprime, 8);
       pf = _mm512_add_pd(
           pf, _mm512_mul_pd(vfp_i,
@@ -288,6 +343,7 @@ WSMD_AVX512 std::size_t sieve_f32_avx512(
   return out_n;
 }
 
+template <bool kOneType>
 WSMD_AVX512 float rho_row_f32_avx512(const eam::ProfileF32::Raw& tab,
                                      const int* types,
                                      const std::uint32_t* idx,
@@ -306,7 +362,9 @@ WSMD_AVX512 float rho_row_f32_avx512(const eam::ProfileF32::Raw& tab,
     const __m512 vt = _mm512_mul_ps(vr2, vinv);
     const __m512i vk = _mm512_min_epi32(_mm512_cvttps_epi32(vt), vnr1);
     const __m512 vfrac = _mm512_sub_ps(vt, _mm512_cvtepi32_ps(vk));
-    const __m512i vtj = _mm512_mask_i32gather_epi32(zero32, k, vj, types, 4);
+    const __m512i vtj =
+        kOneType ? zero32
+                 : _mm512_mask_i32gather_epi32(zero32, k, vj, types, 4);
     const __m512i vb2 = _mm512_slli_epi32(
         _mm512_add_epi32(_mm512_mullo_epi32(vtj, vnr), vk), 1);
     const __m512 c0 = _mm512_mask_i32gather_ps(zero, k, vb2, tab.rho, 4);
@@ -318,6 +376,7 @@ WSMD_AVX512 float rho_row_f32_avx512(const eam::ProfileF32::Raw& tab,
   return acc;
 }
 
+template <bool kOneType>
 WSMD_AVX512 PairAccumF32 force_row_f32_avx512(
     const eam::ProfileF32::Raw& tab, const int* types, const float* fprime,
     float fprime_i, int ti, const std::uint32_t* idx, const float* dx,
@@ -340,7 +399,9 @@ WSMD_AVX512 PairAccumF32 force_row_f32_avx512(
     const __m512 vt = _mm512_mul_ps(vr2, vinv);
     const __m512i vk = _mm512_min_epi32(_mm512_cvttps_epi32(vt), vnr1);
     const __m512 vfrac = _mm512_sub_ps(vt, _mm512_cvtepi32_ps(vk));
-    const __m512i vtj = _mm512_mask_i32gather_epi32(zero32, k, vj, types, 4);
+    const __m512i vtj =
+        kOneType ? zero32
+                 : _mm512_mask_i32gather_epi32(zero32, k, vj, types, 4);
     const __m512i vb4 = _mm512_slli_epi32(
         _mm512_add_epi32(
             _mm512_mullo_epi32(_mm512_add_epi32(vrow_i, vtj), vnr), vk),
@@ -362,10 +423,14 @@ WSMD_AVX512 PairAccumF32 force_row_f32_avx512(
           _mm512_mask_i32gather_ps(zero, k, vbj2, tab.rho_force, 4);
       const __m512 dj1 =
           _mm512_mask_i32gather_ps(zero, k, vbj2, tab.rho_force + 1, 4);
+      // One type: ti = tj = 0, so the i-side bundle is the j-side one.
       const __m512 di0 =
-          _mm512_mask_i32gather_ps(zero, k, vbi2, tab.rho_force, 4);
+          kOneType ? dj0
+                   : _mm512_mask_i32gather_ps(zero, k, vbi2, tab.rho_force, 4);
       const __m512 di1 =
-          _mm512_mask_i32gather_ps(zero, k, vbi2, tab.rho_force + 1, 4);
+          kOneType
+              ? dj1
+              : _mm512_mask_i32gather_ps(zero, k, vbi2, tab.rho_force + 1, 4);
       const __m512 vfpj = _mm512_mask_i32gather_ps(zero, k, vj, fprime, 4);
       pf = _mm512_add_ps(
           pf, _mm512_mul_ps(vfp_i,
@@ -394,8 +459,12 @@ WSMD_AVX512 PairAccumF32 force_row_f32_avx512(
 #undef WSMD_AVX512
 
 const KernelTable kAvx512Table = {
-    sieve_f64_avx512, rho_row_f64_avx512, force_row_f64_avx512,
-    sieve_f32_avx512, rho_row_f32_avx512, force_row_f32_avx512,
+    sieve_f64_avx512,
+    by_type_count<rho_row_f64_avx512<true>, rho_row_f64_avx512<false>>,
+    by_type_count<force_row_f64_avx512<true>, force_row_f64_avx512<false>>,
+    sieve_f32_avx512,
+    by_type_count<rho_row_f32_avx512<true>, rho_row_f32_avx512<false>>,
+    by_type_count<force_row_f32_avx512<true>, force_row_f32_avx512<false>>,
 };
 
 }  // namespace

@@ -8,7 +8,10 @@
 /// a tier the host lacks reports a skip naming what it lacks, never a pass.
 /// Row lengths cover every remainder class of the 4/8-lane scalar blocks
 /// and of the 8/16-lane AVX-512 blocks, to pin the masked remainder
-/// handling and the order in which 512-bit halves are added.
+/// handling and the order in which 512-bit halves are added. The row
+/// kernels run on a single-type table (which the vector tiers serve
+/// without the type gather) and on a two-type Cu+Ta table, whose type
+/// index math they still gather for.
 ///
 /// CI sets WSMD_EXPECT_TIER to assert that each matrix leg actually runs
 /// the tier it was built for (vector legs must not silently fall back).
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -154,12 +158,16 @@ std::vector<std::size_t> row_lengths() {
 /// box periodic on x/y and open on z (exercises the inv_len = 0 branch-free
 /// minimum image on a real open axis). The candidate list visits the 96
 /// other atoms eight times, so the accepted row is long enough for every
-/// row length.
+/// row length. `types` is all 0 (a single-type table); `alloy_types` holds
+/// Cu+Ta types in index runs — 0 below atom 32, 1 up to atom 64, then
+/// random — so an accepted row (ascending atom order) has runs of
+/// same-type neighbours and a mixed tail.
 struct ParityFixture {
   static constexpr std::size_t kAtoms = 97;  // not a lane multiple
   Vec3dPlanes pos64;
   Vec3fPlanes pos32;
   std::vector<int> types;
+  std::vector<int> alloy_types;
   std::vector<std::uint32_t> candidates;
   std::vector<double> fprime64;
   std::vector<float> fprime32;
@@ -187,6 +195,10 @@ struct ParityFixture {
       for (std::size_t i = 1; i < kAtoms; ++i) {
         candidates.push_back(static_cast<std::uint32_t>(i));
       }
+    }
+    for (std::size_t i = 0; i < kAtoms; ++i) {
+      const bool random_one = rng.uniform() < 0.5;
+      alloy_types.push_back(i < 32 ? 0 : i < 64 ? 1 : random_one ? 1 : 0);
     }
   }
 };
@@ -243,15 +255,73 @@ struct SieveOut {
   }
 };
 
-/// Sieve, density row and force row (both pairwise_only modes) of `tier`
-/// against the scalar kernels, bitwise, at every row length.
+/// Density row and force row (both pairwise_only modes) of `vx` against
+/// the scalar kernels `sc`, bitwise, on the first `n` entries of the
+/// accepted row `full`, for every row length and every `ti` in `tis`. The
+/// row is followed by a NaN-filled pad that a lane past the row end would
+/// carry into every sum it touched.
+template <typename P>
+void expect_rows_match_scalar(const simd::KernelTable& sc,
+                              const simd::KernelTable& vx,
+                              const typename P::Profile& prof,
+                              const std::vector<int>& types,
+                              std::initializer_list<int> tis,
+                              const ParityFixture& f,
+                              const SieveOut<P>& full,
+                              const std::string& table) {
+  using Real = typename P::Real;
+  const auto raw = prof.raw();
+  const std::vector<std::size_t> lengths = row_lengths();
+  ASSERT_GE(full.n, lengths.back()) << table << ": accepted row too short";
+  const std::vector<Real>& fp = P::fprime(f);
+  const auto nan = std::numeric_limits<Real>::quiet_NaN();
+  for (const std::size_t n : lengths) {
+    const auto prefix = [&](const std::vector<Real>& v) {
+      std::vector<Real> out(v.begin(), v.begin() + static_cast<long>(n));
+      out.resize(n + P::kPad, nan);
+      return out;
+    };
+    std::vector<std::uint32_t> idx(full.idx.begin(),
+                                   full.idx.begin() + static_cast<long>(n));
+    idx.resize(n + P::kPad, 0);
+    const std::vector<Real> dx = prefix(full.dx), dy = prefix(full.dy),
+                            dz = prefix(full.dz), r2 = prefix(full.r2);
+    const Real rho_a =
+        (sc.*P::kRho)(raw, types.data(), idx.data(), r2.data(), n);
+    const Real rho_b =
+        (vx.*P::kRho)(raw, types.data(), idx.data(), r2.data(), n);
+    EXPECT_EQ(rho_a, rho_b) << table << ": rho diverged at row length " << n;
+    for (const int ti : tis) {
+      for (const bool pairwise_only : {false, true}) {
+        const auto acc_a = (sc.*P::kForce)(
+            raw, types.data(), fp.data(), fp[0], ti, idx.data(), dx.data(),
+            dy.data(), dz.data(), r2.data(), n, pairwise_only);
+        const auto acc_b = (vx.*P::kForce)(
+            raw, types.data(), fp.data(), fp[0], ti, idx.data(), dx.data(),
+            dy.data(), dz.data(), r2.data(), n, pairwise_only);
+        const auto where = [&] {
+          return table + ": row " + std::to_string(n) + " ti " +
+                 std::to_string(ti) + " pairwise " +
+                 std::to_string(pairwise_only);
+        };
+        EXPECT_EQ(acc_a.fx, acc_b.fx) << where();
+        EXPECT_EQ(acc_a.fy, acc_b.fy) << where();
+        EXPECT_EQ(acc_a.fz, acc_b.fz) << where();
+        EXPECT_EQ(acc_a.phi, acc_b.phi) << where();
+      }
+    }
+  }
+}
+
+/// Sieve, density row and force row of `tier` against the scalar kernels,
+/// bitwise, at every row length, on the single-type Ta table and on the
+/// two-type Cu+Ta table.
 template <typename P>
 void expect_kernels_match_scalar(simd::Tier tier) {
   using Real = typename P::Real;
   ParityFixture f;
   const auto pot = std::make_shared<eam::ZhouEam>("Ta");
   const typename P::Profile prof(*pot);
-  const auto raw = prof.raw();
   const auto rc2 = static_cast<Real>(pot->cutoff() * pot->cutoff());
   const simd::KernelTable& sc = simd::kernels_for(simd::Tier::kScalar);
   const simd::KernelTable& vx = simd::kernels_for(tier);
@@ -270,47 +340,23 @@ void expect_kernels_match_scalar(simd::Tier tier) {
     }
   }
 
-  // Density and force rows: the first `n` entries of one long accepted row,
-  // the same input for both tiers, followed by a NaN-filled pad that a lane
-  // past the row end would carry into every sum it touched.
-  const SieveOut<P> full(sc, f, rc2, f.candidates.size());
-  const std::vector<std::size_t> lengths = row_lengths();
-  ASSERT_GE(full.n, lengths.back()) << "accepted row too short";
-  const std::vector<Real>& fp = P::fprime(f);
-  const auto nan = std::numeric_limits<Real>::quiet_NaN();
-  for (const std::size_t n : lengths) {
-    const auto prefix = [&](const std::vector<Real>& v) {
-      std::vector<Real> out(v.begin(), v.begin() + static_cast<long>(n));
-      out.resize(n + P::kPad, nan);
-      return out;
-    };
-    std::vector<std::uint32_t> idx(full.idx.begin(),
-                                   full.idx.begin() + static_cast<long>(n));
-    idx.resize(n + P::kPad, 0);
-    const std::vector<Real> dx = prefix(full.dx), dy = prefix(full.dy),
-                            dz = prefix(full.dz), r2 = prefix(full.r2);
-    const Real rho_a =
-        (sc.*P::kRho)(raw, f.types.data(), idx.data(), r2.data(), n);
-    const Real rho_b =
-        (vx.*P::kRho)(raw, f.types.data(), idx.data(), r2.data(), n);
-    EXPECT_EQ(rho_a, rho_b) << "rho diverged at row length " << n;
-    for (const bool pairwise_only : {false, true}) {
-      const auto acc_a = (sc.*P::kForce)(
-          raw, f.types.data(), fp.data(), fp[0], 0, idx.data(), dx.data(),
-          dy.data(), dz.data(), r2.data(), n, pairwise_only);
-      const auto acc_b = (vx.*P::kForce)(
-          raw, f.types.data(), fp.data(), fp[0], 0, idx.data(), dx.data(),
-          dy.data(), dz.data(), r2.data(), n, pairwise_only);
-      EXPECT_EQ(acc_a.fx, acc_b.fx) << "row " << n << " pairwise "
-                                    << pairwise_only;
-      EXPECT_EQ(acc_a.fy, acc_b.fy) << "row " << n << " pairwise "
-                                    << pairwise_only;
-      EXPECT_EQ(acc_a.fz, acc_b.fz) << "row " << n << " pairwise "
-                                    << pairwise_only;
-      EXPECT_EQ(acc_a.phi, acc_b.phi) << "row " << n << " pairwise "
-                                      << pairwise_only;
-    }
-  }
+  // Density and force rows: prefixes of one long accepted row, the same
+  // input for both tiers.
+  ASSERT_EQ(prof.num_types(), 1);
+  expect_rows_match_scalar<P>(sc, vx, prof, f.types, {0}, f,
+                              SieveOut<P>(sc, f, rc2, f.candidates.size()),
+                              "Ta");
+
+  const auto alloy = std::make_shared<eam::ZhouEam>(
+      std::vector<eam::ZhouParams>{eam::zhou_parameters("Cu"),
+                                   eam::zhou_parameters("Ta")});
+  const typename P::Profile alloy_prof(*alloy);
+  ASSERT_EQ(alloy_prof.num_types(), 2);
+  const auto alloy_rc2 =
+      static_cast<Real>(alloy->cutoff() * alloy->cutoff());
+  expect_rows_match_scalar<P>(
+      sc, vx, alloy_prof, f.alloy_types, {0, 1}, f,
+      SieveOut<P>(sc, f, alloy_rc2, f.candidates.size()), "Cu+Ta");
 }
 
 TEST_P(SimdTierTest, F64KernelsMatchScalarBitwise) {

@@ -5,9 +5,10 @@
 /// thermo and observable series as the run that never stopped. Exercised
 /// on scenarios/cu_gb_mobility.deck (all four probes live) with kill
 /// points inside two different stages, on both the reference backend and
-/// sharded:3. Sharded-vs-serial parity is pinned bitwise by the engine
-/// tests, so both backends are compared exactly here (stricter than the
-/// FP32 acceptance band).
+/// sharded:3, and on ranks:2 from a kill point on an atom-swap step.
+/// Sharded-vs-serial parity is pinned bitwise by the engine tests, so the
+/// backends are compared exactly here (stricter than the FP32 acceptance
+/// band).
 ///
 /// Also covered: the checkpoint deck keys' eager validation, the
 /// embedded-deck round trip (deck_from_scenario), the rejection of
@@ -65,6 +66,27 @@ void expect_rows_equal(const io::Series& straight, const io::Series& resumed,
   }
 }
 
+/// The resumed thermo log opens with the restored step `at` and must then
+/// match the uninterrupted stream sample for sample, bitwise.
+void expect_thermo_tail_equal(const std::vector<io::ThermoSample>& straight,
+                              const std::string& resumed_path, long at,
+                              const std::string& label) {
+  const auto resumed = io::read_thermo_csv_file(resumed_path);
+  std::size_t k0 = 0;
+  while (k0 < straight.size() && straight[k0].step < at) ++k0;
+  ASSERT_EQ(straight.size() - k0, resumed.size()) << label;
+  for (std::size_t k = 0; k < resumed.size(); ++k) {
+    const auto& g = straight[k0 + k];
+    const auto& r = resumed[k];
+    ASSERT_EQ(g.step, r.step) << label;
+    ASSERT_EQ(g.potential_energy, r.potential_energy)
+        << label << " step " << g.step;
+    ASSERT_EQ(g.kinetic_energy, r.kinetic_energy)
+        << label << " step " << g.step;
+    ASSERT_EQ(g.temperature, r.temperature) << label << " step " << g.step;
+  }
+}
+
 TEST(Resume, KillMidStageReproducesTheUninterruptedRun) {
   // `wafer` resumes through its alias: the embedded deck says
   // backend = wafer, which now builds sharded:1.
@@ -119,26 +141,8 @@ TEST(Resume, KillMidStageReproducesTheUninterruptedRun) {
 
       const std::string label =
           backend + " resumed@" + std::to_string(at);
-      // Thermo: the resumed log opens with the restored step and must
-      // then match the uninterrupted stream sample-for-sample.
-      const auto resumed_thermo =
-          io::read_thermo_csv_file(resumed.thermo_path);
-      std::size_t k0 = 0;
-      while (k0 < straight_thermo.size() && straight_thermo[k0].step < at) {
-        ++k0;
-      }
-      ASSERT_EQ(straight_thermo.size() - k0, resumed_thermo.size()) << label;
-      for (std::size_t k = 0; k < resumed_thermo.size(); ++k) {
-        const auto& g = straight_thermo[k0 + k];
-        const auto& r = resumed_thermo[k];
-        ASSERT_EQ(g.step, r.step) << label;
-        ASSERT_EQ(g.potential_energy, r.potential_energy)
-            << label << " step " << g.step;
-        ASSERT_EQ(g.kinetic_energy, r.kinetic_energy)
-            << label << " step " << g.step;
-        ASSERT_EQ(g.temperature, r.temperature) << label << " step "
-                                                << g.step;
-      }
+      expect_thermo_tail_equal(straight_thermo, resumed.thermo_path, at,
+                               label);
 
       // Observables: every probe's resumed stream continues the
       // uninterrupted series (rows at steps > kill point), and the
@@ -166,6 +170,51 @@ TEST(Resume, KillMidStageReproducesTheUninterruptedRun) {
     for (long s = 5; s <= 30; s += 5) {
       std::remove((base + "." + std::to_string(s) + ".ckpt").c_str());
     }
+  }
+}
+
+TEST(Resume, RanksResumeAtASwapStepReproducesTheUninterruptedRun) {
+  // ranks: sums each strip's kinetic partial inside the step, and again
+  // over the restored state's fresh strips on resume. On a swap step both
+  // sums must cover the post-swap atom assignment the checkpoint stores.
+  // At swap_interval 5 the step-15 kill point is a swap step.
+  const std::string base = ::testing::TempDir() + "wsmd_resume_ranks_swap";
+  Deck deck = parse_deck_file(gb_deck_path());
+  deck.set("xyz", "");
+  deck.set("summary", "");
+  deck.set("thermo", base + ".straight.thermo.csv");
+  deck.set("thermo_every", "1");
+  deck.set("observe.prefix", base + ".straight");
+  deck.set("observe.format", "csv");
+  deck.set("swap_interval", "5");
+  deck.set("checkpoint.every", "5");
+  deck.set("checkpoint.path", base + ".*.ckpt");
+
+  RunOptions opt;
+  opt.backend_override = "ranks:2";
+  const auto straight = run_scenario(scenario_from_deck(deck), opt);
+  ASSERT_EQ(straight.checkpoints_written, 6u);
+  const auto straight_thermo = io::read_thermo_csv_file(straight.thermo_path);
+
+  const long at = 15;
+  const auto ckpt =
+      io::read_checkpoint_file(base + "." + std::to_string(at) + ".ckpt");
+  ASSERT_EQ(ckpt.engine.step, at);
+  Deck rdeck = embedded_deck(ckpt);
+  rdeck.set("thermo", base + ".resumed.thermo.csv");
+  rdeck.set("observe.prefix", base + ".resumed");
+  rdeck.set("checkpoint.every", "0");
+  const auto resumed = resume_scenario(scenario_from_deck(rdeck), ckpt, opt);
+  EXPECT_EQ(resumed.resumed_from_step, at);
+  expect_thermo_tail_equal(straight_thermo, resumed.thermo_path, at,
+                           "ranks:2 swap_interval 5 resumed@15");
+
+  for (const auto* run : {&straight, &resumed}) {
+    for (const auto& o : run->observables) std::remove(o.path.c_str());
+    std::remove(run->thermo_path.c_str());
+  }
+  for (long s = 5; s <= 30; s += 5) {
+    std::remove((base + "." + std::to_string(s) + ".ckpt").c_str());
   }
 }
 
