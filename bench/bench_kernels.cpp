@@ -6,12 +6,14 @@
 /// guard against performance regressions in the reproduction code.
 ///
 /// Besides the microbenches, the binary self-times the production force
-/// paths against three frozen reference loops and emits
-/// `BENCH_kernels.json` (pairs/sec per {kernel, path}) for the CI bench
-/// gate: `tools/check_bench_regression.py` checks the rows against
+/// paths and the Verlet build against four frozen reference loops and
+/// emits `BENCH_kernels.json` (pairs/sec per {kernel, path}; list
+/// entries/sec for the `neighbor` rows) for the CI bench gate:
+/// `tools/check_bench_regression.py` checks the rows against
 /// bench/baseline.json and enforces the speedup ratios, so the table-driven
-/// batched kernels can never silently regress. Two `soa_alloy` rows, not
-/// gated, time the production FP64 and FP32 paths on a two-type table.
+/// batched kernels and the sort-free build can never silently regress. Two
+/// `soa_alloy` rows, not gated, time the production FP64 and FP32 paths on
+/// a two-type table.
 ///
 /// The engines evaluate only their profile tables, so the denominators of
 /// the ratio floors live here, as bench-owned copies of the loops the
@@ -22,7 +24,10 @@
 ///   * `profile` (FP64): the scalar one-pair-at-a-time profile-table loop;
 ///   * `analytic` (FP32 wafer): the wafer's analytic density and force
 ///     rows over rcut + skin candidate rows, without the step's gather,
-///     commit and accounting work.
+///     commit and accounting work;
+///   * `sorted` (neighbor): the Verlet build as a full per-atom cell-list
+///     walk and a std::sort of every row, against the production half
+///     walk and transposition (`build`), in list entries/s.
 /// Do not edit them: a changed yardstick changes what every floor means.
 
 #include <benchmark/benchmark.h>
@@ -42,6 +47,7 @@
 #include "eam/tabulated.hpp"
 #include "eam/zhou.hpp"
 #include "lattice/lattice.hpp"
+#include "md/cell_list.hpp"
 #include "md/simd.hpp"
 #include "md/simulation.hpp"
 #include "util/bench_json.hpp"
@@ -114,7 +120,7 @@ void BM_NeighborListBuild(benchmark::State& state) {
   const auto s = lattice::replicate(
       lattice::UnitCell::of(p.structure, p.lattice_constant()), n, n, n, 0,
       {true, true, true});
-  md::NeighborList nl(p.paper_cutoff(), 1.0);
+  md::NeighborList nl(p.paper_cutoff(), md::SimulationConfig{}.skin);
   for (auto _ : state) {
     nl.build(s.box, s.positions);
     benchmark::DoNotOptimize(nl.total_entries());
@@ -448,6 +454,44 @@ class FrozenAnalyticWafer {
   std::array<bool, 3> box_periodic_{false, false, false};
 };
 
+/// Verlet build by full walk and per-row sort: every atom walks its whole
+/// cell-list neighborhood (each distance computed twice) and sorts its row.
+/// It walks the production md::CellList, so the ratio over it is the gain
+/// of the half walk and the transposition alone. Scratch persists across
+/// calls.
+class FrozenSortedNeighborList {
+ public:
+  FrozenSortedNeighborList(double cutoff, double skin)
+      : cutoff_(cutoff), radius_(cutoff + skin) {}
+
+  void build(const Box& box, const std::vector<Vec3d>& positions) {
+    const std::size_t n = positions.size();
+    md::CellList::require_min_image(box, cutoff_);
+    md::CellList cl;
+    cl.build(box, positions, radius_);
+    offsets_.assign(n + 1, 0);
+    indices_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      scratch_.clear();
+      cl.for_each_neighbor(i, [&](std::size_t j, const Vec3d&, double) {
+        scratch_.push_back(static_cast<std::uint32_t>(j));
+      });
+      std::sort(scratch_.begin(), scratch_.end());
+      offsets_[i + 1] = offsets_[i] + scratch_.size();
+      indices_.insert(indices_.end(), scratch_.begin(), scratch_.end());
+    }
+    reference_positions_ = positions;
+  }
+
+  std::size_t total_entries() const { return indices_.size(); }
+
+ private:
+  double cutoff_, radius_;
+  std::vector<std::size_t> offsets_;
+  std::vector<std::uint32_t> indices_, scratch_;
+  std::vector<Vec3d> reference_positions_;
+};
+
 /// --- BENCH_kernels.json: production paths vs the frozen loops -----------
 
 /// Evaluations per second of each of `fns`, interleaved: one warmup call
@@ -597,6 +641,30 @@ void emit_pairs_bench() {
   const double ref_alloy = ref_pairs * alloy_rates[0];
   const double wafer_alloy = wafer_pairs2 * alloy_rates[1];
 
+  // Verlet builds: the 5,760-atom Cu slab of bench/e2e's cu6k_ref with
+  // ~290 K Gaussian displacements (0.1 A per axis), at the Cu cutoff and
+  // the reference engine's default skin. entries = full-list entries per
+  // build, the same for both paths.
+  auto cu_slab = lattice::paper_slab("Cu", 12);
+  Rng drng(19);
+  for (auto& r : cu_slab.positions) {
+    r += Vec3d{drng.gaussian(0.0, 0.1), drng.gaussian(0.0, 0.1),
+               drng.gaussian(0.0, 0.1)};
+  }
+  const double cu_cutoff = eam::zhou_parameters("Cu").paper_cutoff();
+  const double skin = md::SimulationConfig{}.skin;
+  md::NeighborList built(cu_cutoff, skin);
+  FrozenSortedNeighborList sorted(cu_cutoff, skin);
+  built.build(cu_slab.box, cu_slab.positions);
+  sorted.build(cu_slab.box, cu_slab.positions);
+  const auto nb_entries = static_cast<double>(built.total_entries());
+  const std::vector<double> nb_rates = evals_per_second(
+      {[&] { built.build(cu_slab.box, cu_slab.positions); },
+       [&] { sorted.build(cu_slab.box, cu_slab.positions); }});
+  sink += static_cast<double>(sorted.total_entries());
+  const double nb_build = nb_entries * nb_rates[0];
+  const double nb_sorted = nb_entries * nb_rates[1];
+
   BenchJson out("kernels");
   out.meta()
       .set("element", "Ta")
@@ -604,6 +672,8 @@ void emit_pairs_bench() {
       .set("ref_pairs_per_sweep", ref_pairs)
       .set("wafer_atoms", tab.atom_count())
       .set("wafer_pairs_per_step", wafer_pairs)
+      .set("neighbor_atoms", cu_slab.size())
+      .set("neighbor_entries_per_build", nb_entries)
       .set("profile_table_bytes_fp32",
            eam::ProfileF32(*pot).table_bytes())
       .set("simd_tier", simd::tier_name(active))
@@ -665,6 +735,15 @@ void emit_pairs_bench() {
       .set("precision", "fp32")
       .set("types", 2)
       .set("pairs_per_s", wafer_alloy);
+  out.add_row()
+      .set("kernel", "neighbor")
+      .set("path", "build")
+      .set("entries_per_s", nb_build)
+      .set("speedup_vs_sorted", nb_build / nb_sorted);
+  out.add_row()
+      .set("kernel", "neighbor")
+      .set("path", "sorted")
+      .set("entries_per_s", nb_sorted);
   const auto path = out.write(".");
   std::printf("\n[simd tier: %s]\n", simd::tier_name(active));
   std::printf("pairs/sec (FP64 reference): analytic %.3g, profile %.3g "
@@ -682,6 +761,9 @@ void emit_pairs_bench() {
   std::printf("pairs/sec (two types):      FP64 soa %.3g, FP32 wafer soa "
               "%.3g\n",
               ref_alloy, wafer_alloy);
+  std::printf("entries/sec (Verlet build):  build %.3g, sorted %.3g "
+              "(%.2fx)\n",
+              nb_build, nb_sorted, nb_build / nb_sorted);
   std::printf("wrote %s\n", path.c_str());
 }
 

@@ -55,9 +55,10 @@ using StepCallback = std::function<void(const Thermo&)>;
 /// bit-for-bit. The auxiliary blocks keep each backend's restart exact:
 ///
 ///   - `neighbor_anchor` (reference): the positions the Verlet list was
-///     last built from. Rebuilding from the anchor reproduces both the
-///     list contents (pair order fixes FP summation order) and the future
-///     rebuild schedule, which plain positions would not.
+///     last built from. Rebuilding from the anchor reproduces the future
+///     rebuild schedule, which plain positions would not. It does not fix
+///     the FP summation order: any complete list gives the same bits
+///     (md/neighbor.hpp).
 ///   - wafer block: the wafer engine's own core::WseMd::SavedState, which
 ///     State extends (so a wafer snapshot converts by copy, not field by
 ///     field): the atom-to-core mapping as mutated by online atom swaps,

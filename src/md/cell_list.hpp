@@ -19,8 +19,8 @@
 /// 27 cell ids. Queries walk a span in blocks: first the distances of the
 /// block, then the accept test.
 ///
-/// Kept contracts (the Verlet list's FP summation order and the probes'
-/// byte-identical outputs rest on them):
+/// Kept contracts (the probes' byte-identical outputs rest on them; the
+/// Verlet list orders its rows itself and needs only the pair set):
 /// - for_each_neighbor visits stencil cells by ascending id and the atoms of
 ///   a cell by ascending index — ascending slot order;
 /// - d and r2 carry the bits of Box::minimum_image and norm2: the same

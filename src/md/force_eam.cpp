@@ -77,11 +77,18 @@ double EamForceKernel::compute(AtomSystem& system,
     acc_off_[i] = neighbors.row_offset(i) + simd::kPadF64 * i;
   }
   const std::size_t cap = acc_off_[n];
-  acc_idx_.resize(cap);
-  acc_dx_.resize(cap);
-  acc_dy_.resize(cap);
-  acc_dz_.resize(cap);
-  acc_r2_.resize(cap);
+  // Grow a quarter past the need: a thermalising system lists a few % more
+  // entries at later rebuilds than at the first, and regrowing the scratch
+  // at each new maximum copies it and strands the old blocks in the heap.
+  const auto fit = [cap](auto& v) {
+    if (v.capacity() < cap) v.reserve(cap + cap / 4);
+    v.resize(cap);
+  };
+  fit(acc_idx_);
+  fit(acc_dx_);
+  fit(acc_dy_);
+  fit(acc_dz_);
+  fit(acc_r2_);
   acc_n_.resize(n);
 
   rho_.assign(n, 0.0);

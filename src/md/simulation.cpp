@@ -95,14 +95,15 @@ void Simulation::restore_state(const SimulationState& state) {
   system_.positions().from_aos(state.positions);
   system_.velocities().from_aos(state.velocities);
   step_ = state.step;
-  // Rebuild the Verlet list from the saved anchor so contents, pair order,
-  // and the next displacement-triggered rebuild all match the run that
-  // wrote the snapshot; then evaluate forces on the restored positions
-  // through that list (ensure_current sees displacement <= skin/2 — the
-  // anchor was current when saved — so it does not rebuild again).
+  // Rebuild the Verlet list from the saved anchor so the next
+  // displacement-triggered rebuild matches the run that wrote the snapshot.
+  // An anchor more than skin/2 from the positions (written at a larger
+  // skin, or damaged) would leave the list incomplete: ensure_current then
+  // rebuilds from the positions. A same-build resume never trips it.
   neighbors_.build(system_.box(), state.neighbor_anchor.empty()
                                       ? state.positions
                                       : state.neighbor_anchor);
+  neighbors_.ensure_current(system_.box(), system_.positions());
   last_pe_ = kernel_.compute(system_, neighbors_, profile_, pool_.get());
   forces_current_ = true;
 }

@@ -27,7 +27,9 @@ namespace wsmd::md {
 
 struct SimulationConfig {
   double dt = 0.002;         ///< ps (paper: 2 fs)
-  double skin = 1.0;         ///< Verlet skin (A)
+  /// Verlet skin (A). Trajectories do not depend on it (md/neighbor.hpp):
+  /// it trades sieve candidates per step against rebuilds.
+  double skin = 0.6;
   /// Berendsen-style velocity rescale toward this temperature when set
   /// (equilibration); unset = NVE.
   std::optional<double> rescale_temperature_K;
@@ -50,11 +52,10 @@ struct ThermoState {
 };
 
 /// Complete dynamic state for checkpoint/restart. `neighbor_anchor` is the
-/// Verlet list's last-build positions: restoring rebuilds the list from the
-/// anchor (not the current positions), which reproduces both the stored
-/// pair order (FP summation order) and the future displacement-triggered
-/// rebuild schedule — the two things that would otherwise break bitwise
-/// continuation.
+/// Verlet list's last-build positions: restoring builds the list from the
+/// anchor (not the current positions), which reproduces the writer's
+/// displacement-triggered rebuild schedule. The FP summation order does not
+/// hang on it: any complete list gives the same bits (md/neighbor.hpp).
 struct SimulationState {
   long step = 0;
   std::vector<Vec3d> positions;
@@ -89,10 +90,11 @@ class Simulation {
   /// Snapshot the dynamic state (checkpoint).
   SimulationState save_state() const;
 
-  /// Restore a snapshot taken from an identically-built simulation: sets
-  /// positions/velocities/step, rebuilds the Verlet list from the saved
-  /// anchor, and recomputes forces so thermo() is immediately valid. The
-  /// continued trajectory is bitwise identical to the uninterrupted run.
+  /// Restore a snapshot: sets positions/velocities/step, rebuilds the
+  /// Verlet list from the saved anchor (again from the positions when the
+  /// anchor lies more than skin/2 from them), and recomputes forces so
+  /// thermo() is immediately valid. The continued trajectory is bitwise
+  /// identical to the uninterrupted run.
   void restore_state(const SimulationState& state);
 
   /// Thermo snapshot. Kinetic energy / temperature are *synchronized*: the

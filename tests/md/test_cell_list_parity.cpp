@@ -1,11 +1,14 @@
 /// \file test_cell_list_parity.cpp
-/// Bitwise parity of the span-walk md::CellList and the allocation-free CSP
-/// in md::analyze_structure with the straightforward algorithms they
-/// replaced, which this file keeps as oracles:
+/// Bitwise parity of the span-walk md::CellList, the allocation-free CSP
+/// in md::analyze_structure and the half-walk md::NeighborList build with
+/// the straightforward algorithms they replaced, which this file keeps as
+/// oracles:
 ///   - a cell list that walks each atom's deduplicated 27-stencil cell by
 ///     cell, with one Box::minimum_image per candidate pair;
 ///   - a CSP that sorts a std::vector<Vec3d> of bonds by norm2 and pairs
-///     them greedily over a std::vector<bool> of used bonds.
+///     them greedily over a std::vector<bool> of used bonds;
+///   - a Verlet build that walks each atom's full neighborhood and sorts
+///     its row.
 /// The probes' CSVs and the Verlet list's summation order depend on the
 /// visit order and on the bits of d and r2, so those are compared exactly,
 /// on perfect lattices (exact distance ties), a thermalised Cu bicrystal
@@ -19,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -28,6 +32,7 @@
 #include "lattice/lattice.hpp"
 #include "md/analysis.hpp"
 #include "md/cell_list.hpp"
+#include "md/neighbor.hpp"
 #include "util/random.hpp"
 
 namespace wsmd::md {
@@ -204,6 +209,32 @@ StructureAnalysis oracle_analyze(const Box& box,
   return out;
 }
 
+/// The Verlet list as NeighborList::build made it before the half walk:
+/// CSR rows from each atom's full cell-list walk, each row sorted.
+struct SortedRows {
+  std::vector<std::size_t> offsets;
+  std::vector<std::uint32_t> indices;
+};
+
+SortedRows sorted_rows(const Box& box, const std::vector<Vec3d>& positions,
+                       double radius) {
+  CellList cl;
+  cl.build(box, positions, radius);
+  SortedRows out;
+  out.offsets.assign(positions.size() + 1, 0);
+  std::vector<std::uint32_t> row;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    row.clear();
+    cl.for_each_neighbor(i, [&](std::size_t j, const Vec3d&, double) {
+      row.push_back(static_cast<std::uint32_t>(j));
+    });
+    std::sort(row.begin(), row.end());
+    out.offsets[i + 1] = out.offsets[i] + row.size();
+    out.indices.insert(out.indices.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
 // --- Inputs -----------------------------------------------------------------
 
 std::uint64_t bits(double x) {
@@ -336,6 +367,51 @@ TEST(CellListParity, PairWalkMatchesStencilWalkBitwise) {
     EXPECT_TRUE(std::adjacent_find(got.begin(), got.end()) == got.end())
         << in.name;
     EXPECT_EQ(got, want) << in.name;
+  }
+}
+
+TEST(NeighborListParity, RowsMatchThePerRowSortBuildBitwise) {
+  auto systems = inputs();
+  // Non-finite atoms (open and periodic), which get empty rows, and a
+  // periodic box holding one cell per axis at the list radius.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(47);
+  for (const bool periodic : {false, true}) {
+    const Box box({0, 0, 0}, {12, 13, 11}, {periodic, periodic, periodic});
+    auto pos = random_gas(rng, box, 150);
+    pos[0] = {nan, 1.0, 1.0};
+    pos[75] = {2.0, inf, nan};
+    pos[149] = {-inf, 3.0, 3.0};
+    systems.push_back({periodic ? "non_finite_periodic" : "non_finite_open",
+                       box, pos, 2.5});
+  }
+  const Box tiny({0, 0, 0}, {5.5, 5.5, 5.5}, {true, true, true});
+  systems.push_back({"gas_one_cell", tiny, random_gas(rng, tiny, 60), 3.0});
+
+  for (const auto& in : systems) {
+    // The list radius is the input's radius: a cutoff of 2/3 of it (which
+    // every periodic box holds twice over) and the skin the rest.
+    NeighborList nl(in.radius * 2.0 / 3.0, in.radius / 3.0);
+    nl.build(in.box, in.positions);
+    const SortedRows want = sorted_rows(in.box, in.positions, nl.list_radius());
+    const std::size_t n = in.positions.size();
+    ASSERT_EQ(nl.atom_count(), n) << in.name;
+    std::vector<std::size_t> offsets(n + 1);
+    std::vector<std::uint32_t> indices;
+    for (std::size_t i = 0; i <= n; ++i) offsets[i] = nl.row_offset(i);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto row = nl.neighbors(i);
+      indices.insert(indices.end(), row.begin(), row.end());
+      if (!std::isfinite(in.positions[i].x + in.positions[i].y +
+                         in.positions[i].z)) {
+        EXPECT_EQ(row.size(), 0u) << in.name << ": non-finite atom " << i;
+      }
+    }
+    ASSERT_EQ(offsets, want.offsets) << in.name;
+    ASSERT_EQ(indices, want.indices) << in.name;
+    EXPECT_EQ(nl.total_entries(), want.indices.size()) << in.name;
+    EXPECT_GT(want.indices.size(), n) << in.name;
   }
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "eam/lennard_jones.hpp"
 #include "eam/zhou.hpp"
@@ -21,6 +25,101 @@ AtomSystem make_ta_block(int reps, std::array<bool, 3> pbc = {true, true, true})
       lattice::UnitCell::of(p.structure, p.lattice_constant()), reps, reps,
       reps, 0, pbc);
   return AtomSystem(s, std::make_shared<eam::ZhouEam>("Ta"));
+}
+
+/// Cu block with every axis open, thermalised to 600 K (seeded).
+AtomSystem make_hot_cu_slab() {
+  const auto p = eam::zhou_parameters("Cu");
+  const auto s = lattice::replicate(
+      lattice::UnitCell::of(p.structure, p.lattice_constant()), 6, 6, 6, 0,
+      {false, false, false});
+  AtomSystem sys(s, std::make_shared<eam::ZhouEam>("Cu", p.paper_cutoff()));
+  Rng rng(62);
+  sys.thermalize(600.0, rng);
+  return sys;
+}
+
+/// Periodic LJ gas of 343 atoms at 2000 K, placed at random at least
+/// 2.6 A apart (outside the repulsive core). With `stream` > 0, even atoms
+/// also move at +stream A/ps along x and odd atoms at -stream: two
+/// interpenetrating streams, whose pairs close in on each other at twice
+/// the speed either atom moves.
+AtomSystem make_lj_gas(double stream = 0.0) {
+  lattice::Structure s;
+  s.box = Box({0, 0, 0}, {28, 28, 28}, {true, true, true});
+  Rng rng(63);
+  while (s.positions.size() < 343) {
+    const Vec3d r{rng.uniform(0, 28), rng.uniform(0, 28), rng.uniform(0, 28)};
+    const bool clear = std::all_of(
+        s.positions.begin(), s.positions.end(), [&](const Vec3d& q) {
+          return norm2(s.box.minimum_image(q, r)) >= 2.6 * 2.6;
+        });
+    if (!clear) continue;
+    s.positions.push_back(r);
+    s.types.push_back(0);
+  }
+  AtomSystem sys(s, std::make_shared<eam::LennardJones>(
+                        eam::LennardJones::copper_like()));
+  sys.thermalize(2000.0, rng);
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    sys.velocities().add(i, Vec3d{i % 2 == 0 ? stream : -stream, 0, 0});
+  }
+  return sys;
+}
+
+/// The default configuration at another skin and timestep.
+SimulationConfig with_skin(double skin, double dt) {
+  SimulationConfig cfg;
+  cfg.dt = dt;
+  cfg.skin = skin;
+  return cfg;
+}
+
+/// Every thermo row of a run, then its final positions and velocities.
+struct Trace {
+  std::vector<ThermoState> rows;
+  std::vector<Vec3d> positions, velocities;
+};
+
+Trace run_trace(Simulation& sim, long steps) {
+  Trace t;
+  sim.run(steps, [&](const ThermoState& row) { t.rows.push_back(row); });
+  t.positions = sim.system().positions().to_aos();
+  t.velocities = sim.system().velocities().to_aos();
+  return t;
+}
+
+/// Byte equality of two traces, reporting the first differing row.
+void expect_same_bytes(const Trace& got, const Trace& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
+  for (std::size_t k = 0; k < want.rows.size(); ++k) {
+    ASSERT_EQ(std::memcmp(&got.rows[k], &want.rows[k], sizeof(ThermoState)),
+              0)
+        << what << ": thermo row of step " << want.rows[k].step << " (pe "
+        << got.rows[k].potential_energy << " vs "
+        << want.rows[k].potential_energy << ")";
+  }
+  ASSERT_EQ(got.positions.size(), want.positions.size()) << what;
+  EXPECT_EQ(std::memcmp(got.positions.data(), want.positions.data(),
+                        want.positions.size() * sizeof(Vec3d)),
+            0)
+      << what << ": positions";
+  EXPECT_EQ(std::memcmp(got.velocities.data(), want.velocities.data(),
+                        want.velocities.size() * sizeof(Vec3d)),
+            0)
+      << what << ": velocities";
+}
+
+/// Largest minimum-image distance between a snapshot's anchor and its
+/// positions.
+double max_anchor_offset(const Box& box, const SimulationState& st) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < st.positions.size(); ++i) {
+    worst = std::max(
+        worst, norm(box.minimum_image(st.neighbor_anchor[i], st.positions[i])));
+  }
+  return worst;
 }
 
 /// Small open-boundary block for cheap mechanics-of-the-driver tests.
@@ -95,9 +194,9 @@ TEST(Simulation, RescaleThermostatHoldsTemperature) {
 }
 
 TEST(Simulation, NeighborListRebuildsAreSparse) {
-  // At 290 K with a 1 A skin, rebuilds should be far rarer than steps —
-  // the mechanism LAMMPS exploits and paper Table V row "Neighbor list"
-  // models (re-examine every ~10th step).
+  // At 290 K with the default 0.6 A skin, rebuilds should be far rarer
+  // than steps — the mechanism LAMMPS exploits and paper Table V row
+  // "Neighbor list" models (re-examine every ~10th step).
   Simulation sim(make_ta_block(4));
   Rng rng(58);
   sim.equilibrate(290.0, 50, rng);
@@ -105,6 +204,75 @@ TEST(Simulation, NeighborListRebuildsAreSparse) {
   sim.run(200);
   const std::size_t rebuilds = sim.neighbor_list().rebuild_count() - before;
   EXPECT_LT(rebuilds, 40u);  // < 1 per 5 steps
+}
+
+TEST(Simulation, TrajectoryIsBitwiseIndependentOfTheSkin) {
+  // The sweep meets each ascending row's entries with r < rc in the same
+  // order whatever the list radius, so the skin may only change when the
+  // list is rebuilt and how many candidates the sieve drops — never a bit
+  // of the trajectory. This is what lets the default skin be tuned for
+  // speed alone.
+  struct Case {
+    const char* name;
+    AtomSystem (*make)();
+    double dt;
+  };
+  const Case cases[] = {
+      {"cu_slab_open", make_hot_cu_slab, SimulationConfig{}.dt},
+      {"lj_gas_periodic", [] { return make_lj_gas(); }, 0.001},
+  };
+  for (const auto& c : cases) {
+    Simulation base(c.make(), with_skin(0.3, c.dt));
+    const Trace want = run_trace(base, 220);
+    EXPECT_GT(base.neighbor_list().rebuild_count(), 2u) << c.name;
+    for (const double skin : {0.6, 1.0, 1.5}) {
+      Simulation sim(c.make(), with_skin(skin, c.dt));
+      expect_same_bytes(run_trace(sim, 220), want,
+                        std::string(c.name) + " at skin " +
+                            std::to_string(skin));
+    }
+  }
+}
+
+TEST(Simulation, RestoreRebuildsAnAnchorWrittenAtALargerSkin) {
+  // A run at a 1.0 A skin saves its state on the last step before its list
+  // goes stale: the anchor is then up to 0.5 A from the positions, past
+  // the 0.3 A a 0.6 A skin allows. The counter-streaming gas closes pairs
+  // in on each other at twice that, so a list kept on the anchor would
+  // miss pairs inside the cutoff.
+  Simulation writer(make_lj_gas(20.0), with_skin(1.0, 0.001));
+  writer.compute_forces();
+  const std::size_t first = writer.neighbor_list().rebuild_count();
+  SimulationState snap;
+  while (writer.neighbor_list().rebuild_count() == first) {
+    snap = writer.save_state();
+    writer.run(1);
+  }
+  ASSERT_GT(max_anchor_offset(writer.system().box(), snap), 0.3);
+
+  Simulation straight(make_lj_gas(20.0), with_skin(0.6, 0.001));
+  straight.run(snap.step);
+  const Trace want = run_trace(straight, 100);
+  Simulation resumed(make_lj_gas(20.0), with_skin(0.6, 0.001));
+  resumed.restore_state(snap);
+  expect_same_bytes(run_trace(resumed, 100), want, "skin 1.0 -> 0.6 resume");
+}
+
+TEST(Simulation, RestoreRebuildsADisplacedAnchor) {
+  // An anchor moved past skin/2 (here 0.75 skin, in opposite directions
+  // for alternate atoms) is stale: restore must rebuild from the
+  // positions, or pairs inside the cutoff go missing from the list.
+  const SimulationConfig cfg;
+  Simulation straight(make_hot_cu_slab(), cfg);
+  straight.run(40);
+  SimulationState snap = straight.save_state();
+  const Trace want = run_trace(straight, 100);
+  for (std::size_t i = 0; i < snap.neighbor_anchor.size(); ++i) {
+    snap.neighbor_anchor[i].x += (i % 2 == 0 ? 0.75 : -0.75) * cfg.skin;
+  }
+  Simulation resumed(make_hot_cu_slab(), cfg);
+  resumed.restore_state(snap);
+  expect_same_bytes(run_trace(resumed, 100), want, "displaced anchor");
 }
 
 TEST(Simulation, OpenBoundarySlabDoesNotExplode) {
