@@ -219,7 +219,7 @@ AtomMapping AtomMapping::for_structure(const lattice::Structure& s,
     ax.cell = cell;
     ax.cells = std::max(
         1, static_cast<int>(std::ceil(len[static_cast<std::size_t>(axis)] / cell)));
-    ax.folded = config.fold_periodic && s.box.periodic[static_cast<std::size_t>(axis)];
+    ax.folded = s.box.periodic[static_cast<std::size_t>(axis)];
     ax.columns = ax.folded ? 2 * ((ax.cells + 1) / 2) : ax.cells;
   }
 

@@ -46,8 +46,6 @@ struct MappingConfig {
   /// Edge length of a partition cell in Angstrom (defaults to the crystal
   /// lattice constant when built via `for_structure`). Must exceed 0.
   double cell_size = 0.0;
-  /// Apply the Fig. 5 fold on periodic axes.
-  bool fold_periodic = true;
   /// Greedy refinement rounds after the initial per-cell assignment.
   int refine_rounds = 2;
 };

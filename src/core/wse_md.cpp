@@ -269,13 +269,10 @@ std::size_t WseMd::gather_neighborhood(int cx, int cy,
   return n;
 }
 
-WseStepStats WseMd::run(int n, const StepCallback& callback) {
+WseStepStats WseMd::run(int n) {
   WSMD_REQUIRE(n >= 0, "negative step count");
   WseStepStats last;
-  for (int k = 0; k < n; ++k) {
-    last = step();
-    if (callback) callback(last);
-  }
+  for (int k = 0; k < n; ++k) last = step();
   return last;
 }
 

@@ -302,11 +302,8 @@ class WseMd {
   RegionEnergy region_energy(const ShardRect& region,
                              const StepSchedule& schedule);
 
-  /// Advance n steps; returns the last step's stats. `callback`, when set,
-  /// fires after every step (mirrors md::Simulation::run so the two engines
-  /// can be driven identically).
-  using StepCallback = std::function<void(const WseStepStats&)>;
-  WseStepStats run(int n, const StepCallback& callback = {});
+  /// Advance n steps; returns the last step's stats.
+  WseStepStats run(int n);
 
   /// --- Phase kernels ----------------------------------------------------
   /// The steps of the schedule, public for benchmarks that time them one

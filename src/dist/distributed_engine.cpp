@@ -18,7 +18,6 @@
 #include "engine/wafer_engine.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/units.hpp"
 
 namespace wsmd::dist {
 
@@ -412,15 +411,8 @@ engine::Thermo DistributedEngine::step() {
 }
 
 engine::Thermo DistributedEngine::thermo() const {
-  engine::Thermo t;
-  t.step = template_.step_count();
-  t.potential_energy = template_.potential_energy();
-  t.kinetic_energy = ke_;
-  t.total_energy = t.potential_energy + ke_;
-  t.temperature = 2.0 * ke_ /
-                  (3.0 * static_cast<double>(template_.atom_count()) *
-                   units::kBoltzmann);
-  return t;
+  return thermo_of(template_.step_count(), template_.potential_energy(), ke_,
+                   template_.atom_count());
 }
 
 void DistributedEngine::gather_state(std::vector<Vec3d>& pos,

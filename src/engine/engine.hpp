@@ -14,10 +14,12 @@
 ///   - dist::DistributedEngine — the same wafer step in M forked rank
 ///                               processes with ghost-halo exchange.
 ///
-/// `Engine` is the small common surface the benchmarks, examples, and
-/// cross-engine tests drive: thermalize, step/run with a per-step callback,
-/// and a thermodynamic snapshot. Adapters live next to this header; the
-/// `make_engine` factory builds any backend from a structure + potential.
+/// `Engine` is the small common surface the scenario runner, benchmarks,
+/// examples, and cross-engine tests drive: thermalize, step/run with a
+/// per-step callback, and a thermodynamic snapshot. With the runner it is
+/// the only driver: stages, thermostats and checkpoints live there, not in
+/// the backends. Adapters live next to this header; the `make_engine`
+/// factory builds any backend from a structure + potential.
 
 #include <functional>
 #include <memory>
@@ -29,22 +31,17 @@
 #include "lattice/lattice.hpp"
 #include "md/simulation.hpp"
 #include "util/random.hpp"
+#include "util/thermo.hpp"
 #include "util/vec3.hpp"
 
 namespace wsmd::engine {
 
-/// Thermodynamic snapshot, common to every backend. For wafer backends the
-/// kinetic energy uses the stored half-step leap-frog velocities (the
-/// FP32 state the workers hold); the reference backend reports synchronized
-/// full-step values. Cross-engine comparisons should therefore allow the
-/// O(dt) sawtooth between the two conventions.
-struct Thermo {
-  long step = 0;
-  double potential_energy = 0.0;  ///< eV
-  double kinetic_energy = 0.0;    ///< eV
-  double total_energy = 0.0;      ///< eV
-  double temperature = 0.0;       ///< K
-};
+/// Thermodynamic snapshot, common to every backend (util/thermo.hpp).
+/// For wafer backends the kinetic energy uses the stored half-step
+/// leap-frog velocities (the FP32 state the workers hold); the reference
+/// backend reports synchronized full-step values. Cross-engine comparisons
+/// should therefore allow the O(dt) sawtooth between the two conventions.
+using Thermo = ::wsmd::Thermo;
 
 using StepCallback = std::function<void(const Thermo&)>;
 
@@ -52,14 +49,13 @@ using StepCallback = std::function<void(const Thermo&)>;
 /// exact, so FP32 wafer state round-trips bitwise). This is what a
 /// checkpoint stores (io/checkpoint): restoring it into a fresh engine of
 /// the same backend over the same structure continues the trajectory
-/// bit-for-bit. The auxiliary blocks keep each backend's restart exact:
+/// bit-for-bit.
 ///
-///   - `neighbor_anchor` (reference): the positions the Verlet list was
-///     last built from. Rebuilding from the anchor reproduces the future
-///     rebuild schedule, which plain positions would not. It does not fix
-///     the FP summation order: any complete list gives the same bits
+///   - Reference backend: step, positions and velocities are the whole
+///     state. The Verlet list is rebuilt on restore when it is stale for
+///     the restored positions; any complete list gives the same bits
 ///     (md/neighbor.hpp).
-///   - wafer block: the wafer engine's own core::WseMd::SavedState, which
+///   - Wafer block: the wafer engine's own core::WseMd::SavedState, which
 ///     State extends (so a wafer snapshot converts by copy, not field by
 ///     field): the atom-to-core mapping as mutated by online atom swaps,
 ///     the neighborhood radius b (derived from the *initial* structure,
@@ -74,8 +70,6 @@ using StepCallback = std::function<void(const Thermo&)>;
 /// trajectory continues within cross-backend tolerance rather than
 /// bitwise.
 struct State : core::WseMd::SavedState {
-  /// Reference backend: Verlet-list anchor positions (empty otherwise).
-  std::vector<Vec3d> neighbor_anchor;
   /// The wafer block is set (wafer and ranks backends).
   bool has_wafer = false;
 };
@@ -153,9 +147,10 @@ class Engine {
   /// Advance one timestep.
   virtual Thermo step() = 0;
 
-  /// Advance n timesteps; `callback`, when set, fires after every step.
-  /// The default implementation loops step().
-  virtual Thermo run(long n, const StepCallback& callback = {});
+  /// Advance n timesteps by looping step(); `callback`, when set, fires
+  /// after every step. The one stepping loop with a callback: md::Simulation
+  /// and core::WseMd only advance.
+  Thermo run(long n, const StepCallback& callback = {});
 
   /// Snapshot of the current state (valid from construction on).
   virtual Thermo thermo() const = 0;

@@ -4,20 +4,6 @@
 
 namespace wsmd::engine {
 
-namespace {
-
-Thermo to_thermo(const md::ThermoState& t) {
-  Thermo out;
-  out.step = t.step;
-  out.potential_energy = t.potential_energy;
-  out.kinetic_energy = t.kinetic_energy;
-  out.total_energy = t.total_energy;
-  out.temperature = t.temperature;
-  return out;
-}
-
-}  // namespace
-
 ReferenceEngine::ReferenceEngine(const lattice::Structure& s,
                                  eam::EamPotentialPtr potential,
                                  md::SimulationConfig config)
@@ -46,38 +32,20 @@ void ReferenceEngine::set_positions(const std::vector<Vec3d>& r) {
 
 State ReferenceEngine::snapshot() const {
   State st;
-  const auto sim_state = sim_.save_state();
-  st.step = sim_state.step;
-  st.positions = sim_state.positions;
-  st.velocities = sim_state.velocities;
-  st.neighbor_anchor = sim_state.neighbor_anchor;
+  st.step = sim_.step_count();
+  st.positions = positions();
+  st.velocities = velocities();
   return st;
 }
 
 void ReferenceEngine::restore(const State& state) {
-  md::SimulationState sim_state;
-  sim_state.step = state.step;
-  sim_state.positions = state.positions;
-  sim_state.velocities = state.velocities;
-  // A wafer-written snapshot carries no Verlet anchor; restore_state then
-  // rebuilds the list from the positions themselves (cross-backend
-  // transfer — exactness is a same-backend guarantee).
-  sim_state.neighbor_anchor = state.neighbor_anchor;
-  sim_.restore_state(sim_state);
+  // A wafer-written state transfers the same way: its wafer block holds
+  // nothing the reference physics uses.
+  sim_.restore(state.step, state.positions, state.velocities);
 }
 
 void ReferenceEngine::thermalize(double temperature_K, Rng& rng) {
   sim_.system().thermalize(temperature_K, rng);
 }
-
-Thermo ReferenceEngine::step() { return to_thermo(sim_.run(1)); }
-
-Thermo ReferenceEngine::run(long n, const StepCallback& callback) {
-  if (!callback) return to_thermo(sim_.run(n));
-  return to_thermo(sim_.run(
-      n, [&](const md::ThermoState& t) { callback(to_thermo(t)); }));
-}
-
-Thermo ReferenceEngine::thermo() const { return to_thermo(sim_.thermo()); }
 
 }  // namespace wsmd::engine

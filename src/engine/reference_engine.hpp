@@ -32,9 +32,8 @@ class ReferenceEngine final : public Engine {
   State snapshot() const override;
   void restore(const State& state) override;
   void thermalize(double temperature_K, Rng& rng) override;
-  Thermo step() override;
-  Thermo run(long n, const StepCallback& callback = {}) override;
-  Thermo thermo() const override;
+  Thermo step() override { return sim_.run(1); }
+  Thermo thermo() const override { return sim_.thermo(); }
 
  private:
   md::Simulation sim_;

@@ -6,7 +6,6 @@
 
 #include "dist/domain.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/units.hpp"
 
 namespace wsmd::engine {
 
@@ -147,15 +146,8 @@ ModeledPhaseCost WaferEngine::modeled_phase_cost() const {
 }
 
 Thermo WaferEngine::thermo() const {
-  Thermo t;
-  t.step = md_.step_count();
-  t.potential_energy = md_.potential_energy();
-  t.kinetic_energy = md_.kinetic_energy();
-  t.total_energy = t.potential_energy + t.kinetic_energy;
-  t.temperature = 2.0 * t.kinetic_energy /
-                  (3.0 * static_cast<double>(md_.atom_count()) *
-                   units::kBoltzmann);
-  return t;
+  return thermo_of(md_.step_count(), md_.potential_energy(),
+                   md_.kinetic_energy(), md_.atom_count());
 }
 
 }  // namespace wsmd::engine

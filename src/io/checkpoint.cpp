@@ -178,7 +178,7 @@ void write_checkpoint(std::ostream& os, const CheckpointData& data) {
   w.i64(e.step);
   w.vec3s(e.positions);
   w.vec3s(e.velocities);
-  w.vec3s(e.neighbor_anchor);
+  w.u64(0);  // the retired Verlet-anchor block, always empty
   w.u8(e.has_wafer ? 1 : 0);
   if (e.has_wafer) {
     w.f64(e.potential_energy);
@@ -252,7 +252,7 @@ CheckpointData read_checkpoint(std::istream& is, const std::string& context) {
   e.step = static_cast<long>(r.i64());
   e.positions = r.vec3s();
   e.velocities = r.vec3s();
-  e.neighbor_anchor = r.vec3s();
+  r.vec3s();  // retired Verlet anchor: older reference files fill it
   e.has_wafer = r.u8() != 0;
   if (e.has_wafer) {
     e.potential_energy = r.f64();

@@ -7,13 +7,19 @@
 /// process, so `wsmd` must be able to stop and continue: a checkpoint is a
 /// versioned, endian-tagged binary file holding the *complete* dynamic
 /// state of a run — step counter, box, species, FP64-widened positions and
-/// velocities, the backend's auxiliaries (Verlet-list anchor for the
-/// reference engine; atom-to-core mapping, neighborhood radius, committed
-/// potential energy, and modeled clock for the wafer engines), the PRNG
-/// stream, the runner's per-stage schedule cursor, and every streaming
-/// probe's accumulators. Restoring it reproduces the uninterrupted
-/// trajectory bit-for-bit on the same backend (cf. LAMMPS restart files,
-/// whose role this plays in the baseline-platform lineage).
+/// velocities, the wafer engines' auxiliaries (atom-to-core mapping,
+/// neighborhood radius, committed potential energy, and modeled clock),
+/// the PRNG stream, the runner's per-stage schedule cursor, and every
+/// streaming probe's accumulators. Restoring it reproduces the
+/// uninterrupted trajectory bit-for-bit on the same backend (cf. LAMMPS
+/// restart files, whose role this plays in the baseline-platform lineage).
+///
+/// The engine block keeps a retired slot after the velocities: a
+/// length-prefixed vector where older builds stored the reference engine's
+/// Verlet anchor (the positions of the last list build, 24 B per atom).
+/// New files write it empty; the reader reads it with its bounded count
+/// and drops it, so older reference files still resume. The reference
+/// engine needs no list state to continue bitwise (engine/engine.hpp).
 ///
 /// Format: "WSMDCKPT" magic, u32 version, u32 endian tag (0x01020304 in
 /// native order — a foreign-endian file is rejected instead of silently

@@ -16,7 +16,7 @@ namespace {
 constexpr const char* kCsvHeader =
     "step,potential_eV,kinetic_eV,total_eV,temperature_K";
 
-void require_finite(const ThermoSample& s) {
+void require_finite(const Thermo& s) {
   WSMD_REQUIRE(std::isfinite(s.potential_energy) &&
                    std::isfinite(s.kinetic_energy) &&
                    std::isfinite(s.total_energy) &&
@@ -53,7 +53,7 @@ ThermoLogger::ThermoLogger(const std::string& path, ThermoFormat format)
 
 ThermoLogger::~ThermoLogger() = default;
 
-void ThermoLogger::write(const ThermoSample& s) {
+void ThermoLogger::write(const Thermo& s) {
   require_finite(s);
   WSMD_REQUIRE(written_ == 0 || s.step >= last_step_,
                "thermo step went backwards: " << last_step_ << " -> "
@@ -88,19 +88,19 @@ void ThermoLogger::finish() {
   }
 }
 
-std::vector<ThermoSample> read_thermo_csv(std::istream& is) {
+std::vector<Thermo> read_thermo_csv(std::istream& is) {
   std::string line;
   WSMD_REQUIRE(static_cast<bool>(std::getline(is, line)),
                "empty thermo CSV (no header)");
   WSMD_REQUIRE(trim(line) == kCsvHeader,
                "unexpected thermo CSV header '" << line << "'");
-  std::vector<ThermoSample> out;
+  std::vector<Thermo> out;
   while (std::getline(is, line)) {
     if (trim(line).empty()) continue;
     const auto fields = split(line, ',');
     WSMD_REQUIRE(fields.size() == 5, "thermo CSV row with " << fields.size()
                                          << " fields: '" << line << "'");
-    ThermoSample s;
+    Thermo s;
     // Full-consumption parsing: trailing garbage in a field (e.g. a bad
     // merge) must fail loudly, not silently truncate a golden value.
     const bool clean = parse_long_strict(fields[0], s.step) &&
@@ -115,7 +115,7 @@ std::vector<ThermoSample> read_thermo_csv(std::istream& is) {
   return out;
 }
 
-std::vector<ThermoSample> read_thermo_csv_file(const std::string& path) {
+std::vector<Thermo> read_thermo_csv_file(const std::string& path) {
   std::ifstream is(path);
   WSMD_REQUIRE(is.good(), "cannot open thermo CSV '" << path << "'");
   return read_thermo_csv(is);

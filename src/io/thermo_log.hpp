@@ -16,17 +16,9 @@
 #include <string>
 #include <vector>
 
-namespace wsmd::io {
+#include "util/thermo.hpp"
 
-/// One thermodynamic sample (mirrors engine::Thermo without depending on
-/// the engine layer).
-struct ThermoSample {
-  long step = 0;
-  double potential_energy = 0.0;  ///< eV
-  double kinetic_energy = 0.0;    ///< eV
-  double total_energy = 0.0;      ///< eV
-  double temperature = 0.0;       ///< K
-};
+namespace wsmd::io {
 
 /// Output encoding for ThermoLogger.
 enum class ThermoFormat {
@@ -52,7 +44,7 @@ class ThermoLogger {
   ThermoLogger(const ThermoLogger&) = delete;
   ThermoLogger& operator=(const ThermoLogger&) = delete;
 
-  void write(const ThermoSample& sample);
+  void write(const Thermo& sample);
 
   /// Flush every buffered row; throws WriteError naming the file when the
   /// stream failed (a full disk).
@@ -72,7 +64,7 @@ class ThermoLogger {
 
 /// Parse a CSV thermo log (as emitted by ThermoLogger); validates the
 /// header and that every value is finite.
-std::vector<ThermoSample> read_thermo_csv(std::istream& is);
-std::vector<ThermoSample> read_thermo_csv_file(const std::string& path);
+std::vector<Thermo> read_thermo_csv(std::istream& is);
+std::vector<Thermo> read_thermo_csv_file(const std::string& path);
 
 }  // namespace wsmd::io

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/thermo.hpp"
 #include "util/units.hpp"
 
 namespace wsmd::md {
@@ -37,9 +38,7 @@ double AtomSystem::kinetic_energy() const {
 }
 
 double AtomSystem::temperature() const {
-  const double ke = kinetic_energy();
-  return 2.0 * ke /
-         (3.0 * static_cast<double>(size()) * units::kBoltzmann);
+  return temperature_of(kinetic_energy(), size());
 }
 
 Vec3d AtomSystem::momentum() const {

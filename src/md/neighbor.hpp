@@ -23,7 +23,10 @@
 /// row's neighbors, and the sweep keeps exactly the entries with r < rc
 /// (md/force_eam.hpp). The skin entries therefore never reach a sum: as
 /// long as the list is complete, forces, energies and trajectories are
-/// bitwise independent of the skin and of when the list was rebuilt.
+/// bitwise independent of the skin and of when the list was rebuilt. That
+/// is why a checkpoint stores no list and no build positions: a restore
+/// only needs ensure_current to rebuild a list that is stale for the
+/// restored positions.
 ///
 /// Skin curve. The skin only trades sieve candidates for rebuilds. On the
 /// 5,760-atom Cu slab of bench/e2e's cu6k_ref (Cu rc 4.96 A, 290 K, 240
@@ -88,20 +91,13 @@ class NeighborList {
   /// Number of rebuilds performed so far (diagnostics; LAMMPS "Neigh" count).
   std::size_t rebuild_count() const { return rebuilds_; }
 
-  /// Positions the list was last built from (the Verlet anchor). Saved by
-  /// checkpoints: rebuilding from the anchor reproduces the
-  /// displacement-based rebuild schedule of the run that wrote it. It does
-  /// not fix the FP summation order: ascending rows and the r < rc sieve
-  /// do that for any complete list (see the file comment).
-  const std::vector<Vec3d>& reference_positions() const {
-    return reference_positions_;
-  }
-
  private:
   double cutoff_;
   double skin_;
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> indices_;
+  /// Positions of the last build: ensure_current measures displacement
+  /// from them.
   std::vector<Vec3d> reference_positions_;
   std::size_t rebuilds_ = 0;
   // Build scratch, kept across rebuilds: the pairs bucketed by their

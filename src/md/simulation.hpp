@@ -1,23 +1,30 @@
 #pragma once
 
 /// \file simulation.hpp
-/// Reference MD driver: owns the system, neighbor list, force kernel, and
-/// integrator; runs timesteps and reports thermodynamic state.
+/// Reference MD physics: owns the system, neighbor list, force kernel, and
+/// integrator; advances timesteps and reports thermodynamic state.
 ///
 /// This is the "LAMMPS role" in the reproduction: ground-truth FP64
-/// trajectories, equilibration, and the CPU-side baseline whose per-step
-/// cost the platform models (src/baseline) are calibrated against. Forces
-/// come from the FP64 PotentialProfile tables built at construction, the
-/// same representation the wafer engine evaluates in FP32.
+/// trajectories and the CPU-side baseline whose per-step cost the platform
+/// models (src/baseline) are calibrated against. Forces come from the FP64
+/// PotentialProfile tables built at construction, the same representation
+/// the wafer engine evaluates in FP32. Driving it (stages, thermostats,
+/// per-step callbacks, checkpoints) is the engine layer's job
+/// (engine::ReferenceEngine, scenario::run_scenario).
+///
+/// Restart state is step, positions and velocities only. The Verlet list
+/// is derived state: any complete list gives the same bits
+/// (md/neighbor.hpp), so a restore rebuilds it exactly when it is stale for
+/// the restored positions.
 
-#include <functional>
 #include <memory>
-#include <optional>
+#include <vector>
 
 #include "md/atom_system.hpp"
 #include "md/force_eam.hpp"
 #include "md/integrator.hpp"
 #include "md/neighbor.hpp"
+#include "util/thermo.hpp"
 
 namespace wsmd::engine {
 class ShardPool;
@@ -30,37 +37,11 @@ struct SimulationConfig {
   /// Verlet skin (A). Trajectories do not depend on it (md/neighbor.hpp):
   /// it trades sieve candidates per step against rebuilds.
   double skin = 0.6;
-  /// Berendsen-style velocity rescale toward this temperature when set
-  /// (equilibration); unset = NVE.
-  std::optional<double> rescale_temperature_K;
-  /// Rescale interval in steps (when rescale_temperature_K is set).
-  int rescale_interval = 10;
   /// Worker threads for the force sweep (scenario backend `reference:N`).
   /// 1 = serial (no pool), 0 = hardware concurrency. Any value produces
   /// bitwise-identical trajectories: the sweep tiles atoms at a fixed width
   /// with a deterministic reduction order (see md/force_eam.hpp).
   int threads = 1;
-};
-
-/// Thermodynamic snapshot after a step.
-struct ThermoState {
-  long step = 0;
-  double potential_energy = 0.0;  ///< eV
-  double kinetic_energy = 0.0;    ///< eV
-  double total_energy = 0.0;      ///< eV
-  double temperature = 0.0;       ///< K
-};
-
-/// Complete dynamic state for checkpoint/restart. `neighbor_anchor` is the
-/// Verlet list's last-build positions: restoring builds the list from the
-/// anchor (not the current positions), which reproduces the writer's
-/// displacement-triggered rebuild schedule. The FP summation order does not
-/// hang on it: any complete list gives the same bits (md/neighbor.hpp).
-struct SimulationState {
-  long step = 0;
-  std::vector<Vec3d> positions;
-  std::vector<Vec3d> velocities;
-  std::vector<Vec3d> neighbor_anchor;  ///< empty = rebuild from positions
 };
 
 class Simulation {
@@ -79,29 +60,22 @@ class Simulation {
   /// demand). Called automatically by run(); exposed for tests.
   double compute_forces();
 
-  /// Run n timesteps; returns the thermo state after the last one.
-  /// `callback`, when set, fires after every step.
-  ThermoState run(long n,
-                  const std::function<void(const ThermoState&)>& callback = {});
+  /// Run n timesteps (NVE); returns the thermo state after the last one.
+  Thermo run(long n);
 
-  /// Equilibrate: thermalize at T then run with periodic velocity rescaling.
-  void equilibrate(double temperature_K, long steps, Rng& rng);
-
-  /// Snapshot the dynamic state (checkpoint).
-  SimulationState save_state() const;
-
-  /// Restore a snapshot: sets positions/velocities/step, rebuilds the
-  /// Verlet list from the saved anchor (again from the positions when the
-  /// anchor lies more than skin/2 from them), and recomputes forces so
-  /// thermo() is immediately valid. The continued trajectory is bitwise
-  /// identical to the uninterrupted run.
-  void restore_state(const SimulationState& state);
+  /// Restore a saved state: sets the step counter, positions and
+  /// velocities, then recomputes forces (compute_forces rebuilds the
+  /// Verlet list when it is stale for the new positions), so thermo() is
+  /// immediately valid. The continued trajectory is bitwise identical to
+  /// the uninterrupted run.
+  void restore(long step, const std::vector<Vec3d>& positions,
+               const std::vector<Vec3d>& velocities);
 
   /// Thermo snapshot. Kinetic energy / temperature are *synchronized*: the
   /// stored leapfrog velocities live at half steps, so they are advanced by
   /// a half kick (v + a dt/2) before the KE sum. Without this the reported
   /// total energy carries an O(dt) sawtooth that masks true drift.
-  ThermoState thermo() const;
+  Thermo thermo() const;
 
   const NeighborList& neighbor_list() const { return neighbors_; }
 

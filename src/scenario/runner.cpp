@@ -109,16 +109,6 @@ void rescale_to(engine::Engine& eng, double target_K) {
   eng.set_velocities(v);
 }
 
-io::ThermoSample to_sample(const engine::Thermo& t) {
-  io::ThermoSample s;
-  s.step = t.step;
-  s.potential_energy = t.potential_energy;
-  s.kinetic_energy = t.kinetic_energy;
-  s.total_energy = t.total_energy;
-  s.temperature = t.temperature;
-  return s;
-}
-
 std::string stage_label(const Stage& st) {
   switch (st.kind) {
     case Stage::Kind::kThermalize:
@@ -496,7 +486,7 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
       return;
     }
     telemetry::ScopedSpan span("io.thermo");
-    thermo_log->write(to_sample(t));
+    thermo_log->write(t);
     last_sample_step = t.step;
   };
   // Position-dependent outputs (trajectory frame + observables) share one
@@ -592,14 +582,7 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
                                 std::size_t stage_index, long steps_done,
                                 double target_K, bool has_target) {
     if (!health) return;
-    telemetry::HealthSample hs;
-    hs.step = t.step;
-    hs.pe = t.potential_energy;
-    hs.ke = t.kinetic_energy;
-    hs.total = t.total_energy;
-    hs.temperature = t.temperature;
-    hs.target_K = target_K;
-    hs.has_target = has_target;
+    const telemetry::HealthSample hs{t, target_K, has_target};
     health->record(hs);
     if (auto fatal = health->check(hs)) {
       const auto ckpt = make_checkpoint_data(stage_index, steps_done);

@@ -105,44 +105,47 @@ std::optional<HealthEvent> HealthMonitor::emit(HealthEvent event) {
 }
 
 std::optional<HealthEvent> HealthMonitor::check(const HealthSample& s) {
+  const Thermo& t = s.thermo;
   if (config_.nan != HealthAction::kOff && !nan_latched_ &&
-      (!std::isfinite(s.pe) || !std::isfinite(s.ke) ||
-       !std::isfinite(s.total) || !std::isfinite(s.temperature))) {
+      (!std::isfinite(t.potential_energy) ||
+       !std::isfinite(t.kinetic_energy) || !std::isfinite(t.total_energy) ||
+       !std::isfinite(t.temperature))) {
     nan_latched_ = true;
     HealthEvent e;
     e.detector = "nan";
-    e.step = s.step;
+    e.step = t.step;
     e.action = config_.nan;
     std::ostringstream msg;
-    msg << "non-finite thermo (pe=" << s.pe << " ke=" << s.ke
-        << " total=" << s.total << " T=" << s.temperature << ")";
+    msg << "non-finite thermo (pe=" << t.potential_energy
+        << " ke=" << t.kinetic_energy << " total=" << t.total_energy
+        << " T=" << t.temperature << ")";
     e.message = msg.str();
     if (auto fatal = emit(std::move(e))) return fatal;
   }
   // The remaining detectors compare magnitudes; skip them on non-finite
   // rows (the nan detector owns those).
-  if (!std::isfinite(s.total) || !std::isfinite(s.temperature)) {
+  if (!std::isfinite(t.total_energy) || !std::isfinite(t.temperature)) {
     return std::nullopt;
   }
   if (config_.energy_drift != HealthAction::kOff && stage_conserves_) {
     if (!have_baseline_) {
       have_baseline_ = true;
-      baseline_total_ = s.total;
+      baseline_total_ = t.total_energy;
     } else if (!drift_latched_) {
       const double scale = std::max(std::abs(baseline_total_), 1e-9);
-      const double drift = std::abs(s.total - baseline_total_) / scale;
+      const double drift = std::abs(t.total_energy - baseline_total_) / scale;
       if (drift > config_.energy_band) {
         drift_latched_ = true;
         HealthEvent e;
         e.detector = "energy_drift";
-        e.step = s.step;
+        e.step = t.step;
         e.value = drift;
         e.limit = config_.energy_band;
         e.action = config_.energy_drift;
         std::ostringstream msg;
         msg << "relative energy drift " << drift << " exceeds band "
             << config_.energy_band << " (E0=" << baseline_total_
-            << " eV, E=" << s.total << " eV)";
+            << " eV, E=" << t.total_energy << " eV)";
         e.message = msg.str();
         if (auto fatal = emit(std::move(e))) return fatal;
       }
@@ -150,17 +153,17 @@ std::optional<HealthEvent> HealthMonitor::check(const HealthSample& s) {
   }
   if (config_.temperature != HealthAction::kOff && !temperature_latched_ &&
       stage_thermostatted_ && s.has_target) {
-    const double deviation = std::abs(s.temperature - s.target_K);
+    const double deviation = std::abs(t.temperature - s.target_K);
     if (deviation > config_.temperature_band_K) {
       temperature_latched_ = true;
       HealthEvent e;
       e.detector = "temperature";
-      e.step = s.step;
-      e.value = s.temperature;
+      e.step = t.step;
+      e.value = t.temperature;
       e.limit = config_.temperature_band_K;
       e.action = config_.temperature;
       std::ostringstream msg;
-      msg << "temperature " << s.temperature << " K is " << deviation
+      msg << "temperature " << t.temperature << " K is " << deviation
           << " K from thermostat target " << s.target_K << " K (band "
           << config_.temperature_band_K << " K)";
       e.message = msg.str();
@@ -251,8 +254,10 @@ void write_thermo_tail_csv(const std::string& path,
   os << "step,pe_eV,ke_eV,total_eV,temperature_K\n";
   char buf[256];
   for (const auto& s : samples) {
-    std::snprintf(buf, sizeof buf, "%ld,%.10g,%.10g,%.10g,%.10g\n", s.step,
-                  s.pe, s.ke, s.total, s.temperature);
+    const Thermo& t = s.thermo;
+    std::snprintf(buf, sizeof buf, "%ld,%.10g,%.10g,%.10g,%.10g\n", t.step,
+                  t.potential_energy, t.kinetic_energy, t.total_energy,
+                  t.temperature);
     os << buf;
   }
   WSMD_REQUIRE(os.good(), "failed writing thermo tail file '" << path << "'");

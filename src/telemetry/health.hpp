@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/thermo.hpp"
 
 namespace wsmd::telemetry {
 
@@ -87,14 +88,10 @@ struct HealthConfig {
   }
 };
 
-/// One thermo sample as the runner sees it, plus the active thermostat
-/// target (has_target during thermalize/equilibrate stages).
+/// One thermo row as the runner sees it, plus the active thermostat
+/// target (has_target during thermostatted stages).
 struct HealthSample {
-  long step = 0;
-  double pe = 0.0;
-  double ke = 0.0;
-  double total = 0.0;
-  double temperature = 0.0;
+  Thermo thermo;
   double target_K = 0.0;
   bool has_target = false;
 };

@@ -153,7 +153,7 @@ const SnapshotRow& SnapshotStream::take_snapshot(
       .set("imbalance", row.imbalance);
   os_ << obj.encode() << '\n';
   os_.flush();
-  WSMD_REQUIRE(os_.good(), "failed writing metrics file '" << path_ << "'");
+  if (!os_.good()) throw WriteError(path_, "metrics snapshot");
 
   rows_.push_back(std::move(row));
   return rows_.back();
@@ -162,28 +162,9 @@ const SnapshotRow& SnapshotStream::take_snapshot(
 void SnapshotStream::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  // Same rows, byte for byte, as telemetry::write_metrics_jsonl appends —
-  // PR 6 consumers parse the finalized file unchanged.
-  for (const auto& s : span_stats()) {
-    JsonObject obj;
-    obj.set("kind", "span")
-        .set("name", s.name)
-        .set("calls", static_cast<long long>(s.calls))
-        .set("total_s", s.total_seconds)
-        .set("mean_s", s.calls > 0
-                           ? s.total_seconds / static_cast<double>(s.calls)
-                           : 0.0)
-        .set("max_s", s.max_seconds);
-    os_ << obj.encode() << '\n';
-  }
-  for (const auto& [name, value] : counters()) {
-    JsonObject obj;
-    obj.set("kind", "counter").set("name", name).set(
-        "value", static_cast<long long>(value));
-    os_ << obj.encode() << '\n';
-  }
+  append_metric_rows(os_);
   os_.flush();
-  WSMD_REQUIRE(os_.good(), "failed writing metrics file '" << path_ << "'");
+  if (!os_.good()) throw WriteError(path_, "metrics");
   os_.close();
 }
 

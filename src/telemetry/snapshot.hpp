@@ -79,9 +79,10 @@ class SnapshotStream {
                                    const std::vector<double>& shard_busy_cum,
                                    const std::vector<double>& shard_wait_cum);
 
-  /// Append the end-of-run span/counter aggregate rows and close the
-  /// file. Idempotent — the unwind path and the normal path may both
-  /// call it.
+  /// Append the end-of-run span/counter aggregate rows
+  /// (telemetry::append_metric_rows) and close the file. Idempotent — the
+  /// unwind path and the normal path may both call it. Throws WriteError
+  /// naming the file when the rows did not reach it (take_snapshot too).
   void finalize();
 
   const std::vector<SnapshotRow>& rows() const { return rows_; }

@@ -272,9 +272,7 @@ void write_trace_json(const std::string& path) {
   if (!os.good()) throw WriteError(path, "trace");
 }
 
-void write_metrics_jsonl(const std::string& path) {
-  std::ofstream os(path);
-  WSMD_REQUIRE(os.good(), "cannot open metrics file '" << path << "'");
+void append_metric_rows(std::ostream& os) {
   for (const auto& s : span_stats()) {
     JsonObject obj;
     obj.set("kind", "span")
@@ -293,6 +291,12 @@ void write_metrics_jsonl(const std::string& path) {
         "value", static_cast<long long>(value));
     os << obj.encode() << '\n';
   }
+}
+
+void write_metrics_jsonl(const std::string& path) {
+  std::ofstream os(path);
+  WSMD_REQUIRE(os.good(), "cannot open metrics file '" << path << "'");
+  append_metric_rows(os);
   os.flush();
   if (!os.good()) throw WriteError(path, "metrics");
 }

@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,11 +139,15 @@ std::vector<TraceEvent> trace_events();
 /// flushed document did not reach the file.
 void write_trace_json(const std::string& path);
 
-/// Write span aggregates and counters as JSON-lines, one object per line
-/// in the BENCH-envelope encoding (util/bench_json): {"kind": "span",
-/// "name", "calls", "total_s", "mean_s", "max_s"} and {"kind": "counter",
-/// "name", "value"}. Throws WriteError naming `path` when the flushed rows
-/// did not reach the file.
+/// Append span aggregates and counters to `os` as JSON-lines, one object
+/// per line in the BENCH-envelope encoding (util/bench_json): {"kind":
+/// "span", "name", "calls", "total_s", "mean_s", "max_s"} and {"kind":
+/// "counter", "name", "value"}. The end-of-run rows of every metrics file
+/// (write_metrics_jsonl and SnapshotStream::finalize).
+void append_metric_rows(std::ostream& os);
+
+/// Write append_metric_rows to `path`. Throws WriteError naming `path`
+/// when the flushed rows did not reach the file.
 void write_metrics_jsonl(const std::string& path);
 
 }  // namespace wsmd::telemetry

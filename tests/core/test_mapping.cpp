@@ -141,7 +141,6 @@ TEST(Mapping, FoldedPeriodicAxisKeepsWrapPairsLocal) {
       {true, false, false});
   MappingConfig cfg;
   cfg.cell_size = p.lattice_constant();
-  cfg.fold_periodic = true;
   const auto m = AtomMapping::for_structure(s, cfg);
 
   // required_b with the periodic minimum image must stay small; without

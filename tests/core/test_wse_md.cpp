@@ -297,21 +297,14 @@ TEST(WseMd, ElapsedTimeAccumulates) {
   EXPECT_NEAR(engine.elapsed_seconds(), 2.0 * t10, 0.2 * t10);
 }
 
-TEST(WseMd, RunCallbackFiresEveryStep) {
-  // Mirrors md::Simulation::run(n, callback) so the two engines can be
-  // driven identically.
+TEST(WseMd, RunReturnsTheLastStepStats) {
+  // Per-step callbacks belong to engine::Engine::run; WseMd::run only
+  // advances.
   Fixture f;
   WseMd engine(f.structure, f.potential, f.config());
-  int fired = 0;
-  long last_step = 0;
-  const auto final_stats = engine.run(6, [&](const WseStepStats& s) {
-    ++fired;
-    EXPECT_EQ(s.step, last_step + 1);
-    last_step = s.step;
-    EXPECT_GT(s.max_cycles, 0.0);
-  });
-  EXPECT_EQ(fired, 6);
+  const auto final_stats = engine.run(6);
   EXPECT_EQ(final_stats.step, 6);
+  EXPECT_GT(final_stats.max_cycles, 0.0);
   EXPECT_EQ(engine.step_count(), 6);
 }
 

@@ -36,7 +36,6 @@ CheckpointData sample_data() {
   d.engine.step = 17;
   d.engine.positions = {{1.0, 2.0, 3.0}, {0.1, 0.2, 0.3}, {4.5, 5.5, 6.5}};
   d.engine.velocities = {{0.25, -0.5, 0.75}, {1e-17, -1e300, 0.0}, {1, 2, 3}};
-  d.engine.neighbor_anchor = d.engine.positions;
   d.engine.has_wafer = true;
   d.engine.potential_energy = -123.4567890123456789;
   d.engine.elapsed_seconds = 4.5e-6;
@@ -74,7 +73,6 @@ void expect_equal(const CheckpointData& a, const CheckpointData& b) {
       EXPECT_EQ(a.engine.velocities[i][ax], b.engine.velocities[i][ax]);
     }
   }
-  EXPECT_EQ(a.engine.neighbor_anchor.size(), b.engine.neighbor_anchor.size());
   EXPECT_EQ(a.engine.has_wafer, b.engine.has_wafer);
   EXPECT_EQ(a.engine.potential_energy, b.engine.potential_energy);
   EXPECT_EQ(a.engine.elapsed_seconds, b.engine.elapsed_seconds);

@@ -242,7 +242,7 @@ TEST(Xyz, WriteFileToFullDiskRaisesWriteError) {
 TEST(ThermoLog, FinishOnFullDiskRaisesWriteError) {
   REQUIRE_DEV_FULL();
   io::ThermoLogger log("/dev/full", io::ThermoFormat::kCsv);
-  io::ThermoSample s;
+  Thermo s;
   s.step = 1;
   log.write(s);  // buffered: the failure shows when the rows flush
   try {
@@ -257,7 +257,7 @@ TEST(ThermoLog, FinishOnFullDiskRaisesWriteError) {
 TEST(ThermoLog, FinishSucceedsOnAWorkingStream) {
   std::stringstream ss;
   io::ThermoLogger log(ss, io::ThermoFormat::kCsv);
-  io::ThermoSample s;
+  Thermo s;
   s.step = 4;
   log.write(s);
   EXPECT_NO_THROW(log.finish());
@@ -266,9 +266,9 @@ TEST(ThermoLog, FinishSucceedsOnAWorkingStream) {
 
 TEST(ThermoLog, CsvRoundTripIsExact) {
   std::stringstream ss;
-  std::vector<io::ThermoSample> in;
+  std::vector<Thermo> in;
   for (int k = 0; k < 5; ++k) {
-    io::ThermoSample s;
+    Thermo s;
     s.step = k * 10;
     s.potential_energy = -2720.182091791 + 0.137 * k;
     s.kinetic_energy = 32.3821242393 * (k + 1) / 5.0;
@@ -296,7 +296,7 @@ TEST(ThermoLog, CsvRoundTripIsExact) {
 TEST(ThermoLog, RejectsNonFiniteSamples) {
   std::stringstream ss;
   io::ThermoLogger log(ss, io::ThermoFormat::kCsv);
-  io::ThermoSample s;
+  Thermo s;
   s.step = 1;
   s.potential_energy = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(log.write(s), Error);
@@ -311,7 +311,7 @@ TEST(ThermoLog, RejectsNonFiniteSamples) {
 TEST(ThermoLog, RejectsBackwardsSteps) {
   std::stringstream ss;
   io::ThermoLogger log(ss, io::ThermoFormat::kCsv);
-  io::ThermoSample s;
+  Thermo s;
   s.step = 10;
   log.write(s);
   s.step = 10;
@@ -324,7 +324,7 @@ TEST(ThermoLog, JsonLinesEmitsOneObjectPerSample) {
   std::stringstream ss;
   {
     io::ThermoLogger log(ss, io::ThermoFormat::kJsonLines);
-    io::ThermoSample s;
+    Thermo s;
     s.step = 3;
     s.potential_energy = -1.5;
     s.total_energy = -1.25;

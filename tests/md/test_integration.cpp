@@ -74,8 +74,8 @@ TEST(Leapfrog, EnergyConservationNVE) {
   // must be a tiny fraction of the kinetic energy.
   auto sim = small_ta_simulation(290.0, 101);
   sim.compute_forces();
-  const ThermoState initial = sim.thermo();
-  const ThermoState final = sim.run(400);
+  const Thermo initial = sim.thermo();
+  const Thermo final = sim.run(400);
   const double scale = std::fabs(initial.kinetic_energy) + 1e-10;
   EXPECT_LT(std::fabs(final.total_energy - initial.total_energy) / scale,
             2e-3)

@@ -77,13 +77,13 @@ SimulationConfig with_skin(double skin, double dt) {
 
 /// Every thermo row of a run, then its final positions and velocities.
 struct Trace {
-  std::vector<ThermoState> rows;
+  std::vector<Thermo> rows;
   std::vector<Vec3d> positions, velocities;
 };
 
 Trace run_trace(Simulation& sim, long steps) {
   Trace t;
-  sim.run(steps, [&](const ThermoState& row) { t.rows.push_back(row); });
+  for (long k = 0; k < steps; ++k) t.rows.push_back(sim.run(1));
   t.positions = sim.system().positions().to_aos();
   t.velocities = sim.system().velocities().to_aos();
   return t;
@@ -94,8 +94,7 @@ void expect_same_bytes(const Trace& got, const Trace& want,
                        const std::string& what) {
   ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
   for (std::size_t k = 0; k < want.rows.size(); ++k) {
-    ASSERT_EQ(std::memcmp(&got.rows[k], &want.rows[k], sizeof(ThermoState)),
-              0)
+    ASSERT_EQ(std::memcmp(&got.rows[k], &want.rows[k], sizeof(Thermo)), 0)
         << what << ": thermo row of step " << want.rows[k].step << " (pe "
         << got.rows[k].potential_energy << " vs "
         << want.rows[k].potential_energy << ")";
@@ -111,13 +110,12 @@ void expect_same_bytes(const Trace& got, const Trace& want,
       << what << ": velocities";
 }
 
-/// Largest minimum-image distance between a snapshot's anchor and its
-/// positions.
-double max_anchor_offset(const Box& box, const SimulationState& st) {
+/// Largest minimum-image distance between two configurations.
+double max_offset(const Box& box, const std::vector<Vec3d>& a,
+                  const std::vector<Vec3d>& b) {
   double worst = 0.0;
-  for (std::size_t i = 0; i < st.positions.size(); ++i) {
-    worst = std::max(
-        worst, norm(box.minimum_image(st.neighbor_anchor[i], st.positions[i])));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    worst = std::max(worst, norm(box.minimum_image(a[i], b[i])));
   }
   return worst;
 }
@@ -136,18 +134,6 @@ TEST(Simulation, StepCounterAdvances) {
   EXPECT_EQ(sim.step_count(), 8);
 }
 
-TEST(Simulation, CallbackFiresEveryStep) {
-  Simulation sim(make_small_open_block());
-  int calls = 0;
-  long last_step = -1;
-  sim.run(7, [&](const ThermoState& t) {
-    ++calls;
-    last_step = t.step;
-  });
-  EXPECT_EQ(calls, 7);
-  EXPECT_EQ(last_step, 7);
-}
-
 TEST(Simulation, ZeroTemperatureLatticeStaysPut) {
   // A perfect crystal at T=0 has zero forces and zero velocities: nothing
   // moves, potential energy is constant.
@@ -162,35 +148,15 @@ TEST(Simulation, ZeroTemperatureLatticeStaysPut) {
   }
 }
 
-TEST(Simulation, EquilibrateReachesTargetTemperature) {
-  Simulation sim(make_ta_block(4));
-  Rng rng(55);
-  sim.equilibrate(290.0, 100, rng);
-  // After equilibration about half the initial kinetic energy has moved
-  // into potential (equipartition with phonons), and rescaling keeps T at
-  // the target on rescale steps. Allow a generous band.
-  EXPECT_NEAR(sim.thermo().temperature, 290.0, 80.0);
-}
-
 TEST(Simulation, NveAfterEquilibrationConservesEnergy) {
   Simulation sim(make_ta_block(4));
   Rng rng(56);
-  sim.equilibrate(290.0, 80, rng);
+  sim.system().thermalize(290.0, rng);
+  sim.run(80);  // kinetic and potential energy settle into equipartition
   const double e0 = sim.thermo().total_energy;
   sim.run(200);
   const double e1 = sim.thermo().total_energy;
   EXPECT_NEAR(e1, e0, 5e-3 * std::fabs(sim.thermo().kinetic_energy) + 1e-6);
-}
-
-TEST(Simulation, RescaleThermostatHoldsTemperature) {
-  SimulationConfig cfg;
-  cfg.rescale_temperature_K = 500.0;
-  cfg.rescale_interval = 5;
-  Simulation sim(make_ta_block(4), cfg);
-  Rng rng(57);
-  sim.system().thermalize(100.0, rng);  // start cold
-  sim.run(200);
-  EXPECT_NEAR(sim.thermo().temperature, 500.0, 150.0);
 }
 
 TEST(Simulation, NeighborListRebuildsAreSparse) {
@@ -199,7 +165,8 @@ TEST(Simulation, NeighborListRebuildsAreSparse) {
   // "Neighbor list" models (re-examine every ~10th step).
   Simulation sim(make_ta_block(4));
   Rng rng(58);
-  sim.equilibrate(290.0, 50, rng);
+  sim.system().thermalize(290.0, rng);
+  sim.run(50);
   const std::size_t before = sim.neighbor_list().rebuild_count();
   sim.run(200);
   const std::size_t rebuilds = sim.neighbor_list().rebuild_count() - before;
@@ -236,43 +203,34 @@ TEST(Simulation, TrajectoryIsBitwiseIndependentOfTheSkin) {
 
 TEST(Simulation, RestoreRebuildsAnAnchorWrittenAtALargerSkin) {
   // A run at a 1.0 A skin saves its state on the last step before its list
-  // goes stale: the anchor is then up to 0.5 A from the positions, past
-  // the 0.3 A a 0.6 A skin allows. The counter-streaming gas closes pairs
-  // in on each other at twice that, so a list kept on the anchor would
-  // miss pairs inside the cutoff.
+  // goes stale: atoms are then up to 0.5 A from where that list was built,
+  // past the 0.3 A a 0.6 A skin allows. The counter-streaming gas closes
+  // pairs in on each other at twice that. The state resumes at 0.6 A in
+  // an engine whose own list was built at step 0, which the saved
+  // positions have left behind: restore must rebuild it, or pairs inside
+  // the cutoff go missing.
   Simulation writer(make_lj_gas(20.0), with_skin(1.0, 0.001));
   writer.compute_forces();
   const std::size_t first = writer.neighbor_list().rebuild_count();
-  SimulationState snap;
+  long step = 0;
+  std::vector<Vec3d> positions, velocities;
   while (writer.neighbor_list().rebuild_count() == first) {
-    snap = writer.save_state();
+    step = writer.step_count();
+    positions = writer.system().positions().to_aos();
+    velocities = writer.system().velocities().to_aos();
     writer.run(1);
   }
-  ASSERT_GT(max_anchor_offset(writer.system().box(), snap), 0.3);
 
   Simulation straight(make_lj_gas(20.0), with_skin(0.6, 0.001));
-  straight.run(snap.step);
+  straight.run(step);
   const Trace want = run_trace(straight, 100);
   Simulation resumed(make_lj_gas(20.0), with_skin(0.6, 0.001));
-  resumed.restore_state(snap);
+  resumed.compute_forces();
+  ASSERT_GT(max_offset(resumed.system().box(),
+                       resumed.system().positions().to_aos(), positions),
+            0.3);
+  resumed.restore(step, positions, velocities);
   expect_same_bytes(run_trace(resumed, 100), want, "skin 1.0 -> 0.6 resume");
-}
-
-TEST(Simulation, RestoreRebuildsADisplacedAnchor) {
-  // An anchor moved past skin/2 (here 0.75 skin, in opposite directions
-  // for alternate atoms) is stale: restore must rebuild from the
-  // positions, or pairs inside the cutoff go missing from the list.
-  const SimulationConfig cfg;
-  Simulation straight(make_hot_cu_slab(), cfg);
-  straight.run(40);
-  SimulationState snap = straight.save_state();
-  const Trace want = run_trace(straight, 100);
-  for (std::size_t i = 0; i < snap.neighbor_anchor.size(); ++i) {
-    snap.neighbor_anchor[i].x += (i % 2 == 0 ? 0.75 : -0.75) * cfg.skin;
-  }
-  Simulation resumed(make_hot_cu_slab(), cfg);
-  resumed.restore_state(snap);
-  expect_same_bytes(run_trace(resumed, 100), want, "displaced anchor");
 }
 
 TEST(Simulation, OpenBoundarySlabDoesNotExplode) {

@@ -12,8 +12,9 @@
 ///
 /// Also covered: the checkpoint deck keys' eager validation, the
 /// embedded-deck round trip (deck_from_scenario), the rejection of
-/// resumes whose overrides change the schedule or the structure, and the
-/// legacy `potential` key older checkpoints embed.
+/// resumes whose overrides change the schedule or the structure, the
+/// legacy `potential` key older checkpoints embed, and the Verlet anchor
+/// older reference checkpoints carry.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,7 +70,7 @@ void expect_rows_equal(const io::Series& straight, const io::Series& resumed,
 
 /// The resumed thermo log opens with the restored step `at` and must then
 /// match the uninterrupted stream sample for sample, bitwise.
-void expect_thermo_tail_equal(const std::vector<io::ThermoSample>& straight,
+void expect_thermo_tail_equal(const std::vector<Thermo>& straight,
                               const std::string& resumed_path, long at,
                               const std::string& label) {
   const auto resumed = io::read_thermo_csv_file(resumed_path);
@@ -316,6 +318,47 @@ TEST(Resume, RejectsScheduleAndStructureChanges) {
 std::string file_text(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Resume, ReferenceCheckpointWithAVerletAnchorStillResumes) {
+  // tests/scenario/data/legacy_anchor.20.ckpt was written at step 20 of
+  // tests/scenario/data/legacy_anchor.deck (108-atom Cu bulk, reference
+  // backend) by a build that still stored the Verlet anchor (386b575).
+  // Writing back what the reader returns stores the same state with the
+  // anchor slot empty: 24 B per atom shorter.
+  const std::string fixture = std::string(WSMD_SOURCE_DIR) +
+                              "/tests/scenario/data/legacy_anchor.20.ckpt";
+  const auto legacy = io::read_checkpoint_file(fixture);
+  ASSERT_EQ(legacy.engine.step, 20);
+  std::ostringstream emptied;
+  io::write_checkpoint(emptied, legacy);
+  ASSERT_EQ(file_text(fixture).size() - emptied.str().size(), 24u * 108u)
+      << "the fixture carries one anchor per atom";
+
+  // Both files resume to the same run, bit for bit: the anchor never
+  // reaches the trajectory.
+  const Scenario sc = scenario_from_deck(embedded_deck(legacy));
+  const std::string dir = ::testing::TempDir() + "wsmd_resume_legacy";
+  std::filesystem::remove_all(dir);
+  RunOptions opt;
+  opt.output_dir = dir + "/anchored";
+  const auto anchored = resume_scenario(sc, legacy, opt);
+  std::istringstream in(emptied.str());
+  opt.output_dir = dir + "/emptied";
+  const auto plain =
+      resume_scenario(sc, io::read_checkpoint(in, "emptied"), opt);
+  const auto rows = io::read_thermo_csv_file(anchored.thermo_path);
+  ASSERT_EQ(rows.size(), 21u);
+  EXPECT_EQ(rows.front().step, 20);
+  EXPECT_EQ(rows.back().step, 40);
+  EXPECT_EQ(file_text(anchored.thermo_path), file_text(plain.thermo_path));
+
+  // This build's own step-40 snapshots write the slot empty.
+  const std::string fresh = file_text(dir + "/anchored/legacy_anchor.40.ckpt");
+  EXPECT_EQ(fresh.size(), emptied.str().size())
+      << "a reference snapshot writes an empty anchor slot";
+  EXPECT_EQ(fresh, file_text(dir + "/emptied/legacy_anchor.40.ckpt"));
+  std::filesystem::remove_all(dir);
 }
 
 /// `ckpt` with a `potential = <value>` entry after `pair_style`, where

@@ -15,8 +15,8 @@
 ///     are created.
 ///
 ///   - A full disk fails the run: thermo rows, the summary, probe streams
-///     and the trace export that never reach their file raise WriteError,
-///     and the `wsmd` CLI (run and analyze) exits 1.
+///     and the trace and metrics exports that never reach their file raise
+///     WriteError, and the `wsmd` CLI (run and analyze) exits 1.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "io/thermo_log.hpp"
@@ -189,41 +190,48 @@ TEST(FullDisk, WsmdExitsOne) {
   }
 }
 
-TEST(FullDisk, TraceExportFailsTheRun) {
-  // A trace small enough to sit in the stream's buffer until the final
-  // flush must still fail the run when that flush does not reach the file.
+TEST(FullDisk, TraceAndMetricsExportsFailTheRun) {
+  // Exports small enough to sit in their stream's buffer until the final
+  // flush must still fail the run when that flush does not reach the file:
+  // a WriteError naming it, and `wsmd` exits 1 without a C++ source line.
   if (!dev_full_writable()) GTEST_SKIP() << "/dev/full cannot be opened";
-  const fs::path dir = fs::temp_directory_path() / "wsmd_full_trace";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const fs::path trace = dir / "run.trace.json";
-  fs::create_symlink("/dev/full", trace);
-  const std::string spec =
-      "name = full_trace\n"
-      "element = Ta\n"
-      "geometry = slab\n"
-      "replicate = 3 3 2\n"
-      "seed = 5\n"
-      "thermalize = 300\n"
-      "run = 5\n"
-      "telemetry.trace = " +
-      trace.string() + "\n";
-  try {
-    run_scenario(scenario_from_deck(parse_deck_string(spec, "trace.deck")));
-    ADD_FAILURE() << "a trace on a full disk must fail the run";
-  } catch (const WriteError& ex) {
-    EXPECT_EQ(ex.path(), trace.string());
-  }
   const fs::path wsmd =
       fs::read_symlink("/proc/self/exe").parent_path() / "wsmd";
-  if (fs::exists(wsmd)) {
-    const std::string deck = (dir / "trace.deck").string();
+  const fs::path dir = fs::temp_directory_path() / "wsmd_full_export";
+  for (const std::string key : {"trace", "metrics"}) {
+    const std::string spec =
+        "name = full_export\n"
+        "element = Ta\n"
+        "geometry = slab\n"
+        "replicate = 3 3 2\n"
+        "seed = 5\n"
+        "thermalize = 300\n"
+        "run = 5\n"
+        "telemetry." +
+        key + " = /dev/full\n";
+    try {
+      run_scenario(scenario_from_deck(parse_deck_string(spec, "export.deck")));
+      ADD_FAILURE() << key << " on a full disk must fail the run";
+    } catch (const WriteError& ex) {
+      EXPECT_EQ(ex.path(), "/dev/full") << key;
+    }
+    if (!fs::exists(wsmd)) continue;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string deck = (dir / "export.deck").string();
+    const std::string err = (dir / "stderr.txt").string();
     std::ofstream(deck) << spec;
     const int status = std::system(
-        (wsmd.string() + " --quiet " + deck + " 2>/dev/null >/dev/null")
+        (wsmd.string() + " --quiet " + deck + " 2>" + err + " >/dev/null")
             .c_str());
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 1);
+    ASSERT_TRUE(WIFEXITED(status)) << key;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << key;
+    std::ifstream in(err);
+    const std::string message{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+    EXPECT_NE(message.find("/dev/full"), std::string::npos) << message;
+    EXPECT_EQ(message.find("requirement failed"), std::string::npos)
+        << message;
   }
   fs::remove_all(dir);
 }

@@ -68,8 +68,8 @@ constexpr Tolerance kWaferTol{8e-3, 0.1, 45.0};
 /// max ~1.3% through the ar_lj_melt ramp; band ~3x that).
 constexpr Tolerance kLjWaferTol{4e-2, 0.2, 45.0};
 
-void compare_stream(const std::vector<io::ThermoSample>& golden,
-                    const std::vector<io::ThermoSample>& got,
+void compare_stream(const std::vector<Thermo>& golden,
+                    const std::vector<Thermo>& got,
                     const Tolerance& tol, const std::string& label) {
   ASSERT_EQ(golden.size(), got.size()) << label << ": sample count drifted";
   for (std::size_t k = 0; k < golden.size(); ++k) {

@@ -33,15 +33,7 @@ std::string slurp(const std::string& path) {
 
 HealthSample sample(long step, double pe, double ke, double temperature,
                     double target_K = 0.0, bool has_target = false) {
-  HealthSample s;
-  s.step = step;
-  s.pe = pe;
-  s.ke = ke;
-  s.total = pe + ke;
-  s.temperature = temperature;
-  s.target_K = target_K;
-  s.has_target = has_target;
-  return s;
+  return {{step, pe, ke, pe + ke, temperature}, target_K, has_target};
 }
 
 TEST(HealthAction, ParseAndName) {
@@ -265,8 +257,8 @@ TEST(HealthMonitor, ThermoTailRingKeepsTheLastK) {
   }
   const auto tail = mon.tail();
   ASSERT_EQ(tail.size(), 4u);
-  EXPECT_EQ(tail.front().step, 7);
-  EXPECT_EQ(tail.back().step, 10);
+  EXPECT_EQ(tail.front().thermo.step, 7);
+  EXPECT_EQ(tail.back().thermo.step, 10);
 }
 
 TEST(HealthWriters, ThermoTailCsvPrintsNonFiniteRowsVerbatim) {
